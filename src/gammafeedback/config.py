@@ -3,17 +3,19 @@ Sectioned key=value run configuration: parsing, validation, rendering.
 
 Format: INI-style sections ``[model]``, ``[impact]``, ``[stochastic]``,
 ``[events]``, ``[grid]``, ``[run]`` with ``key = value`` lines and ``#``
-comments. Omitted keys fall back to the model's canonical defaults
-(sigma_m = 0.03, k = 2, eta = 2, xi = 5, rho = 0.9, sigma_n = 0.2,
-kappa = 8, s0 = 100, impact kind tanh with c = 1). Empty sections are
-treated as absent. ``render_config`` writes the fully resolved document
-back out; parsing that text reproduces the same RunConfig exactly.
+comments. Each section builds one spec dataclass -- ``ModelParams``,
+``ImpactSpec``, ``StochasticSpec``, ``EventSpec``, ``GridSpec``, and
+``RunConfig`` itself for ``[run]`` -- and its keys are that dataclass's
+fields: their types say how a value parses, their defaults fill omitted
+keys, and the spec's own checks validate the result. ``render_config``
+walks the same fields to write the fully resolved document back out;
+parsing that text reproduces the same RunConfig exactly.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .analysis import GridSpec
 from .model import ImpactSpec, ModelParams
@@ -22,25 +24,6 @@ from .stochastic import EventSpec, StochasticSpec
 
 class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
-
-
-SECTIONS = ("model", "impact", "stochastic", "events", "grid", "run")
-
-_MODEL_KEYS = {
-    "lambda", "beta", "mu0", "n0", "gamma0",
-    "sigma_m", "k", "c", "eta", "xi", "s0",
-}
-_MODEL_REQUIRED = ("lambda", "beta", "mu0", "n0", "gamma0")
-_IMPACT_KEYS = {"kind", "c", "i_max"}
-_STOCH_KEYS = {"rho", "sigma_n", "kappa", "seed"}
-_EVENT_KEYS = {"n_spikes", "max_fraction", "seed"}
-_GRID_KEYS = {
-    "beta_min", "beta_max", "g_min", "g_max", "n_beta", "n_g",
-    "shock_ratio", "lambda", "sigma_m", "k",
-}
-_GRID_REQUIRED = ("beta_min", "beta_max", "g_min", "g_max", "n_beta", "n_g",
-                  "shock_ratio", "lambda")
-_RUN_KEYS = {"horizon", "out", "emit_svg"}
 
 
 @dataclass
@@ -57,46 +40,85 @@ class RunConfig:
     output_dir: str | None = None
     emit_svg: bool = False
 
-
-def _check_keys(section: str, present, allowed) -> None:
-    unknown = sorted(set(present) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
+    def __post_init__(self) -> None:
+        if self.horizon is not None and self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1 (got {self.horizon})")
 
 
-def _require(section: str, data: dict, keys) -> None:
-    missing = [k for k in keys if k not in data]
-    if missing:
-        raise ConfigError(f"missing required key(s) in [{section}]: {', '.join(missing)}")
+_SPECS = {"model": ModelParams, "impact": ImpactSpec, "stochastic": StochasticSpec,
+          "events": EventSpec, "grid": GridSpec, "run": RunConfig}
+SECTIONS = tuple(_SPECS)
+
+# What the fields cannot say: keys spelled differently from their field,
+# keys required although their field has a default, and fields that are
+# not keys ([events] takes its horizon from [run]; RunConfig's section
+# fields hold the other sections).
+_KEY_NAMES = {"lam": "lambda", "output_dir": "out"}
+_REQUIRED = {"model": ("n0", "gamma0")}
+_NOT_KEYS = {"events": ("horizon",), "run": SECTIONS}
 
 
-def _float(section: str, data: dict, key: str, default=None) -> float:
-    if key not in data:
-        return default
-    try:
-        return float(data[key])
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} is not a number: {data[key]!r}") from None
-
-
-def _int(section: str, data: dict, key: str, default=None):
-    if key not in data:
-        return default
-    try:
-        return int(data[key])
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} is not an integer: {data[key]!r}") from None
-
-
-def _bool(section: str, data: dict, key: str, default: bool) -> bool:
-    if key not in data:
-        return default
-    text = data[key].strip().lower()
-    if text in ("true", "1", "yes", "on"):
+def _bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word in ("true", "1", "yes", "on"):
         return True
-    if text in ("false", "0", "no", "off"):
+    if word in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"[{section}] {key} is not a boolean: {data[key]!r}")
+    raise ValueError(text)
+
+
+# Field annotation -> how a value is written (repr is inlined) and read, and
+# what a bad value "is not".
+_TYPES = {
+    "float": (repr, float, "a number"),
+    "int": (repr, int, "an integer"),
+    "bool": (lambda value: "true" if value else "false", _bool, "a boolean"),
+    "str": (str, str, "a string"),
+}
+
+
+def _section(section: str, spec) -> tuple[tuple, frozenset, tuple]:
+    """A section's keys as (key, field, render, parse, what) in field order,
+    the set of them, and the keys it requires. Plain tuples: they unpack
+    faster than named ones."""
+    keys, required = [], []
+    for f in fields(spec):
+        if f.name in _NOT_KEYS.get(section, ()):
+            continue
+        key = _KEY_NAMES.get(f.name, f.name)
+        keys.append((key, f.name, *_TYPES[f.type.partition(" ")[0]]))
+        if f.default is MISSING or f.name in _REQUIRED.get(section, ()):
+            required.append(key)
+    return tuple(keys), frozenset(k[0] for k in keys), tuple(required)
+
+
+# Built once: reading the fields on every parse would cost more than the parse.
+_TABLE = {section: _section(section, spec) for section, spec in _SPECS.items()}
+
+
+def _build(section: str, data: dict, filled: dict):
+    """Check one section's raw strings and build its spec, plus ``filled``."""
+    keys, allowed, required = _TABLE[section]
+    if not allowed.issuperset(data):
+        unknown = ", ".join(sorted(data.keys() - allowed))
+        raise ConfigError(f"unknown key(s) in [{section}]: {unknown}")
+    for key in required:
+        if key not in data:
+            missing = ", ".join(k for k in required if k not in data)
+            raise ConfigError(f"missing required key(s) in [{section}]: {missing}")
+    for name, value in filled.items():
+        if value is None:
+            raise ConfigError(f"[{section}] requires [run] {name}")
+    for key, name, _, parse, what in keys:
+        if key in data:
+            try:
+                filled[name] = parse(data[key])
+            except ValueError:
+                raise ConfigError(f"[{section}] {key} is not {what}: {data[key]!r}") from None
+    try:
+        return _SPECS[section](**filled)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -112,102 +134,15 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config parse error: {exc}") from None
 
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
-    unknown = sorted(set(sections) - set(SECTIONS))
-    if unknown:
-        raise ConfigError(f"unknown section(s): {', '.join(unknown)}")
+    if not _SPECS.keys() >= sections.keys():
+        unknown = ", ".join(sorted(sections.keys() - _SPECS.keys()))
+        raise ConfigError(f"unknown section(s): {unknown}")
 
-    config = RunConfig()
-
-    if "run" in sections:
-        data = sections["run"]
-        _check_keys("run", data, _RUN_KEYS)
-        config.horizon = _int("run", data, "horizon")
-        if config.horizon is not None and config.horizon < 1:
-            raise ConfigError(f"[run] horizon must be >= 1 (got {config.horizon})")
-        config.output_dir = data.get("out")
-        config.emit_svg = _bool("run", data, "emit_svg", False)
-
-    if "model" in sections:
-        data = sections["model"]
-        _check_keys("model", data, _MODEL_KEYS)
-        _require("model", data, _MODEL_REQUIRED)
-        try:
-            config.model = ModelParams(
-                lam=_float("model", data, "lambda"),
-                beta=_float("model", data, "beta"),
-                mu0=_float("model", data, "mu0"),
-                n0=_float("model", data, "n0"),
-                gamma0=_float("model", data, "gamma0"),
-                sigma_m=_float("model", data, "sigma_m", 0.03),
-                k=_float("model", data, "k", 2.0),
-                c=_float("model", data, "c", 1.0),
-                eta=_float("model", data, "eta", 2.0),
-                xi=_float("model", data, "xi", 5.0),
-                s0=_float("model", data, "s0", 100.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[model] {exc}") from None
-
-    if "impact" in sections:
-        data = sections["impact"]
-        _check_keys("impact", data, _IMPACT_KEYS)
-        try:
-            config.impact = ImpactSpec(
-                kind=data.get("kind", "tanh"),
-                c=_float("impact", data, "c", 1.0),
-                i_max=_float("impact", data, "i_max", 1.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[impact] {exc}") from None
-
-    if "stochastic" in sections:
-        data = sections["stochastic"]
-        _check_keys("stochastic", data, _STOCH_KEYS)
-        try:
-            config.stochastic = StochasticSpec(
-                rho=_float("stochastic", data, "rho", 0.9),
-                sigma_n=_float("stochastic", data, "sigma_n", 0.2),
-                kappa=_float("stochastic", data, "kappa", 8.0),
-                seed=_int("stochastic", data, "seed", 0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[stochastic] {exc}") from None
-
-    if "events" in sections:
-        data = sections["events"]
-        _check_keys("events", data, _EVENT_KEYS)
-        if config.horizon is None:
-            raise ConfigError("[events] requires [run] horizon")
-        try:
-            config.events = EventSpec(
-                horizon=config.horizon,
-                n_spikes=_int("events", data, "n_spikes", 70),
-                max_fraction=_float("events", data, "max_fraction", 0.3),
-                seed=_int("events", data, "seed", 0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[events] {exc}") from None
-
-    if "grid" in sections:
-        data = sections["grid"]
-        _check_keys("grid", data, _GRID_KEYS)
-        _require("grid", data, _GRID_REQUIRED)
-        try:
-            config.grid = GridSpec(
-                beta_min=_float("grid", data, "beta_min"),
-                beta_max=_float("grid", data, "beta_max"),
-                g_min=_float("grid", data, "g_min"),
-                g_max=_float("grid", data, "g_max"),
-                n_beta=_int("grid", data, "n_beta"),
-                n_g=_int("grid", data, "n_g"),
-                shock_ratio=_float("grid", data, "shock_ratio"),
-                lam=_float("grid", data, "lambda"),
-                sigma_m=_float("grid", data, "sigma_m", 0.03),
-                k=_float("grid", data, "k", 2.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[grid] {exc}") from None
-
+    config = _build("run", sections.get("run", {}), {})
+    for section in SECTIONS[:-1]:
+        if section in sections:
+            filled = {"horizon": config.horizon} if section == "events" else {}
+            setattr(config, section, _build(section, sections[section], filled))
     return config
 
 
@@ -218,49 +153,15 @@ def render_config(config: RunConfig) -> str:
     ``parse_config(render_config(c)) == c`` for every valid config.
     """
     lines: list[str] = []
-
-    def emit(section: str, pairs: list[tuple[str, object]]) -> None:
+    for section, (keys, _, _) in _TABLE.items():
+        spec = config if section == "run" else getattr(config, section)
+        if spec is None:
+            continue
+        values = vars(spec)
         lines.append(f"[{section}]")
-        for key, value in pairs:
-            lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
+        for key, name, render, _, _ in keys:
+            value = values[name]
+            if value is not None:
+                lines.append(f"{key} = {value!r}" if render is repr else f"{key} = {render(value)}")
         lines.append("")
-
-    if config.model is not None:
-        m = config.model
-        emit("model", [
-            ("lambda", m.lam), ("beta", m.beta), ("mu0", m.mu0),
-            ("n0", m.n0), ("gamma0", m.gamma0), ("sigma_m", m.sigma_m),
-            ("k", m.k), ("c", m.c), ("eta", m.eta), ("xi", m.xi), ("s0", m.s0),
-        ])
-    if config.impact is not None:
-        imp = config.impact
-        emit("impact", [("kind", imp.kind), ("c", imp.c), ("i_max", imp.i_max)])
-    if config.stochastic is not None:
-        st = config.stochastic
-        emit("stochastic", [
-            ("rho", st.rho), ("sigma_n", st.sigma_n),
-            ("kappa", st.kappa), ("seed", st.seed),
-        ])
-    if config.events is not None:
-        ev = config.events
-        emit("events", [
-            ("n_spikes", ev.n_spikes), ("max_fraction", ev.max_fraction),
-            ("seed", ev.seed),
-        ])
-    if config.grid is not None:
-        g = config.grid
-        emit("grid", [
-            ("beta_min", g.beta_min), ("beta_max", g.beta_max),
-            ("g_min", g.g_min), ("g_max", g.g_max),
-            ("n_beta", g.n_beta), ("n_g", g.n_g),
-            ("shock_ratio", g.shock_ratio), ("lambda", g.lam),
-            ("sigma_m", g.sigma_m), ("k", g.k),
-        ])
-    run_pairs: list[tuple[str, object]] = []
-    if config.horizon is not None:
-        run_pairs.append(("horizon", config.horizon))
-    if config.output_dir is not None:
-        run_pairs.append(("out", config.output_dir))
-    run_pairs.append(("emit_svg", "true" if config.emit_svg else "false"))
-    emit("run", run_pairs)
     return "\n".join(lines)

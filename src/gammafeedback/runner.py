@@ -15,71 +15,126 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .analysis import (
-    amplification_grid,
-    analyze_fixed_point,
-    critical_exposure,
-    extract_contour,
-    linearized_feedback,
-    stability_grid,
-)
-from .artifacts import (
-    RunManifest,
-    contour_csv,
-    curve_csv,
-    grid_csv,
-    trajectory_csv,
-)
+from .analysis import (amplification_grid, analyze_fixed_point, critical_exposure,
+                       extract_contour, linearized_feedback, stability_grid)
+from .artifacts import RunManifest, contour_csv, curve_csv, grid_csv, trajectory_csv
 from .config import ConfigError, RunConfig, render_config
 from .dynamics import simulate_recursive
 from .model import stability_denominator, static_response
 from .stochastic import simulate_event_driven, simulate_stochastic
 from .svgplot import emit_svg, line_chart_svg
 
-SUBCOMMANDS = (
-    "stability-map",
-    "amplification-map",
-    "static-response",
-    "simulate",
-    "simulate-stochastic",
-    "simulate-events",
-    "bifurcation-scan",
-    "fixed-point",
-)
+# Each compute below returns (filename, content) pairs. It looks the library
+# functions up as module globals when it runs, so a wrapper installed on this
+# module's names sees every call.
 
-_REQUIRED_SECTIONS = {
-    "stability-map": ("grid",),
-    "amplification-map": ("grid",),
-    "static-response": ("model",),
-    "simulate": ("model", "impact"),
-    "simulate-stochastic": ("model", "impact", "stochastic"),
-    "simulate-events": ("model", "impact", "events"),
-    "bifurcation-scan": ("grid",),
-    "fixed-point": ("model", "impact"),
+
+def _stability_map(config: RunConfig) -> list[tuple[str, str]]:
+    scan = stability_grid(config.grid)
+    contour = extract_contour(scan, 0.0)
+    files = [("stability_grid.csv", grid_csv(scan)),
+             ("stability_contour.csv", contour_csv(contour))]
+    if config.emit_svg:
+        svg = emit_svg(scan, contours=[(contour, "#000000", "6,4")],
+                       title="Stability denominator")
+        files.append(("stability_map.svg", svg))
+    return files
+
+
+def _amplification_map(config: RunConfig) -> list[tuple[str, str]]:
+    dscan = stability_grid(config.grid)
+    ascan = amplification_grid(config.grid)
+    amp2 = extract_contour(ascan, 2.0)
+    d0 = extract_contour(dscan, 0.0)
+    files = [("amplification_grid.csv", grid_csv(ascan)),
+             ("amplification_contour.csv", contour_csv(amp2)),
+             ("stability_contour.csv", contour_csv(d0))]
+    if config.emit_svg:
+        svg = emit_svg(ascan, contours=[(amp2, "#cc0000", "8,3,2,3"), (d0, "#000000", "6,4")],
+                       title="Amplification")
+        files.append(("amplification_map.svg", svg))
+    return files
+
+
+def _static_response(config: RunConfig) -> list[tuple[str, str]]:
+    model = config.model
+    shock = model.mu0
+    d = stability_denominator(model, shock)
+    ds = static_response(model, shock, model.s0)
+    header = "shock_ratio,s0,stability_denominator,ds,amplification\n"
+    row = f"{shock!r},{model.s0!r},{d!r},{ds!r},{1.0 / d!r}\n"
+    return [("static_response.csv", header + row)]
+
+
+def _trajectory(title: str, simulate):
+    """The compute of a path subcommand: one trajectory and its plot."""
+    def compute(config: RunConfig) -> list[tuple[str, str]]:
+        traj = simulate(config)
+        files = [("trajectory.csv", trajectory_csv(traj))]
+        if config.emit_svg:
+            files.append(("trajectory.svg", emit_svg(traj, title=title)))
+        return files
+    return compute
+
+
+def _bifurcation_scan(config: RunConfig) -> list[tuple[str, str]]:
+    grid = config.grid
+    betas = grid.betas()
+    roots = [critical_exposure(grid.lam, b, grid.shock_ratio, grid.sigma_m, grid.k)
+             for b in betas]
+    files = [("bifurcation.csv", curve_csv(betas, roots))]
+    if config.emit_svg:
+        svg = line_chart_svg(betas, roots, title="Critical exposure", xlabel="beta", ylabel="G*")
+        files.append(("bifurcation.svg", svg))
+    return files
+
+
+def _fixed_point(config: RunConfig) -> list[tuple[str, str]]:
+    model = config.model
+    a = model.mu0 * model.s0
+    f = linearized_feedback(model, config.impact)
+    report = analyze_fixed_point(a, f)
+    fp = report.fixed_point
+    header = "a,f,fixed_point,singular,classification\n"
+    row = (
+        f"{a!r},{f!r},{0.0 if fp is None else fp!r},"
+        f"{int(fp is None)},{report.classification.value}\n"
+    )
+    return [("fixed_point.csv", header + row)]
+
+
+# name -> (required sections, needs [run] horizon, compute)
+_SUBCOMMANDS = {
+    "stability-map": (("grid",), False, _stability_map),
+    "amplification-map": (("grid",), False, _amplification_map),
+    "static-response": (("model",), False, _static_response),
+    "simulate": (("model", "impact"), True, _trajectory(
+        "Recursive feedback",
+        lambda c: simulate_recursive(c.model, c.impact, c.horizon))),
+    "simulate-stochastic": (("model", "impact", "stochastic"), True, _trajectory(
+        "Stochastic exposure",
+        lambda c: simulate_stochastic(c.model, c.impact, c.stochastic, c.horizon))),
+    "simulate-events": (("model", "impact", "events"), True, _trajectory(
+        "Event-driven exposure",
+        lambda c: simulate_event_driven(c.model, c.impact, c.events, c.stochastic))),
+    "bifurcation-scan": (("grid",), False, _bifurcation_scan),
+    "fixed-point": (("model", "impact"), False, _fixed_point),
 }
+SUBCOMMANDS = tuple(_SUBCOMMANDS)
 
-_NEEDS_HORIZON = ("simulate", "simulate-stochastic", "simulate-events")
+# Sections whose seed a run records in its manifest.
+_SEEDED = ("stochastic", "events")
 
 
 def validate_for_subcommand(name: str, config: RunConfig) -> None:
-    if name not in SUBCOMMANDS:
+    if name not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {name!r}")
-    missing = [s for s in _REQUIRED_SECTIONS[name] if getattr(config, s) is None]
+    sections, needs_horizon, _ = _SUBCOMMANDS[name]
+    missing = ", ".join(f"[{s}]" for s in sections if getattr(config, s) is None)
     if missing:
-        raise ConfigError(
-            f"subcommand {name} requires section(s): {', '.join(f'[{s}]' for s in missing)}"
-        )
-    if name in _NEEDS_HORIZON and config.horizon is None:
+        raise ConfigError(f"subcommand {name} requires section(s): {missing}")
+    if needs_horizon and config.horizon is None:
         raise ConfigError(f"subcommand {name} requires [run] horizon")
-
-
-def _seeds_for(name: str, config: RunConfig) -> dict[str, int]:
-    seeds = {}
-    if name == "simulate-stochastic" and config.stochastic is not None:
-        seeds["stochastic"] = config.stochastic.seed
-    if name == "simulate-events" and config.events is not None:
-        seeds["events"] = config.events.seed
-    return seeds
 
 
 def apply_seed_override(config: RunConfig, seed: int) -> RunConfig:
@@ -92,98 +147,6 @@ def apply_seed_override(config: RunConfig, seed: int) -> RunConfig:
     return out
 
 
-def _compute(name: str, config: RunConfig) -> list[tuple[str, str]]:
-    """Run the subcommand; returns (filename, content) pairs."""
-    files: list[tuple[str, str]] = []
-
-    if name == "stability-map":
-        scan = stability_grid(config.grid)
-        contour = extract_contour(scan, 0.0)
-        files.append(("stability_grid.csv", grid_csv(scan)))
-        files.append(("stability_contour.csv", contour_csv(contour)))
-        if config.emit_svg:
-            svg = emit_svg(scan, contours=[(contour, "#000000", "6,4")],
-                           title="Stability denominator")
-            files.append(("stability_map.svg", svg))
-
-    elif name == "amplification-map":
-        dscan = stability_grid(config.grid)
-        ascan = amplification_grid(config.grid)
-        amp2 = extract_contour(ascan, 2.0)
-        d0 = extract_contour(dscan, 0.0)
-        files.append(("amplification_grid.csv", grid_csv(ascan)))
-        files.append(("amplification_contour.csv", contour_csv(amp2)))
-        files.append(("stability_contour.csv", contour_csv(d0)))
-        if config.emit_svg:
-            svg = emit_svg(
-                ascan,
-                contours=[(amp2, "#cc0000", "8,3,2,3"), (d0, "#000000", "6,4")],
-                title="Amplification",
-            )
-            files.append(("amplification_map.svg", svg))
-
-    elif name == "static-response":
-        model = config.model
-        shock = model.mu0
-        d = stability_denominator(model, shock)
-        ds = static_response(model, shock, model.s0)
-        header = "shock_ratio,s0,stability_denominator,ds,amplification\n"
-        row = f"{shock!r},{model.s0!r},{d!r},{ds!r},{1.0 / d!r}\n"
-        files.append(("static_response.csv", header + row))
-
-    elif name == "simulate":
-        traj = simulate_recursive(config.model, config.impact, config.horizon)
-        files.append(("trajectory.csv", trajectory_csv(traj)))
-        if config.emit_svg:
-            files.append(("trajectory.svg", emit_svg(traj, title="Recursive feedback")))
-
-    elif name == "simulate-stochastic":
-        traj = simulate_stochastic(
-            config.model, config.impact, config.stochastic, config.horizon
-        )
-        files.append(("trajectory.csv", trajectory_csv(traj)))
-        if config.emit_svg:
-            files.append(("trajectory.svg", emit_svg(traj, title="Stochastic exposure")))
-
-    elif name == "simulate-events":
-        traj = simulate_event_driven(
-            config.model, config.impact, config.events, config.stochastic
-        )
-        files.append(("trajectory.csv", trajectory_csv(traj)))
-        if config.emit_svg:
-            files.append(("trajectory.svg", emit_svg(traj, title="Event-driven exposure")))
-
-    elif name == "bifurcation-scan":
-        grid = config.grid
-        betas = grid.betas()
-        roots = [
-            critical_exposure(grid.lam, b, grid.shock_ratio, grid.sigma_m, grid.k)
-            for b in betas
-        ]
-        files.append(("bifurcation.csv", curve_csv(betas, roots)))
-        if config.emit_svg:
-            files.append((
-                "bifurcation.svg",
-                line_chart_svg(betas, roots, title="Critical exposure",
-                               xlabel="beta", ylabel="G*"),
-            ))
-
-    elif name == "fixed-point":
-        model = config.model
-        a = model.mu0 * model.s0
-        f = linearized_feedback(model, config.impact)
-        report = analyze_fixed_point(a, f)
-        fp = report.fixed_point
-        header = "a,f,fixed_point,singular,classification\n"
-        row = (
-            f"{a!r},{f!r},{0.0 if fp is None else fp!r},"
-            f"{int(fp is None)},{report.classification.value}\n"
-        )
-        files.append(("fixed_point.csv", header + row))
-
-    return files
-
-
 def run_subcommand(name: str, config: RunConfig, out_dir: str | Path) -> RunManifest:
     """Execute a subcommand and write all artifacts plus the manifest."""
     validate_for_subcommand(name, config)
@@ -192,19 +155,15 @@ def run_subcommand(name: str, config: RunConfig, out_dir: str | Path) -> RunMani
         raise FileExistsError(f"output directory {out} is not empty; refusing to overwrite")
     out.mkdir(parents=True, exist_ok=True)
 
+    sections, _, compute = _SUBCOMMANDS[name]
     start = time.perf_counter()
-    files = _compute(name, config)
+    files = compute(config)
     duration = time.perf_counter() - start
 
     resolved = render_config(config)
-    manifest = RunManifest(
-        tool="gammafeedback",
-        version=__version__,
-        subcommand=name,
-        config_text=resolved,
-        seeds=_seeds_for(name, config),
-        duration_seconds=duration,
-    )
+    seeds = {s: getattr(config, s).seed for s in sections if s in _SEEDED}
+    manifest = RunManifest(tool="gammafeedback", version=__version__, subcommand=name,
+                           config_text=resolved, seeds=seeds, duration_seconds=duration)
     for filename, content in [*files, ("config.resolved.cfg", resolved)]:
         path = out / filename
         path.write_text(content, encoding="utf-8")
