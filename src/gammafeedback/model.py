@@ -38,8 +38,9 @@ class ModelParams:
     market sensitivity (positive only), ``sigma_m`` the market volatility
     per period, ``n0`` the initial option position, ``gamma0`` the gamma
     per contract, ``mu0`` the initiating shock rate, ``k`` the surprise
-    amplification slope, ``c`` the saturation steepness, ``eta``/``xi``
-    the position-decay scale and exponent, and ``s0`` the initial price.
+    amplification slope, ``eta``/``xi`` the position-decay scale and
+    exponent, and ``s0`` the initial price. The impact's saturation is not
+    a model parameter: it belongs to ``ImpactSpec``.
     """
 
     lam: float
@@ -49,7 +50,6 @@ class ModelParams:
     gamma0: float = 1.0
     sigma_m: float = 0.03
     k: float = 2.0
-    c: float = 1.0
     eta: float = 2.0
     xi: float = 5.0
     s0: float = 100.0
@@ -65,8 +65,6 @@ class ModelParams:
             raise ValueError(f"gamma0 must be > 0 (got {self.gamma0})")
         if not self.s0 > 0:
             raise ValueError(f"s0 must be > 0 (got {self.s0})")
-        if not self.c > 0:
-            raise ValueError(f"c must be > 0 (got {self.c})")
         # eta = 0 disables position decay entirely; useful for frozen-exposure
         # studies, so only negative values are rejected.
         if self.eta < 0:

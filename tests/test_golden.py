@@ -20,8 +20,7 @@ import pytest
 from gammafeedback import Rng
 from gammafeedback.cli import main
 
-# The README's configuration example, whose [model] c line only restates
-# the default and is left out.
+# The README's configuration example.
 README = """
 [model]
 lambda = 0.05
@@ -168,7 +167,7 @@ def first_normals_hex(seed: int) -> list[str]:
 GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     'readme stability-map': (0, {
         'config.resolved.cfg':
-            '442eee790889760cc983a36667863f4504fdf697ec4d2667e54a92ed64d454c6',
+            'f4fe3483c9e8249a44d84c8111a14f3c2bcf1fb57566010a83817119b509f246',
         'stability_contour.csv':
             '7e4cafc438deb98d6f5c8c79f0b73955d12525310bc2281418a4d560e7da2151',
         'stability_grid.csv':
@@ -176,7 +175,7 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     'readme stability-map --svg': (0, {
         'config.resolved.cfg':
-            'e1cd9386fbc798270b3f3b5f798365c50fd513cad80b0768873237a3e2f86f2f',
+            '6f2bab76fadc56a6888ade021b082e87da7ef73d83937309d99c43964b3c665c',
         'stability_contour.csv':
             '7e4cafc438deb98d6f5c8c79f0b73955d12525310bc2281418a4d560e7da2151',
         'stability_grid.csv':
@@ -190,7 +189,7 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'amplification_grid.csv':
             '682d205f0bdea0a1957b05eabb21bc2f122f71bd9082dde0b49e2dec5fa3bbf0',
         'config.resolved.cfg':
-            '442eee790889760cc983a36667863f4504fdf697ec4d2667e54a92ed64d454c6',
+            'f4fe3483c9e8249a44d84c8111a14f3c2bcf1fb57566010a83817119b509f246',
         'stability_contour.csv':
             '7e4cafc438deb98d6f5c8c79f0b73955d12525310bc2281418a4d560e7da2151',
     }),
@@ -202,7 +201,7 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'amplification_map.svg':
             '01ca735a72503a72e6915b9b90a7591867755f5d029d7521dac4c58adc00dd59',
         'config.resolved.cfg':
-            'e1cd9386fbc798270b3f3b5f798365c50fd513cad80b0768873237a3e2f86f2f',
+            '6f2bab76fadc56a6888ade021b082e87da7ef73d83937309d99c43964b3c665c',
         'stability_contour.csv':
             '7e4cafc438deb98d6f5c8c79f0b73955d12525310bc2281418a4d560e7da2151',
     }),
@@ -210,13 +209,13 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     'readme static-response --svg': (3, {}),
     'readme simulate': (0, {
         'config.resolved.cfg':
-            '442eee790889760cc983a36667863f4504fdf697ec4d2667e54a92ed64d454c6',
+            'f4fe3483c9e8249a44d84c8111a14f3c2bcf1fb57566010a83817119b509f246',
         'trajectory.csv':
             '930cfcdd1a6ddfdf24a22ecc54861cac9ce1cb95da356316ea43afa0a6fb1b70',
     }),
     'readme simulate --svg': (0, {
         'config.resolved.cfg':
-            'e1cd9386fbc798270b3f3b5f798365c50fd513cad80b0768873237a3e2f86f2f',
+            '6f2bab76fadc56a6888ade021b082e87da7ef73d83937309d99c43964b3c665c',
         'trajectory.csv':
             '930cfcdd1a6ddfdf24a22ecc54861cac9ce1cb95da356316ea43afa0a6fb1b70',
         'trajectory.svg':
@@ -224,13 +223,13 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     'readme simulate-stochastic': (0, {
         'config.resolved.cfg':
-            '442eee790889760cc983a36667863f4504fdf697ec4d2667e54a92ed64d454c6',
+            'f4fe3483c9e8249a44d84c8111a14f3c2bcf1fb57566010a83817119b509f246',
         'trajectory.csv':
             '50006a2fd76a0be8c605ebc4bd6f3de5caf7cd8c17bd28b5131efd0a1e40a449',
     }),
     'readme simulate-stochastic --svg': (0, {
         'config.resolved.cfg':
-            'e1cd9386fbc798270b3f3b5f798365c50fd513cad80b0768873237a3e2f86f2f',
+            '6f2bab76fadc56a6888ade021b082e87da7ef73d83937309d99c43964b3c665c',
         'trajectory.csv':
             '50006a2fd76a0be8c605ebc4bd6f3de5caf7cd8c17bd28b5131efd0a1e40a449',
         'trajectory.svg':
@@ -238,13 +237,13 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     'readme simulate-events': (0, {
         'config.resolved.cfg':
-            '442eee790889760cc983a36667863f4504fdf697ec4d2667e54a92ed64d454c6',
+            'f4fe3483c9e8249a44d84c8111a14f3c2bcf1fb57566010a83817119b509f246',
         'trajectory.csv':
             '5322d483497f515985fc7e5badcc7865cefe494ef1ecb5a9985320e048f97823',
     }),
     'readme simulate-events --svg': (0, {
         'config.resolved.cfg':
-            'e1cd9386fbc798270b3f3b5f798365c50fd513cad80b0768873237a3e2f86f2f',
+            '6f2bab76fadc56a6888ade021b082e87da7ef73d83937309d99c43964b3c665c',
         'trajectory.csv':
             '5322d483497f515985fc7e5badcc7865cefe494ef1ecb5a9985320e048f97823',
         'trajectory.svg':
@@ -252,13 +251,13 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     'readme fixed-point': (0, {
         'config.resolved.cfg':
-            '442eee790889760cc983a36667863f4504fdf697ec4d2667e54a92ed64d454c6',
+            'f4fe3483c9e8249a44d84c8111a14f3c2bcf1fb57566010a83817119b509f246',
         'fixed_point.csv':
             '804cb4f0cae2e05658970906ee50cea4e765bb3744e1b51732e9b2d56b702e28',
     }),
     'readme fixed-point --svg': (0, {
         'config.resolved.cfg':
-            'e1cd9386fbc798270b3f3b5f798365c50fd513cad80b0768873237a3e2f86f2f',
+            '6f2bab76fadc56a6888ade021b082e87da7ef73d83937309d99c43964b3c665c',
         'fixed_point.csv':
             '804cb4f0cae2e05658970906ee50cea4e765bb3744e1b51732e9b2d56b702e28',
     }),
@@ -266,7 +265,7 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'bifurcation.csv':
             'e1726041b10fa5edf27d647104663b466c7512dfed0887e711271b5a53ad6d71',
         'config.resolved.cfg':
-            '442eee790889760cc983a36667863f4504fdf697ec4d2667e54a92ed64d454c6',
+            'f4fe3483c9e8249a44d84c8111a14f3c2bcf1fb57566010a83817119b509f246',
     }),
     'readme bifurcation-scan --svg': (0, {
         'bifurcation.csv':
@@ -274,29 +273,29 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'bifurcation.svg':
             '690880133b807c06ecd77a713d6c609eddff90661b6d3330bf4691534c6df1ed',
         'config.resolved.cfg':
-            'e1cd9386fbc798270b3f3b5f798365c50fd513cad80b0768873237a3e2f86f2f',
+            '6f2bab76fadc56a6888ade021b082e87da7ef73d83937309d99c43964b3c665c',
     }),
     'readme-soft static-response': (0, {
         'config.resolved.cfg':
-            '18fad1e0cff3ffda536844f72865489cec26246f005d600aaa65af4bf73791b0',
+            '202b86af52badfec83090c0e0ce6b0fd8b28343f4083a1345c3adeae39cdff32',
         'static_response.csv':
             '05d5afaaa5d202cf7faeccf4b667079acc79672a9392e0e160308f8a25c149e4',
     }),
     'readme-soft static-response --svg': (0, {
         'config.resolved.cfg':
-            'a2048d5d762410a86d2bdba4254aa09bd62fd212fd7bd861fc122856feeefc49',
+            '5a9e0b1a206ee567d0906ef190db45ed440154a19c3215137049941615a7e145',
         'static_response.csv':
             '05d5afaaa5d202cf7faeccf4b667079acc79672a9392e0e160308f8a25c149e4',
     }),
     'tanh simulate': (0, {
         'config.resolved.cfg':
-            '90d53092f25021929657801bd4e34e02d6e8ef4de9b309fd08a96143c1e2a6bf',
+            'aa194599650a805797b7878bf24a827327c6a186fc80d1c6cc3b355b7bbbb04c',
         'trajectory.csv':
             '1619e83d10aca551e875048754db08d10f34f9fa7e1d93d6ef7a66cfc44007ee',
     }),
     'tanh simulate --svg': (0, {
         'config.resolved.cfg':
-            '01505505d2542b0628e860b59cc44fabb8dd145080325c478e8881ff43d8b6ca',
+            'ab7f3d488b1bccfa33ba34117884e65fd4203c4d252099e20258b9c449b4d5e2',
         'trajectory.csv':
             '1619e83d10aca551e875048754db08d10f34f9fa7e1d93d6ef7a66cfc44007ee',
         'trajectory.svg':
@@ -304,13 +303,13 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     'tanh simulate-stochastic': (0, {
         'config.resolved.cfg':
-            '90d53092f25021929657801bd4e34e02d6e8ef4de9b309fd08a96143c1e2a6bf',
+            'aa194599650a805797b7878bf24a827327c6a186fc80d1c6cc3b355b7bbbb04c',
         'trajectory.csv':
             'a9264b394bd5358368e09e83d25b6d806599f7d6ef40d2e68e2d62a008d439a2',
     }),
     'tanh simulate-stochastic --svg': (0, {
         'config.resolved.cfg':
-            '01505505d2542b0628e860b59cc44fabb8dd145080325c478e8881ff43d8b6ca',
+            'ab7f3d488b1bccfa33ba34117884e65fd4203c4d252099e20258b9c449b4d5e2',
         'trajectory.csv':
             'a9264b394bd5358368e09e83d25b6d806599f7d6ef40d2e68e2d62a008d439a2',
         'trajectory.svg':
@@ -318,13 +317,13 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     'tanh simulate-events': (0, {
         'config.resolved.cfg':
-            '90d53092f25021929657801bd4e34e02d6e8ef4de9b309fd08a96143c1e2a6bf',
+            'aa194599650a805797b7878bf24a827327c6a186fc80d1c6cc3b355b7bbbb04c',
         'trajectory.csv':
             '03a2bd6a0ccffb969db4d8cf83346007c96a2217044239d237b260137ceb5939',
     }),
     'tanh simulate-events --svg': (0, {
         'config.resolved.cfg':
-            '01505505d2542b0628e860b59cc44fabb8dd145080325c478e8881ff43d8b6ca',
+            'ab7f3d488b1bccfa33ba34117884e65fd4203c4d252099e20258b9c449b4d5e2',
         'trajectory.csv':
             '03a2bd6a0ccffb969db4d8cf83346007c96a2217044239d237b260137ceb5939',
         'trajectory.svg':
@@ -332,25 +331,25 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     'tanh fixed-point': (0, {
         'config.resolved.cfg':
-            '90d53092f25021929657801bd4e34e02d6e8ef4de9b309fd08a96143c1e2a6bf',
+            'aa194599650a805797b7878bf24a827327c6a186fc80d1c6cc3b355b7bbbb04c',
         'fixed_point.csv':
             'ee48cba412cb1db941dc39587fb78844abf8a9994161f869d4d0d47bd89454ff',
     }),
     'tanh fixed-point --svg': (0, {
         'config.resolved.cfg':
-            '01505505d2542b0628e860b59cc44fabb8dd145080325c478e8881ff43d8b6ca',
+            'ab7f3d488b1bccfa33ba34117884e65fd4203c4d252099e20258b9c449b4d5e2',
         'fixed_point.csv':
             'ee48cba412cb1db941dc39587fb78844abf8a9994161f869d4d0d47bd89454ff',
     }),
     'tanh-c0.03 simulate': (0, {
         'config.resolved.cfg':
-            'c75e3253b49279e93071be76ae7c2d473d904c7219a81669f4e0d8c1468fea57',
+            '1d5338f575838993b5b737ee5677488e49c788a63aa69e2cf222057f04bd5161',
         'trajectory.csv':
             '379a84823124d9fcabd6658d9199811f31109584863636e0bd7e970376a76c22',
     }),
     'tanh-c0.03 simulate --svg': (0, {
         'config.resolved.cfg':
-            '84868c9bbb71ca12b2b7fe8f19131df95b30d979c17701e5ac8103d6e0939afe',
+            '8ee28eb35ccdbb2e49d98a9ee2a0d7f35a1cec7ad9c38490aa0abc78eb4f3748',
         'trajectory.csv':
             '379a84823124d9fcabd6658d9199811f31109584863636e0bd7e970376a76c22',
         'trajectory.svg':
@@ -358,13 +357,13 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     'tanh-c0.03 simulate-stochastic': (0, {
         'config.resolved.cfg':
-            'c75e3253b49279e93071be76ae7c2d473d904c7219a81669f4e0d8c1468fea57',
+            '1d5338f575838993b5b737ee5677488e49c788a63aa69e2cf222057f04bd5161',
         'trajectory.csv':
             '186243fb147d941de0c60fd6d442780c65dcd36f6e6ca92143268190cd6497a1',
     }),
     'tanh-c0.03 simulate-stochastic --svg': (0, {
         'config.resolved.cfg':
-            '84868c9bbb71ca12b2b7fe8f19131df95b30d979c17701e5ac8103d6e0939afe',
+            '8ee28eb35ccdbb2e49d98a9ee2a0d7f35a1cec7ad9c38490aa0abc78eb4f3748',
         'trajectory.csv':
             '186243fb147d941de0c60fd6d442780c65dcd36f6e6ca92143268190cd6497a1',
         'trajectory.svg':
@@ -372,13 +371,13 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     'tanh-c0.03 simulate-events': (0, {
         'config.resolved.cfg':
-            'c75e3253b49279e93071be76ae7c2d473d904c7219a81669f4e0d8c1468fea57',
+            '1d5338f575838993b5b737ee5677488e49c788a63aa69e2cf222057f04bd5161',
         'trajectory.csv':
             '98570189be8dae9e9f0755f1c0bc07f26d80e56ac3328133e1336a96d94d0306',
     }),
     'tanh-c0.03 simulate-events --svg': (0, {
         'config.resolved.cfg':
-            '84868c9bbb71ca12b2b7fe8f19131df95b30d979c17701e5ac8103d6e0939afe',
+            '8ee28eb35ccdbb2e49d98a9ee2a0d7f35a1cec7ad9c38490aa0abc78eb4f3748',
         'trajectory.csv':
             '98570189be8dae9e9f0755f1c0bc07f26d80e56ac3328133e1336a96d94d0306',
         'trajectory.svg':
@@ -386,25 +385,25 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     'tanh-c0.03 fixed-point': (0, {
         'config.resolved.cfg':
-            'c75e3253b49279e93071be76ae7c2d473d904c7219a81669f4e0d8c1468fea57',
+            '1d5338f575838993b5b737ee5677488e49c788a63aa69e2cf222057f04bd5161',
         'fixed_point.csv':
             '0c52674e89b09d4d1f64aede7ad9577b9db58a815998f9d958d32aca64817b46',
     }),
     'tanh-c0.03 fixed-point --svg': (0, {
         'config.resolved.cfg':
-            '84868c9bbb71ca12b2b7fe8f19131df95b30d979c17701e5ac8103d6e0939afe',
+            '8ee28eb35ccdbb2e49d98a9ee2a0d7f35a1cec7ad9c38490aa0abc78eb4f3748',
         'fixed_point.csv':
             '0c52674e89b09d4d1f64aede7ad9577b9db58a815998f9d958d32aca64817b46',
     }),
     'clamp simulate': (0, {
         'config.resolved.cfg':
-            '829e67f7050c426531b644392c438251d47cf86e80438011ac1fefd89daf4abc',
+            '3758b3e41e955d4d955de1ae618f88b077cd871e2d8f9dd2d8200b349fa2cf04',
         'trajectory.csv':
             '802fcbb494686d7cc7a195c4ec359f7c57f9877a8a9cd97f50878dbd37823f56',
     }),
     'clamp simulate --svg': (0, {
         'config.resolved.cfg':
-            '90df86c50af2c6776b76cdbcfd0ec35ef15694186e59dc369b8c5bdfaba3dcc7',
+            '9bd1177c8c0160a5cabd818343fdfeefd1847f151d8e4e64e8207f3bf2358e14',
         'trajectory.csv':
             '802fcbb494686d7cc7a195c4ec359f7c57f9877a8a9cd97f50878dbd37823f56',
         'trajectory.svg':
@@ -414,13 +413,13 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     'clamp simulate-stochastic --svg': (2, {}),
     'clamp simulate-events': (0, {
         'config.resolved.cfg':
-            '829e67f7050c426531b644392c438251d47cf86e80438011ac1fefd89daf4abc',
+            '3758b3e41e955d4d955de1ae618f88b077cd871e2d8f9dd2d8200b349fa2cf04',
         'trajectory.csv':
             'ba94b454db7cccd09eb1d407ec8e1af2c463ae6b225c0057fda6beddc7e348a9',
     }),
     'clamp simulate-events --svg': (0, {
         'config.resolved.cfg':
-            '90df86c50af2c6776b76cdbcfd0ec35ef15694186e59dc369b8c5bdfaba3dcc7',
+            '9bd1177c8c0160a5cabd818343fdfeefd1847f151d8e4e64e8207f3bf2358e14',
         'trajectory.csv':
             'ba94b454db7cccd09eb1d407ec8e1af2c463ae6b225c0057fda6beddc7e348a9',
         'trajectory.svg':
@@ -428,13 +427,13 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     }),
     'clamp fixed-point': (0, {
         'config.resolved.cfg':
-            '829e67f7050c426531b644392c438251d47cf86e80438011ac1fefd89daf4abc',
+            '3758b3e41e955d4d955de1ae618f88b077cd871e2d8f9dd2d8200b349fa2cf04',
         'fixed_point.csv':
             '6c509aed1d8c29560b5efb4808e0463e5e55b1525cc077a75dac7f9cb4447469',
     }),
     'clamp fixed-point --svg': (0, {
         'config.resolved.cfg':
-            '90df86c50af2c6776b76cdbcfd0ec35ef15694186e59dc369b8c5bdfaba3dcc7',
+            '9bd1177c8c0160a5cabd818343fdfeefd1847f151d8e4e64e8207f3bf2358e14',
         'fixed_point.csv':
             '6c509aed1d8c29560b5efb4808e0463e5e55b1525cc077a75dac7f9cb4447469',
     }),
@@ -491,6 +490,7 @@ NORMAL_HEX: dict[int, list[str]] = {
         '-0x1.48d9e49686264p-1',
     ],
 }
+
 
 @pytest.mark.parametrize("case", CASES)
 def test_cli_outputs(case, tmp_path):

@@ -246,7 +246,7 @@ class TestModelParams:
 
     @pytest.mark.parametrize("field,value", [
         ("beta", 0.0), ("beta", -1.0), ("sigma_m", 0.0), ("n0", 0.0),
-        ("gamma0", -1.0), ("s0", 0.0), ("c", 0.0), ("eta", -0.1),
+        ("gamma0", -1.0), ("s0", 0.0), ("eta", -0.1),
         ("xi", 0.0), ("k", -0.5),
     ])
     def test_invalid_parameters_rejected(self, field, value):
