@@ -176,20 +176,19 @@ def amplification_grid(spec: GridSpec) -> GridScan:
 
 # Marching squares: corner bits (c0..c3) -> segments as pairs of local edge
 # ids. Corners: c0=(i,j), c1=(i,j+1), c2=(i+1,j+1), c3=(i+1,j); edges:
-# 0=bottom c0-c1, 1=right c1-c2, 2=top c3-c2, 3=left c0-c3. Cases 6 and 9
-# (opposite corners inside) are saddles resolved by the cell-center average.
+# 0=bottom c0-c1, 1=right c1-c2, 2=top c3-c2, 3=left c0-c3. Cases 5 (c0
+# and c2 inside) and 10 (c1 and c3 inside) are saddles, resolved by the
+# cell-center average in extract_contour, and have no entry here.
 _MS_TABLE: dict[int, list[tuple[int, int]]] = {
     0: [],
     1: [(0, 3)],
     2: [(0, 1)],
     3: [(1, 3)],
     4: [(1, 2)],
-    5: [(0, 3), (1, 2)],  # placeholder; saddle handled explicitly
     6: [(0, 2)],
     7: [(2, 3)],
     8: [(2, 3)],
     9: [(0, 2)],
-    10: [(0, 1), (2, 3)],  # placeholder; saddle handled explicitly
     11: [(1, 2)],
     12: [(1, 3)],
     13: [(0, 1)],

@@ -1,8 +1,11 @@
 """Config parsing, defaults, validation messages, and render round-trips."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gammafeedback import ConfigError, parse_config, render_config
+from gammafeedback import (ConfigError, EventSpec, GridSpec, ImpactSpec, ModelParams,
+                           StochasticSpec, parse_config, render_config)
 from gammafeedback.config import RunConfig
 
 MINIMAL_SIM = """
@@ -163,3 +166,146 @@ class TestRoundTrip:
         config.output_dir = "results/run1"
         config.emit_svg = True
         self._assert_round_trip(config)
+
+
+# A config with every section, as key -> raw value per section.
+FULL = {
+    "model": {"lambda": "0.05", "beta": "1.0", "mu0": "0.025", "n0": "200", "gamma0": "1.0"},
+    "impact": {"kind": "tanh", "c": "1.0"},
+    "stochastic": {"rho": "0.9", "seed": "7"},
+    "events": {"n_spikes": "5", "max_fraction": "0.3"},
+    "grid": {"beta_min": "0.2", "beta_max": "3.0", "g_min": "0", "g_max": "300",
+             "n_beta": "20", "n_g": "20", "shock_ratio": "0.05", "lambda": "0.003"},
+    "run": {"horizon": "100", "emit_svg": "false"},
+}
+
+
+def _full_with(section: str, key: str, value: str) -> str:
+    sections = {name: dict(pairs) for name, pairs in FULL.items()}
+    sections[section][key] = value
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs.items()) + "\n"
+        for name, pairs in sections.items()
+    )
+
+
+class TestErrorMessages:
+    """Exact messages: one section prefix, the key, and the offending text.
+    [model] and [impact] have only float and string keys; the int and bool
+    keys live in [stochastic], [events], [grid] and [run]."""
+
+    def test_full_config_parses(self):
+        config = parse_config(_full_with("run", "horizon", "100"))
+        assert None not in (config.model, config.impact, config.stochastic,
+                            config.events, config.grid)
+
+    UNPARSABLE = [
+        ("model", "mu0", "lots", "[model] mu0 is not a number: 'lots'"),
+        ("model", "lambda", "1,5", "[model] lambda is not a number: '1,5'"),
+        ("impact", "c", "x", "[impact] c is not a number: 'x'"),
+        ("stochastic", "rho", "high", "[stochastic] rho is not a number: 'high'"),
+        ("stochastic", "seed", "1e3", "[stochastic] seed is not an integer: '1e3'"),
+        ("events", "max_fraction", "most", "[events] max_fraction is not a number: 'most'"),
+        ("events", "n_spikes", "5.0", "[events] n_spikes is not an integer: '5.0'"),
+        ("grid", "g_max", "big", "[grid] g_max is not a number: 'big'"),
+        ("grid", "n_beta", "2.5", "[grid] n_beta is not an integer: '2.5'"),
+        ("run", "horizon", "2.5", "[run] horizon is not an integer: '2.5'"),
+        ("run", "emit_svg", "maybe", "[run] emit_svg is not a boolean: 'maybe'"),
+    ]
+    INVALID = [
+        ("model", "beta", "-1", "[model] beta must be > 0 (got -1.0)"),
+        ("impact", "kind", "cubic",
+         "[impact] impact kind must be one of ('linear', 'clamp', 'tanh') (got 'cubic')"),
+        ("stochastic", "rho", "1.0", "[stochastic] rho must satisfy |rho| < 1 (got 1.0)"),
+        ("events", "n_spikes", "101", "[events] n_spikes (101) must not exceed horizon (100)"),
+        ("grid", "n_g", "1", "[grid] n_beta and n_g must be >= 2"),
+        ("run", "horizon", "0", "[run] horizon must be >= 1 (got 0)"),
+    ]
+
+    @pytest.mark.parametrize("section,key,value,message", UNPARSABLE,
+                             ids=[f"{s}-{k}-{v}" for s, k, v, _ in UNPARSABLE])
+    def test_unparsable_value(self, section, key, value, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(_full_with(section, key, value))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("section,key,value,message", INVALID,
+                             ids=[f"{s}-{k}-{v}" for s, k, v, _ in INVALID])
+    def test_invalid_value(self, section, key, value, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(_full_with(section, key, value))
+        assert str(info.value) == message
+
+    def test_unknown_and_missing_keys(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config(_full_with("model", "c", "1.0"))
+        assert str(info.value) == "unknown key(s) in [model]: c"
+        text = _full_with("grid", "k", "2").replace("lambda = 0.003\n", "")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text.replace("n_g = 20\n", ""))
+        assert str(info.value) == "missing required key(s) in [grid]: n_g, lambda"
+
+
+# Floats whose shortest repr is long, subnormal, or at the edge of the range.
+AWKWARD = (5e-324, 0.1 + 0.2, 1 / 3, 2.2250738585072014e-308, 1.7976931348623157e308,
+           0.012345678901234567, 1e-310, 123456789.00000001)
+
+
+def _floats(min_value=None, exclude_min=False, max_value=None, exclude_max=False):
+    def fits(x):
+        return ((min_value is None or x > min_value or (x == min_value and not exclude_min))
+                and (max_value is None or x < max_value or (x == max_value and not exclude_max)))
+
+    edges = [x for x in AWKWARD + tuple(-x for x in AWKWARD) if fits(x)]
+    return st.one_of(
+        st.sampled_from(edges),
+        st.floats(min_value=min_value, max_value=max_value, exclude_min=exclude_min,
+                  exclude_max=exclude_max, allow_nan=False),
+    )
+
+
+POSITIVE = _floats(0.0, exclude_min=True)
+NON_NEGATIVE = _floats(0.0)
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def run_configs(draw) -> RunConfig:
+    """Valid RunConfigs over all six sections, each optional section maybe absent."""
+    model = draw(st.none() | st.builds(
+        ModelParams, lam=_floats(), beta=POSITIVE, mu0=_floats(), n0=POSITIVE,
+        gamma0=POSITIVE, sigma_m=POSITIVE, k=NON_NEGATIVE, eta=NON_NEGATIVE,
+        xi=POSITIVE, s0=POSITIVE))
+    impact = draw(st.none() | st.builds(
+        ImpactSpec, kind=st.sampled_from(ImpactSpec.KINDS), c=POSITIVE, i_max=POSITIVE))
+    stochastic = draw(st.none() | st.builds(
+        StochasticSpec, rho=_floats(-1.0, True, 1.0, True), sigma_n=NON_NEGATIVE,
+        kappa=POSITIVE, seed=SEEDS))
+    horizon = draw(st.none() | st.integers(1, 10**12))
+    events = None
+    if horizon is not None and draw(st.booleans()):
+        events = EventSpec(horizon=horizon, n_spikes=draw(st.integers(0, horizon)),
+                           max_fraction=draw(NON_NEGATIVE), seed=draw(SEEDS))
+    grid = None
+    if draw(st.booleans()):
+        beta_min, beta_max = sorted(draw(st.tuples(POSITIVE, POSITIVE)))
+        g_min, g_max = sorted(draw(st.tuples(NON_NEGATIVE, NON_NEGATIVE)))
+        grid = GridSpec(beta_min=beta_min, beta_max=beta_max, g_min=g_min, g_max=g_max,
+                        n_beta=draw(st.integers(2, 10**9)), n_g=draw(st.integers(2, 10**9)),
+                        shock_ratio=draw(NON_NEGATIVE), lam=draw(_floats()),
+                        sigma_m=draw(POSITIVE), k=draw(NON_NEGATIVE))
+    output_dir = draw(st.none() | st.text("abcXYZ0129/._-", max_size=24))
+    return RunConfig(model=model, impact=impact, stochastic=stochastic, events=events,
+                     grid=grid, horizon=horizon, output_dir=output_dir,
+                     emit_svg=draw(st.booleans()))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(config=run_configs())
+    @example(config=RunConfig(
+        model=ModelParams(lam=5e-324, beta=0.1 + 0.2, mu0=-0.0, sigma_m=5e-324),
+        impact=ImpactSpec(kind="tanh", c=0.1 + 0.2), horizon=1, output_dir="",
+    ))
+    def test_parse_inverts_render(self, config):
+        assert parse_config(render_config(config)) == config
