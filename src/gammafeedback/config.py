@@ -28,8 +28,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Fully resolved inputs for one run; sections absent from the config
-    stay None."""
+    """Fully resolved inputs for one run; absent sections stay None."""
 
     model: ModelParams | None = None
     impact: ImpactSpec | None = None
@@ -67,8 +66,8 @@ def _bool(text: str) -> bool:
     raise ValueError(text)
 
 
-# Field annotation -> how a value is written (repr is inlined) and read, and
-# what a bad value "is not".
+# Annotation text (the spec modules postpone annotations) -> how a value is
+# written (repr is inlined) and read, and what a bad value "is not".
 _TYPES = {
     "float": (repr, float, "a number"),
     "int": (repr, int, "an integer"),
@@ -92,7 +91,7 @@ def _section(section: str, spec) -> tuple[tuple, frozenset, tuple]:
     return tuple(keys), frozenset(k[0] for k in keys), tuple(required)
 
 
-# Built once: reading the fields on every parse would cost more than the parse.
+# Built once, at import, rather than on every parse.
 _TABLE = {section: _section(section, spec) for section, spec in _SPECS.items()}
 
 
