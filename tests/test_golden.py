@@ -4,7 +4,10 @@ Each case runs one subcommand in-process on a fixed config, with or without
 ``--svg``, and compares its exit code and the SHA-256 of every file it
 writes with the values recorded below. ``manifest.json`` is left out
 because it records a wall-clock duration; its digests of the other files
-are covered by them. The generator's first draws are pinned the same way.
+are covered by them. The generator's first draws are pinned the same way,
+and so are the states of the library-only paths (``simulate_one_shot``,
+linear ``simulate_recursive``, repeated ``feedback_step``), as the SHA-256
+of every state field written with ``float.hex``.
 
 When a change is meant to alter an output, print the new tables with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in the change.
@@ -17,7 +20,15 @@ from pathlib import Path
 
 import pytest
 
-from gammafeedback import Rng
+from gammafeedback import (
+    ImpactSpec,
+    ModelParams,
+    Rng,
+    SimState,
+    feedback_step,
+    simulate_one_shot,
+    simulate_recursive,
+)
 from gammafeedback.cli import main
 
 # The README's configuration example.
@@ -161,6 +172,59 @@ def first_u64(seed: int) -> list[int]:
 def first_normals_hex(seed: int) -> list[str]:
     rng = Rng(seed)
     return [rng.normal().hex() for _ in range(16)]
+
+
+def states_digest(states) -> str:
+    """SHA-256 of one line per state: t, then every float field as float.hex."""
+    lines = "\n".join(
+        " ".join([str(st.t), *(float.hex(v) for v in
+                               (st.s, st.ds_obs, st.m_cum, st.n_t, st.mu_t, st.nu_t))])
+        for st in states
+    )
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def iterate_feedback_step(params: ModelParams, impact: ImpactSpec, steps: int = 200):
+    """``steps`` iterates of feedback_step from acceptance criterion 3's start state."""
+    state = SimState(t=0, s=100.0, ds_obs=1.0, m_cum=0.0, n_t=200.0, mu_t=0.0)
+    states = [state]
+    for _ in range(steps):
+        state = feedback_step(state, params, impact)
+        states.append(state)
+    return states
+
+
+# The [model] of PATHS, for the library calls.
+PATHS_MODEL = ModelParams(lam=0.03, beta=0.4, mu0=0.02, n0=180.0, gamma0=1.2,
+                          sigma_m=0.025, k=1.5, eta=2.5, xi=4.0, s0=80.0)
+IMPACTS = {
+    "linear": ImpactSpec.linear(),
+    "clamp": ImpactSpec.clamp(0.7),
+    "tanh": ImpactSpec.tanh(1.0),
+    "tanh-c0.03": ImpactSpec.tanh(0.03),
+}
+
+
+def _frozen(feedback: float) -> ModelParams:
+    """Criterion 3's frozen model: eta = k = mu0 = 0, linear gain ``feedback``."""
+    return ModelParams(lam=feedback / 200.0, beta=1.0, mu0=0.0, n0=200.0,
+                       gamma0=1.0, k=0.0, eta=0.0)
+
+
+LIBRARY_CASES = {
+    **{f"one_shot {name}": (lambda i=impact: simulate_one_shot(PATHS_MODEL, i, 50).states)
+       for name, impact in IMPACTS.items()},
+    # lambda * G = 0.4 keeps the linear recursion bounded over the horizon
+    "recursive linear": lambda: simulate_recursive(
+        ModelParams(lam=0.002, beta=0.8, mu0=0.01, n0=200.0), ImpactSpec.linear(), 600
+    ).states,
+    **{f"feedback_step f={f}": (lambda f=f: iterate_feedback_step(_frozen(f), ImpactSpec.linear()))
+       for f in (-0.9, -0.3, 0.5, 0.99, 1.01, 1.1)},
+    # the same start state with decay and surprise amplification switched on
+    "feedback_step tanh": lambda: iterate_feedback_step(
+        ModelParams(lam=0.05, beta=1.0, mu0=0.025), ImpactSpec.tanh(1.0)
+    ),
+}
 
 
 # The recorded tables, as printed by running this file.
@@ -491,6 +555,33 @@ NORMAL_HEX: dict[int, list[str]] = {
     ],
 }
 
+LIBRARY_GOLDEN: dict[str, str] = {
+    'one_shot linear':
+        'e8062e29536d4680da4e25f67a5ba7227e3e41744a277492c99c82412d86fce8',
+    'one_shot clamp':
+        '65d3ad3d93164a5d6a6233b9205c6375a56020aa1423432254828f0af04c929d',
+    'one_shot tanh':
+        '156d79e7c90cbd0ab7bc713bef69e0b5d708d297d64cbfb440d190187d43481f',
+    'one_shot tanh-c0.03':
+        '8f9677e2076f9d7a0249bbf11266ca4d106dd2ebe51bf2ead3af6c5bd7bb131a',
+    'recursive linear':
+        'dbeef10a05e68d8b4f4ec2fb9badad9b2c50285ffcab0dd2c0aa2e471b8bf688',
+    'feedback_step f=-0.9':
+        'df4efa7d3b7fbfb22ede5cd54cb6d1468a9097711999be2d7543b40297902f1a',
+    'feedback_step f=-0.3':
+        '17608d67a8a265634fc9f916c93cd055580202d4669b7e24338188138240b9ed',
+    'feedback_step f=0.5':
+        '1c3a171947bfcc1b4b8e5adc1d45f486660b70db1979c80daa617fd73ec4caf6',
+    'feedback_step f=0.99':
+        '1c41de8a2b5cf2c08bb78e6ba80a5b24d84ca908561e019c3bb0061a831852ae',
+    'feedback_step f=1.01':
+        '1689cb49ca2c5cbf5974bbb117ea908ad42bb7364102956d256e3f49752350af',
+    'feedback_step f=1.1':
+        '765917cb227dde4f9a308947d8829e5a58d8d76d8717aa451fa9f66d42047f8d',
+    'feedback_step tanh':
+        '3f88b5bd856892b1e092c1460f5c3a0ea09328a25e8e6c47729576700f2ff2b8',
+}
+
 
 @pytest.mark.parametrize("case", CASES)
 def test_cli_outputs(case, tmp_path):
@@ -509,6 +600,15 @@ def test_first_u64_draws(seed):
 @pytest.mark.parametrize("seed", RNG_SEEDS)
 def test_first_normals(seed):
     assert first_normals_hex(seed) == NORMAL_HEX[seed]
+
+
+@pytest.mark.parametrize("case", LIBRARY_CASES)
+def test_library_states(case):
+    assert states_digest(LIBRARY_CASES[case]()) == LIBRARY_GOLDEN[case]
+
+
+def test_library_table_covers_every_case():
+    assert sorted(LIBRARY_GOLDEN) == sorted(LIBRARY_CASES)
 
 
 def _print_tables() -> None:
@@ -534,6 +634,10 @@ def _print_tables() -> None:
                 print("        " + " ".join(f"{v!r}," for v in values[i:i + 3]))
             print("    ],")
         print("}")
+    print("LIBRARY_GOLDEN: dict[str, str] = {")
+    for case, states in LIBRARY_CASES.items():
+        print(f"    {case!r}:\n        {states_digest(states())!r},")
+    print("}")
 
 
 if __name__ == "__main__":
