@@ -52,8 +52,10 @@ def splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-# Bulk draws run _LANES lanes _STRIDE positions apart (a power of two, so
-# every jump distance is one of the cached squarings of the update T).
+# A full block of bulk draws runs _LANES lanes _STRIDE positions apart. A
+# shorter block of m draws uses a stride of about sqrt(m) instead; strides are
+# powers of two, so every jump distance is one of the cached squarings of the
+# update T.
 _LANES = 1024
 _STRIDE_LOG2 = 10
 _STRIDE = 1 << _STRIDE_LOG2
@@ -98,11 +100,12 @@ def _jump(j: int) -> np.ndarray:
     return jump
 
 
-def _lane_starts(state: np.ndarray, lanes: int) -> np.ndarray:
-    """States at positions 0, _STRIDE, 2*_STRIDE, ... from state, shape (4, lanes)."""
+def _lane_starts(state: np.ndarray, lanes: int, stride_log2: int) -> np.ndarray:
+    """States at positions 0, stride, 2*stride, ... from state, shape (4, lanes),
+    where stride = 2^stride_log2."""
     starts = np.empty((4, lanes), dtype=np.uint64)
     starts[:, :1] = state
-    have, j = 1, _STRIDE_LOG2
+    have, j = 1, stride_log2
     while have < lanes:
         take = min(have, lanes - have)
         starts[:, have:have + take] = _apply(_jump(j), starts[:, :take])
@@ -187,18 +190,23 @@ class Rng:
         """Next n raw outputs as a uint64 array (advances the stream).
 
         Bit-identical to n calls of ``next_u64`` and leaves the same state.
-        Each block of up to ``_LANES * _STRIDE`` draws starts one lane every
-        ``_STRIDE`` positions by GF(2) jump-ahead, advances all lanes
-        together, and reads them back lane by lane.
+        Each block of m <= ``_LANES * _STRIDE`` draws starts one lane every
+        stride positions by GF(2) jump-ahead, advances all lanes together,
+        and reads them back lane by lane. The stride is the power of two
+        2^ceil(log2(m)/2), so a block takes about sqrt(m) numpy steps over
+        about sqrt(m) lanes; a full block has ``_LANES`` lanes ``_STRIDE``
+        apart.
         """
         out = np.empty(n, dtype=np.uint64)
         state = np.array([[self._s0], [self._s1], [self._s2], [self._s3]], dtype=np.uint64)
         for begin in range(0, n, _LANES * _STRIDE):
             m = min(n - begin, _LANES * _STRIDE)
-            lanes = -(-m // _STRIDE)
-            steps = min(m, _STRIDE)
-            last = m - (lanes - 1) * _STRIDE  # steps the last lane needs
-            s = _lane_starts(state, lanes)
+            stride_log2 = ((m - 1).bit_length() + 1) // 2
+            stride = 1 << stride_log2
+            lanes = -(-m // stride)
+            steps = min(m, stride)
+            last = m - (lanes - 1) * stride  # steps the last lane needs
+            s = _lane_starts(state, lanes, stride_log2)
             s1_hist = np.empty((lanes, steps), dtype=np.uint64)
             for i in range(steps):
                 s1_hist[:, i] = s[1]

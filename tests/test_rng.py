@@ -82,8 +82,12 @@ class TestStream:
         assert a.next_u64() == b.next_u64()
 
 
-# lane and block boundaries of the bulk path
-LANE_SIZES = [0, 1, _STRIDE - 1, _STRIDE, _STRIDE + 1, 3 * _STRIDE + 7, 200_003]
+# Lane, stride and block boundaries of the bulk path. A block of m draws runs
+# lanes 2^ceil(log2(m)/2) apart: the stride doubles at m = 4^a + 1 (2, 5, 17,
+# 65, ..., 4097), every lane is full at m = 4^a, and 24/25 put the last of
+# three 8-apart lanes exactly full and one past it.
+LANE_SIZES = [0, 1, 2, 3, 4, 5, 16, 17, 24, 25, 64, 65, 1000, _STRIDE - 1, _STRIDE,
+              _STRIDE + 1, 3 * _STRIDE + 7, 4096, 4097, 200_003]
 BLOCK = _LANES * _STRIDE
 SEEDS = [0, 1, 2**64 - 1, 20240811]
 
@@ -115,10 +119,11 @@ class TestBulkLanes:
         assert np.concatenate([first, second]).tolist() == whole.tolist()
         assert a.next_u64() == b.next_u64()
 
-    def test_crosses_a_block_of_lanes(self):
+    # a full block, then a last block short enough for its own stride
+    @pytest.mark.parametrize("n", [BLOCK, BLOCK + 1, BLOCK + 17, BLOCK + _STRIDE + 5])
+    def test_crosses_a_block_of_lanes(self, n):
         seed = 20240811
-        n = BLOCK + _STRIDE + 5
-        expected = oracle_xoshiro_stream(seed, n + 1)
+        expected = oracle_prefix(seed, BLOCK + _STRIDE + 6)
         rng = Rng(seed)
         assert rng.u64_array(n).tolist() == expected[:n]
         assert rng.next_u64() == expected[n]
