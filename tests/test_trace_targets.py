@@ -27,6 +27,13 @@ gamma0 = 1.0
 [impact]
 kind = tanh
 
+[stochastic]
+seed = 7
+
+[events]
+n_spikes = 5
+seed = 7
+
 [run]
 horizon = 50
 """
@@ -69,15 +76,18 @@ def test_cli_runs_record_runner_level_spans(spans, tmp_path):
     tracer = spans.Tracer()
     tracer.install(spans.CLI_TARGETS + spans.LIBRARY_TARGETS)
     try:
-        assert main(["simulate", "--config", str(sim), "--out", str(tmp_path / "a"),
-                     "--quiet"]) == 0
+        for sub in ("simulate", "simulate-stochastic", "simulate-events"):
+            assert main([sub, "--config", str(sim), "--out", str(tmp_path / sub),
+                         "--quiet"]) == 0
         assert main(["stability-map", "--config", str(grid), "--out", str(tmp_path / "b"),
                      "--quiet"]) == 0
     finally:
         tracer.uninstall()
     recorded = {span[1] for span in tracer.spans}
     for name in ("config.parse_config", "runner.run_subcommand", "config.render_config",
-                 "dynamics.simulate_recursive", "artifacts.trajectory_csv",
+                 "dynamics.simulate_recursive", "stochastic.simulate_stochastic",
+                 "stochastic.simulate_event_driven", "stochastic.generate_event_spikes",
+                 "artifacts.trajectory_csv",
                  "analysis.stability_grid", "analysis.extract_contour",
                  "artifacts.grid_csv", "artifacts.contour_csv", "artifacts.sha256_hex"):
         assert name in recorded, f"no span for {name}"
