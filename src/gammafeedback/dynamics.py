@@ -1,43 +1,44 @@
 """
-Deterministic time evolution of the hedging-feedback loop.
+Time evolution of the hedging-feedback loop: one step driver for all modes.
 
-One step of the recursion computes, in this order: the next price change
-``ds = mu_t * s_t + I(lam * N * gamma0 * (1 + k*x_t)) * ds_t``, then the
-new price, then the cumulative relative movement, then the position decay
-``N = n0 / (1 + eta * m^xi)``, then the shock decay ``mu = mu0 * N / n0``.
-The initiating shock itself carries no feedback because the initial
-observed change is zero.
+``_drive`` advances a start state. One step computes, in this order: the
+gain ``I(lam * N * gamma0 * (1 + k*x))`` of the beta-normalized surprise
+``x = |ds / s| / (beta * sigma_m)``, the next price change
+``mu * s + gain * ds``, the new price, which must stay in
+``(0, OVERFLOW_FACTOR * s0]``, the cumulative relative movement ``m``, the
+position decay ``N = n0 / (1 + eta * m^xi)`` and the shock decay
+``mu = mu0 * N / n0``. The frozen specs validated themselves, so nothing
+else is checked per step.
 
-``simulate_one_shot`` instead applies a single round of hedging to the
-shock-induced move and then holds the price flat: the rise-then-plateau
-response of a one-time delta hedge.
+An exposure hook ``exposure(t, n_t, nu_t) -> (n_eff, nu_next)`` picks the
+exposure the gain sees at state t and the deviation recorded on state t+1
+(an AR(1) process or a spike schedule, see ``stochastic.py``); without a
+hook the gain sees the deterministic position and nu stays 0. Decay always
+tracks the deterministic position. The recursive run starts from a zero
+observed change, so the initiating shock itself carries no feedback; the
+one-shot run is one step from a start whose observed change is the shock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
-from .model import (
-    ImpactSpec,
-    ModelParams,
-    hedging_impact,
-    relative_surprise,
-    surprise_amplification,
-)
+from .model import ImpactSpec, ModelParams, _impact_function
 
-# |price| beyond OVERFLOW_FACTOR * s0 aborts a run: only reachable with an
-# unbounded (linear) impact response.
+# A price outside (0, OVERFLOW_FACTOR * s0] aborts a run: above it only an
+# unbounded (linear) impact response gets; at or below zero a downward shock
+# (mu0 < 0) has wiped out the price, and the surprise x is undefined.
 OVERFLOW_FACTOR = 1e12
 
 MODES = ("one_shot", "recursive", "stochastic", "event_driven")
 
 
 class NumericalOverflow(ArithmeticError):
-    """Raised when a trajectory diverges past OVERFLOW_FACTOR * s0."""
+    """Raised when a price leaves (0, OVERFLOW_FACTOR * s0]; names the step."""
 
 
-@dataclass(frozen=True, slots=True)
-class SimState:
+class SimState(NamedTuple):
     """One time step: price, observed change, cumulative movement,
     active position, current shock rate, and exposure deviation."""
 
@@ -93,15 +94,40 @@ def shock_decay(mu0: float, n_t: float, n0: float) -> float:
 
 
 def initial_state(params: ModelParams, nu0: float = 0.0) -> SimState:
-    return SimState(
-        t=0,
-        s=params.s0,
-        ds_obs=0.0,
-        m_cum=0.0,
-        n_t=params.n0,
-        mu_t=params.mu0,
-        nu_t=nu0,
-    )
+    return SimState(0, params.s0, 0.0, 0.0, params.n0, params.mu0, nu0)
+
+
+def _drive(start: SimState, params: ModelParams, impact: ImpactSpec, horizon: int,
+           exposure: Callable | None = None) -> list[SimState]:
+    """``start`` and the ``horizon`` states after it; ``exposure`` is the hook
+    ``(t, n_t, nu_t) -> (n_eff, nu_next)`` of the module docstring."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1 (got {horizon})")
+    lam, gamma0, k, n0, mu0 = params.lam, params.gamma0, params.k, params.n0, params.mu0
+    eta, xi, scale = params.eta, params.xi, params.beta * params.sigma_m
+    top = OVERFLOW_FACTOR * params.s0
+    respond = _impact_function(impact)
+    t, s, ds, m, n, mu, nu = start
+    states = [start]
+    append = states.append
+    for t in range(t, t + horizon):
+        if exposure is None:
+            n_eff, nu = n, 0.0
+        else:
+            n_eff, nu = exposure(t, n, nu)
+        gain = respond(lam * n_eff * gamma0 * (1.0 + k * (abs(ds / s) / scale)))
+        ds = mu * s + gain * ds
+        ratio = abs(ds / s)
+        s += ds
+        if not 0.0 < s <= top:
+            raise NumericalOverflow(
+                f"price {s!r} left (0, {OVERFLOW_FACTOR:g} * s0] at step {t + 1}"
+            )
+        m += ratio
+        n = n0 / (1.0 + eta * m**xi)
+        mu = mu0 * n / n0
+        append(SimState(t + 1, s, ds, m, n, mu, nu))
+    return states
 
 
 def feedback_step(
@@ -111,73 +137,39 @@ def feedback_step(
     exposure_override: float | None = None,
     nu_next: float = 0.0,
 ) -> SimState:
-    """Advance the recursion one step.
+    """Advance the recursion one step from ``state``.
 
     ``exposure_override`` replaces the deterministic position in the
     feedback term only (stochastic and event-driven paths); decay still
     tracks the deterministic position. ``nu_next`` is recorded on the
     returned state.
     """
-    x = relative_surprise(state.ds_obs, state.s, params.beta, params.sigma_m)
-    n_eff = state.n_t if exposure_override is None else exposure_override
-    gain = hedging_impact(
-        params.lam * n_eff * params.gamma0 * surprise_amplification(x, params.k),
-        impact,
-    )
-    ds = state.mu_t * state.s + gain * state.ds_obs
-    s = state.s + ds
-    if not abs(s) <= OVERFLOW_FACTOR * params.s0:
-        raise NumericalOverflow(
-            f"price {s!r} exceeded {OVERFLOW_FACTOR:g} * s0 at step {state.t + 1}"
-        )
-    m_cum = state.m_cum + abs(ds / state.s)
-    n_t = position_decay(params.n0, m_cum, params.eta, params.xi)
-    mu_t = shock_decay(params.mu0, n_t, params.n0)
-    return SimState(
-        t=state.t + 1,
-        s=s,
-        ds_obs=ds,
-        m_cum=m_cum,
-        n_t=n_t,
-        mu_t=mu_t,
-        nu_t=nu_next,
-    )
+    if not state.s > 0:
+        raise ValueError(f"s must be > 0 (got {state.s})")
+    n_eff = exposure_override
+    return _drive(state, params, impact, 1,
+                  lambda t, n_t, nu_t: (n_t if n_eff is None else n_eff, nu_next))[1]
 
 
-def simulate_recursive(
-    params: ModelParams, impact: ImpactSpec, horizon: int
-) -> Trajectory:
+def simulate_recursive(params: ModelParams, impact: ImpactSpec, horizon: int) -> Trajectory:
     """Full recursive feedback run over ``horizon`` steps (T+1 states)."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1 (got {horizon})")
-    states = [initial_state(params)]
-    for _ in range(horizon):
-        states.append(feedback_step(states[-1], params, impact))
+    states = _drive(initial_state(params), params, impact, horizon)
     return Trajectory(params=params, impact=impact, states=states, mode="recursive")
 
 
-def simulate_one_shot(
-    params: ModelParams, impact: ImpactSpec, horizon: int
-) -> Trajectory:
+def simulate_one_shot(params: ModelParams, impact: ImpactSpec, horizon: int) -> Trajectory:
     """One-time hedging reaction: a single amplified jump, then a plateau.
 
-    The shock applies only at the first step and the hedging feedback is
-    applied once to the shock-induced move; the position never decays.
+    The jump is the driver's first step from a start whose observed change
+    is the shock ``mu0 * s0``: ``ds_1 = shock + gain * shock``. Then the
+    shock stops, the position never decays and the price holds flat.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1 (got {horizon})")
-    s0, n0 = params.s0, params.n0
-    shock = params.mu0 * s0
-    x = relative_surprise(shock, s0, params.beta, params.sigma_m)
-    gain = hedging_impact(
-        params.lam * n0 * params.gamma0 * surprise_amplification(x, params.k),
-        impact,
-    )
-    ds1 = shock + gain * shock
-    s1 = s0 + ds1
-    m_cum = abs(ds1 / s0)
-    states = [initial_state(params)]
-    states.append(SimState(t=1, s=s1, ds_obs=ds1, m_cum=m_cum, n_t=n0, mu_t=0.0))
-    for t in range(2, horizon + 1):
-        states.append(SimState(t=t, s=s1, ds_obs=0.0, m_cum=m_cum, n_t=n0, mu_t=0.0))
+    s0, n0, mu0 = params.s0, params.n0, params.mu0
+    jump = _drive(SimState(0, s0, mu0 * s0, 0.0, n0, mu0), params, impact, 1)[1]
+    jump = jump._replace(n_t=n0, mu_t=0.0)
+    flat = jump._replace(ds_obs=0.0)
+    states = [initial_state(params), jump]
+    states += [flat._replace(t=t) for t in range(2, horizon + 1)]
     return Trajectory(params=params, impact=impact, states=states, mode="one_shot")

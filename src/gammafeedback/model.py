@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 # Stability denominators at or below this are treated as singular: the
 # closed-form response is unbounded there.
@@ -154,11 +155,18 @@ def hedging_impact(y: float, spec: ImpactSpec) -> float:
     linear: y unchanged; clamp: y clipped to [-i_max, i_max];
     tanh: tanh(c*y), odd and bounded in (-1, 1).
     """
+    return _impact_function(spec)(y)
+
+
+def _impact_function(spec: ImpactSpec) -> Callable[[float], float]:
+    """The response of ``spec`` as a function of y, its kind resolved once."""
     if spec.kind == "linear":
-        return y
+        return lambda y: y
     if spec.kind == "clamp":
-        return min(spec.i_max, max(-spec.i_max, y))
-    return math.tanh(spec.c * y)
+        i_max = spec.i_max
+        return lambda y: min(i_max, max(-i_max, y))
+    c = spec.c
+    return lambda y: math.tanh(c * y)
 
 
 def static_response(

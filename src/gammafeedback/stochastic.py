@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import Trajectory, feedback_step, initial_state
+from .dynamics import Trajectory, _drive, initial_state
 from .model import ImpactSpec, ModelParams
 from .rng import Rng
 
@@ -98,26 +98,16 @@ def simulate_stochastic(
     position), censors ``n_t + nu`` to [0, cap], and feeds the result to
     the hedging term. Bit-identical output for identical inputs.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1 (got {horizon})")
-    rng = Rng(stoch.seed)
-    cap = exposure_cap(params.n0, stoch.sigma_n, stoch.rho, stoch.kappa)
-    nu = 0.0
-    states = [initial_state(params, nu0=nu)]
-    for _ in range(horizon):
-        state = states[-1]
-        nu = ar1_step(nu, stoch.rho, stoch.sigma_n, state.n_t, rng.normal())
-        n_bar = censor_exposure(state.n_t + nu, cap)
-        states.append(
-            feedback_step(state, params, impact, exposure_override=n_bar, nu_next=nu)
-        )
-    return Trajectory(
-        params=params,
-        impact=impact,
-        states=states,
-        seed=stoch.seed,
-        mode="stochastic",
-    )
+    normal, rho, sigma_n = Rng(stoch.seed).normal, stoch.rho, stoch.sigma_n
+    cap = exposure_cap(params.n0, sigma_n, rho, stoch.kappa)
+
+    def exposure(t: int, n_t: float, nu_t: float) -> tuple[float, float]:
+        nu = rho * nu_t + sigma_n * n_t * normal()
+        return min(max(n_t + nu, 0.0), cap), nu
+
+    states = _drive(initial_state(params), params, impact, horizon, exposure)
+    return Trajectory(params=params, impact=impact, states=states,
+                      seed=stoch.seed, mode="stochastic")
 
 
 def generate_event_spikes(spec: EventSpec, n0: float) -> dict[int, float]:
@@ -146,26 +136,14 @@ def simulate_event_driven(
     hedging term; the trajectory's ``nu`` column carries the schedule.
     ``stoch`` supplies the cap parameters only (defaults when omitted).
     """
-    cap_spec = stoch if stoch is not None else StochasticSpec()
+    cap_spec = stoch or StochasticSpec()
     cap = exposure_cap(params.n0, cap_spec.sigma_n, cap_spec.rho, cap_spec.kappa)
-    schedule = generate_event_spikes(events, params.n0)
-    states = [initial_state(params, nu0=schedule.get(0, 0.0))]
-    for t in range(events.horizon):
-        state = states[-1]
-        n_bar = censor_exposure(state.n_t + state.nu_t, cap)
-        states.append(
-            feedback_step(
-                state,
-                params,
-                impact,
-                exposure_override=n_bar,
-                nu_next=schedule.get(t + 1, 0.0),
-            )
-        )
-    return Trajectory(
-        params=params,
-        impact=impact,
-        states=states,
-        seed=events.seed,
-        mode="event_driven",
-    )
+    spike = generate_event_spikes(events, params.n0).get
+
+    def exposure(t: int, n_t: float, nu_t: float) -> tuple[float, float]:
+        return min(max(n_t + nu_t, 0.0), cap), spike(t + 1, 0.0)
+
+    start = initial_state(params, nu0=spike(0, 0.0))
+    states = _drive(start, params, impact, events.horizon, exposure)
+    return Trajectory(params=params, impact=impact, states=states,
+                      seed=events.seed, mode="event_driven")

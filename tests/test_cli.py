@@ -174,6 +174,21 @@ gamma0 = 1.0
                    "--out", str(tmp_path / "x"), "--quiet"])
         assert rc == 3
 
+    @pytest.mark.parametrize("mu0, horizon, step", [(-0.3, 200, 2), (-1.5, 1, 1)])
+    def test_nonpositive_price_is_3(self, tmp_path, cfg, capsys, mu0, horizon, step):
+        # a downward shock that drives S to or below 0 is numerical, not config
+        wipeout = (SIM_CFG.replace("lambda = 0.05", "lambda = 0.003")
+                   .replace("beta = 1.0", "beta = 0.5").replace("mu0 = 0.025", f"mu0 = {mu0}")
+                   .replace("kind = tanh", "kind = linear")
+                   .replace("horizon = 150", f"horizon = {horizon}"))
+        rc = main(["simulate", "--config", str(cfg(wipeout)),
+                   "--out", str(tmp_path / "x"), "--quiet"])
+        assert rc == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "numerical"
+        assert error["message"].endswith(f"at step {step}")
+        assert not (tmp_path / "x" / "trajectory.csv").exists()
+
     def test_unreadable_config_is_4(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "missing.cfg"),
                    "--out", str(tmp_path / "x"), "--quiet"])

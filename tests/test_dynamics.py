@@ -1,7 +1,9 @@
-"""Deterministic simulation engines: decay laws, single steps, full runs.
+"""Simulation engines: decay laws, single steps, full runs of all four modes.
 
 Oracles: Fraction arithmetic for the decay formulas, mpmath for saturation
-values, and brute-force affine iteration for the frozen-exposure regime.
+values, brute-force affine iteration for the frozen-exposure regime, and a
+scalar reference step (the recursion written out through the public
+helpers) that every mode must match state for state.
 """
 
 import math
@@ -10,18 +12,32 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammafeedback import (
+    EventSpec,
     ImpactSpec,
     ModelParams,
     NumericalOverflow,
+    Rng,
     SimState,
+    StochasticSpec,
+    ar1_step,
+    censor_exposure,
+    exposure_cap,
     feedback_step,
+    generate_event_spikes,
     position_decay,
+    relative_surprise,
     shock_decay,
+    simulate_event_driven,
     simulate_one_shot,
     simulate_recursive,
+    simulate_stochastic,
+    surprise_amplification,
 )
+from gammafeedback.dynamics import OVERFLOW_FACTOR
 
 REL = 1e-9
 
@@ -276,3 +292,187 @@ class TestTrajectory:
         traj = simulate_recursive(FIG4, TANH, 5)
         assert traj.column("s") == traj.prices
         assert traj.column("nu_t") == [0.0] * 6
+
+
+# ---------------------------------------------------------------- reference
+
+
+def reference_impact(y, impact):
+    """The dealer response, one branch per kind."""
+    if impact.kind == "linear":
+        return y
+    if impact.kind == "clamp":
+        return min(impact.i_max, max(-impact.i_max, y))
+    return math.tanh(impact.c * y)
+
+
+def reference_step(state, params, impact, exposure_override=None, nu_next=0.0):
+    """One step of the recursion, each formula through its public helper."""
+    x = relative_surprise(state.ds_obs, state.s, params.beta, params.sigma_m)
+    n_eff = state.n_t if exposure_override is None else exposure_override
+    gain = reference_impact(
+        params.lam * n_eff * params.gamma0 * surprise_amplification(x, params.k),
+        impact,
+    )
+    ds = state.mu_t * state.s + gain * state.ds_obs
+    s = state.s + ds
+    if not abs(s) <= OVERFLOW_FACTOR * params.s0:
+        raise NumericalOverflow(f"price {s!r} at step {state.t + 1}")
+    m_cum = state.m_cum + abs(ds / state.s)
+    n_t = position_decay(params.n0, m_cum, params.eta, params.xi)
+    mu_t = shock_decay(params.mu0, n_t, params.n0)
+    return SimState(state.t + 1, s, ds, m_cum, n_t, mu_t, nu_next)
+
+
+def start_state(p, nu0=0.0):
+    return SimState(0, p.s0, 0.0, 0.0, p.n0, p.mu0, nu0)
+
+
+def replay_recursive(p, impact, horizon):
+    states = [start_state(p)]
+    for _ in range(horizon):
+        states.append(reference_step(states[-1], p, impact))
+    return states
+
+
+def replay_one_shot(p, impact, horizon):
+    """A single round of hedging on the shock-induced move, then flat."""
+    shock = p.mu0 * p.s0
+    x = relative_surprise(shock, p.s0, p.beta, p.sigma_m)
+    gain = reference_impact(
+        p.lam * p.n0 * p.gamma0 * surprise_amplification(x, p.k), impact
+    )
+    ds1 = shock + gain * shock
+    s1 = p.s0 + ds1
+    if not 0 < s1 <= OVERFLOW_FACTOR * p.s0:
+        raise NumericalOverflow(f"price {s1!r} at step 1")
+    m_cum = abs(ds1 / p.s0)
+    states = [start_state(p), SimState(1, s1, ds1, m_cum, p.n0, 0.0)]
+    states += [SimState(t, s1, 0.0, m_cum, p.n0, 0.0) for t in range(2, horizon + 1)]
+    return states
+
+
+def replay_stochastic(p, impact, stoch, horizon):
+    rng = Rng(stoch.seed)
+    cap = exposure_cap(p.n0, stoch.sigma_n, stoch.rho, stoch.kappa)
+    states = [start_state(p)]
+    for _ in range(horizon):
+        state = states[-1]
+        nu = ar1_step(state.nu_t, stoch.rho, stoch.sigma_n, state.n_t, rng.normal())
+        n_bar = censor_exposure(state.n_t + nu, cap)
+        states.append(reference_step(state, p, impact, n_bar, nu))
+    return states
+
+
+def replay_events(p, impact, events, stoch):
+    cap = exposure_cap(p.n0, stoch.sigma_n, stoch.rho, stoch.kappa)
+    schedule = generate_event_spikes(events, p.n0)
+    states = [start_state(p, schedule.get(0, 0.0))]
+    for t in range(events.horizon):
+        state = states[-1]
+        n_bar = censor_exposure(state.n_t + state.nu_t, cap)
+        states.append(reference_step(state, p, impact, n_bar, schedule.get(t + 1, 0.0)))
+    return states
+
+
+def outcome(run):
+    """The states of a run, or the step at which it overflowed."""
+    try:
+        return run()
+    except NumericalOverflow as exc:
+        return "overflow at step " + str(exc).rsplit(" ", 1)[1]
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+models = st.builds(
+    ModelParams,
+    lam=floats(0.0, 0.1), beta=floats(0.05, 3.0), mu0=floats(0.0, 0.1),
+    n0=floats(0.5, 500.0), gamma0=floats(0.05, 2.0), sigma_m=floats(0.005, 0.1),
+    k=floats(0.0, 5.0), eta=floats(0.0, 5.0), xi=floats(0.5, 8.0), s0=floats(0.5, 1000.0),
+)
+impacts = st.one_of(
+    st.just(ImpactSpec.linear()),
+    floats(0.05, 2.0).map(ImpactSpec.clamp),
+    floats(0.005, 3.0).map(ImpactSpec.tanh),
+)
+stochs = st.builds(
+    StochasticSpec,
+    rho=floats(-0.99, 0.99), sigma_n=floats(0.0, 0.5), kappa=floats(0.5, 10.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+horizons = st.integers(1, 60)
+
+
+class TestDriverAgainstReference:
+    """Every mode equals a replay through the reference step, element for element."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=models, impact=impacts, horizon=horizons)
+    def test_recursive(self, p, impact, horizon):
+        assert outcome(lambda: simulate_recursive(p, impact, horizon).states) == outcome(
+            lambda: replay_recursive(p, impact, horizon))
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=models, impact=impacts, horizon=horizons)
+    def test_one_shot(self, p, impact, horizon):
+        assert outcome(lambda: simulate_one_shot(p, impact, horizon).states) == outcome(
+            lambda: replay_one_shot(p, impact, horizon))
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=models, impact=impacts, stoch=stochs, horizon=horizons)
+    def test_stochastic(self, p, impact, stoch, horizon):
+        assert outcome(lambda: simulate_stochastic(p, impact, stoch, horizon).states) == outcome(
+            lambda: replay_stochastic(p, impact, stoch, horizon))
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=models, impact=impacts, stoch=stochs, horizon=horizons, data=st.data())
+    def test_event_driven(self, p, impact, stoch, horizon, data):
+        events = EventSpec(
+            horizon=horizon, n_spikes=data.draw(st.integers(0, horizon)),
+            max_fraction=data.draw(floats(0.0, 1.0)), seed=data.draw(st.integers(0, 2**64 - 1)),
+        )
+        assert outcome(lambda: simulate_event_driven(p, impact, events, stoch).states) == outcome(
+            lambda: replay_events(p, impact, events, stoch))
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=models, impact=impacts, ds=floats(0.0, 50.0), m=floats(0.0, 3.0),
+           override=st.none() | floats(0.0, 1000.0), nu=floats(-100.0, 100.0))
+    def test_feedback_step(self, p, impact, ds, m, override, nu):
+        state = SimState(5, p.s0, ds, m, position_decay(p.n0, m, p.eta, p.xi), p.mu0, 1.0)
+        assert outcome(lambda: feedback_step(state, p, impact, override, nu)) == outcome(
+            lambda: reference_step(state, p, impact, override, nu))
+
+
+class TestNonPositivePrice:
+    """A downward shock that wipes out the price is a numerical failure at its step."""
+
+    WIPEOUT = ModelParams(lam=0.003, beta=0.5, mu0=-1.5)  # ds_1 = -1.5 * s0
+    LINEAR = ImpactSpec.linear()
+
+    def test_recursive_names_the_step(self):
+        with pytest.raises(NumericalOverflow, match=r"price -50\.0 .* at step 1$"):
+            simulate_recursive(self.WIPEOUT, self.LINEAR, 1)
+        slow = ModelParams(lam=0.003, beta=0.5, mu0=-0.3)
+        with pytest.raises(NumericalOverflow, match=r"at step 2$"):
+            simulate_recursive(slow, self.LINEAR, 200)
+
+    def test_one_shot(self):
+        # tanh gain near 1 doubles the shock: the plateau would sit at -200
+        with pytest.raises(NumericalOverflow, match=r"price -2\d\d\.\d+ .* at step 1$"):
+            simulate_one_shot(self.WIPEOUT, TANH, 10)
+
+    def test_stochastic(self):
+        with pytest.raises(NumericalOverflow, match=r"at step 1$"):
+            simulate_stochastic(self.WIPEOUT, self.LINEAR, StochasticSpec(seed=3), 10)
+
+    def test_event_driven(self):
+        with pytest.raises(NumericalOverflow, match=r"at step 1$"):
+            simulate_event_driven(self.WIPEOUT, self.LINEAR, EventSpec(horizon=10, n_spikes=3, seed=3))
+
+    def test_feedback_step_rejects_a_nonpositive_start(self):
+        for s in (0.0, -5.0, math.nan):
+            with pytest.raises(ValueError, match="s must be > 0"):
+                feedback_step(SimState(0, s, 0.0, 0.0, 200.0, 0.01), FIG4, TANH)
