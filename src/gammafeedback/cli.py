@@ -5,8 +5,8 @@ Command-line front door.
                   [--svg] [--quiet]
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error (singular
-denominator or overflow), 4 I/O error. Failures print a one-line JSON
-error record to stderr.
+denominator, or a simulated price leaving (0, 1e12 * s0] at a named step),
+4 I/O error. Failures print a one-line JSON error record to stderr.
 """
 
 from __future__ import annotations
