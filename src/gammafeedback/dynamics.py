@@ -26,9 +26,9 @@ from typing import Callable, NamedTuple
 
 from .model import ImpactSpec, ModelParams, _impact_function
 
-# A price outside (0, OVERFLOW_FACTOR * s0] aborts a run: above it only an
-# unbounded (linear) impact response gets; at or below zero a downward shock
-# (mu0 < 0) has wiped out the price, and the surprise x is undefined.
+# A price outside (0, OVERFLOW_FACTOR * s0] aborts a run: only an unbounded
+# (linear) impact response climbs above it, and at or below zero a downward
+# shock (mu0 < 0) has wiped out the price and the surprise x is undefined.
 OVERFLOW_FACTOR = 1e12
 
 MODES = ("one_shot", "recursive", "stochastic", "event_driven")
@@ -137,7 +137,7 @@ def feedback_step(
     exposure_override: float | None = None,
     nu_next: float = 0.0,
 ) -> SimState:
-    """Advance the recursion one step from ``state``.
+    """Advance the recursion one step.
 
     ``exposure_override`` replaces the deterministic position in the
     feedback term only (stochastic and event-driven paths); decay still

@@ -136,7 +136,7 @@ def simulate_event_driven(
     hedging term; the trajectory's ``nu`` column carries the schedule.
     ``stoch`` supplies the cap parameters only (defaults when omitted).
     """
-    cap_spec = stoch or StochasticSpec()
+    cap_spec = stoch if stoch is not None else StochasticSpec()
     cap = exposure_cap(params.n0, cap_spec.sigma_n, cap_spec.rho, cap_spec.kappa)
     spike = generate_event_spikes(events, params.n0).get
 

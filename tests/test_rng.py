@@ -119,9 +119,17 @@ class TestBulkLanes:
         assert np.concatenate([first, second]).tolist() == whole.tolist()
         assert a.next_u64() == b.next_u64()
 
-    # a full block, then a last block short enough for its own stride
-    @pytest.mark.parametrize("n", [BLOCK, BLOCK + 1, BLOCK + 17, BLOCK + _STRIDE + 5])
-    def test_crosses_a_block_of_lanes(self, n):
+    def test_crosses_a_block_of_lanes(self):
+        seed = 20240811
+        n = BLOCK + _STRIDE + 5
+        expected = oracle_prefix(seed, n + 1)
+        rng = Rng(seed)
+        assert rng.u64_array(n).tolist() == expected[:n]
+        assert rng.next_u64() == expected[n]
+
+    # one full block, then none or a last block short enough for its own stride
+    @pytest.mark.parametrize("n", [BLOCK, BLOCK + 1, BLOCK + 17])
+    def test_full_block_then_a_short_one(self, n):
         seed = 20240811
         expected = oracle_prefix(seed, BLOCK + _STRIDE + 6)
         rng = Rng(seed)
