@@ -112,6 +112,24 @@ seed = 18446744073709551615
 horizon = 600
 """
 
+# A non-square map that starts above G = 0, with a third of its cells past
+# D = 0 (singular in the amplification map): a slip between the beta and G
+# axes, or an offset on either, changes its bytes where the square README
+# grid from G = 0 might not.
+SKEW = """
+[grid]
+beta_min = 0.25
+beta_max = 2.75
+g_min = 40
+g_max = 260
+n_beta = 61
+n_g = 47
+shock_ratio = 0.04
+lambda = 0.002
+sigma_m = 0.025
+k = 1.5
+"""
+
 CONFIGS = {
     "readme": README,
     # D = -25.7 on the README model, so static-response exits 3 there; this
@@ -124,6 +142,7 @@ CONFIGS = {
     "clamp": PATHS.format(impact="kind = clamp\ni_max = 0.7").replace(
         "[stochastic]\nrho = 0.8\nsigma_n = 0.15\nkappa = 6\nseed = 20240811\n", ""
     ),
+    "skew": SKEW,
 }
 
 PATH_SUBCOMMANDS = ("simulate", "simulate-stochastic", "simulate-events", "fixed-point")
@@ -134,6 +153,7 @@ SUBCOMMANDS = {
     "tanh": PATH_SUBCOMMANDS,
     "tanh-c0.03": PATH_SUBCOMMANDS,
     "clamp": PATH_SUBCOMMANDS,
+    "skew": ("stability-map", "amplification-map"),
 }
 
 CASES = [
@@ -500,6 +520,46 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
             '9bd1177c8c0160a5cabd818343fdfeefd1847f151d8e4e64e8207f3bf2358e14',
         'fixed_point.csv':
             '6c509aed1d8c29560b5efb4808e0463e5e55b1525cc077a75dac7f9cb4447469',
+    }),
+    'skew stability-map': (0, {
+        'config.resolved.cfg':
+            '3af7ac32afd6b20b7900d2c05438af390c01ac5ce5907a9c7be24ef6f481e457',
+        'stability_contour.csv':
+            '895cb0c5c41f8661125d5d94c4350122b7ab5a1a7681c5379f3484c5d9d84c7f',
+        'stability_grid.csv':
+            '6474fb76d33e6aad8d7d1e6e66ba5cecaba13bcb8510a92559a268c85d4225a3',
+    }),
+    'skew stability-map --svg': (0, {
+        'config.resolved.cfg':
+            'f6448ccb95247354f61d34a12cb27a2c47efe79003c4bd86996500c75e977155',
+        'stability_contour.csv':
+            '895cb0c5c41f8661125d5d94c4350122b7ab5a1a7681c5379f3484c5d9d84c7f',
+        'stability_grid.csv':
+            '6474fb76d33e6aad8d7d1e6e66ba5cecaba13bcb8510a92559a268c85d4225a3',
+        'stability_map.svg':
+            '77cd6200e15d51324462c73bf3615c705c270a801383783f7ee10c0627a52dae',
+    }),
+    'skew amplification-map': (0, {
+        'amplification_contour.csv':
+            'd3f3e51351ee02a2ba46a2b808682fdcd36b3eaa0fc0ee2ad68b7864fc6db51b',
+        'amplification_grid.csv':
+            '198ac16bead620ea49c7523fbeae84f47b69c6b62e7669db488ff19d0ebd5d21',
+        'config.resolved.cfg':
+            '3af7ac32afd6b20b7900d2c05438af390c01ac5ce5907a9c7be24ef6f481e457',
+        'stability_contour.csv':
+            '895cb0c5c41f8661125d5d94c4350122b7ab5a1a7681c5379f3484c5d9d84c7f',
+    }),
+    'skew amplification-map --svg': (0, {
+        'amplification_contour.csv':
+            'd3f3e51351ee02a2ba46a2b808682fdcd36b3eaa0fc0ee2ad68b7864fc6db51b',
+        'amplification_grid.csv':
+            '198ac16bead620ea49c7523fbeae84f47b69c6b62e7669db488ff19d0ebd5d21',
+        'amplification_map.svg':
+            'd4d34c5aab3fe9b31d3f95e562b376fc764f2da76c99652dc394b96035cc951b',
+        'config.resolved.cfg':
+            'f6448ccb95247354f61d34a12cb27a2c47efe79003c4bd86996500c75e977155',
+        'stability_contour.csv':
+            '895cb0c5c41f8661125d5d94c4350122b7ab5a1a7681c5379f3484c5d9d84c7f',
     }),
 }
 U64: dict[int, list[int]] = {
