@@ -35,22 +35,15 @@ def _fmt(value: float) -> str:
 
 
 def grid_csv(scan: GridScan) -> str:
-    betas = scan.spec.betas()
-    gs = scan.spec.gs()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["beta", "G", "value", "singular"])
-    for i in range(scan.spec.n_beta):
-        for j in range(scan.spec.n_g):
-            writer.writerow(
-                [
-                    _fmt(betas[i]),
-                    _fmt(gs[j]),
-                    _fmt(scan.values[i, j]),
-                    int(scan.singular[i, j]),
-                ]
-            )
-    return buf.getvalue()
+    gs = [_fmt(g) for g in scan.spec.gs()]
+    values = np.asarray(scan.values, dtype=float)
+    flags = scan.singular.astype(np.int8)
+    rows = ["beta,G,value,singular\n"]  # then one string per beta row
+    for beta, row_values, row_flags in zip(scan.spec.betas(), values, flags):
+        b = _fmt(beta)
+        rows.append("".join([f"{b},{g},{v!r},{flag}\n" for g, v, flag
+                             in zip(gs, row_values.tolist(), row_flags.tolist())]))
+    return "".join(rows)
 
 
 def read_grid_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -63,13 +56,11 @@ def read_grid_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 
 
 def contour_csv(contours: ContourSet) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["polyline_id", "beta", "G"])
+    rows = ["polyline_id,beta,G\n"]  # then one string per polyline
     for pid, line in enumerate(contours.polylines):
-        for beta, g in line:
-            writer.writerow([pid, _fmt(beta), _fmt(g)])
-    return buf.getvalue()
+        rows.append("".join([f"{pid},{b!r},{g!r}\n"
+                             for b, g in np.asarray(line, dtype=float).tolist()]))
+    return "".join(rows)
 
 
 def read_contour_csv(text: str) -> list[np.ndarray]:
@@ -83,22 +74,11 @@ def read_contour_csv(text: str) -> list[np.ndarray]:
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "S", "dS", "m_cum", "N", "mu", "nu"])
-    for st in traj.states:
-        writer.writerow(
-            [
-                st.t,
-                _fmt(st.s),
-                _fmt(st.ds_obs),
-                _fmt(st.m_cum),
-                _fmt(st.n_t),
-                _fmt(st.mu_t),
-                _fmt(st.nu_t),
-            ]
-        )
-    return buf.getvalue()
+    fl = float  # a start state may carry the caller's int n0 and s0
+    return "t,S,dS,m_cum,N,mu,nu\n" + "".join([
+        f"{t},{fl(s)!r},{fl(ds)!r},{fl(m)!r},{fl(n)!r},{fl(mu)!r},{fl(nu)!r}\n"
+        for t, s, ds, m, n, mu, nu in traj.states
+    ])
 
 
 def read_trajectory_csv(text: str) -> list[SimState]:
@@ -120,12 +100,8 @@ def read_trajectory_csv(text: str) -> list[SimState]:
 
 
 def curve_csv(betas, values, value_name: str = "g_star") -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["beta", value_name])
-    for beta, value in zip(betas, values):
-        writer.writerow([_fmt(beta), _fmt(value)])
-    return buf.getvalue()
+    return f"beta,{value_name}\n" + "".join([f"{float(b)!r},{float(v)!r}\n"
+                                              for b, v in zip(betas, values)])
 
 
 def sha256_hex(data: bytes | str) -> str:

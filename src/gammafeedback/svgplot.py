@@ -34,10 +34,26 @@ def _f(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _ramp_color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    rgb = [round(lo + t * (hi - lo)) for lo, hi in zip(RAMP_LOW, RAMP_HIGH)]
-    return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+def _ramp_fills(values: np.ndarray, singular: np.ndarray, vmin: float,
+                span: float) -> np.ndarray:
+    """The fill of every cell: the ramp colour at t = (v - vmin) / span, or gray.
+
+    Each channel is ``round(lo + t * (hi - lo))`` in doubles, rounded half
+    to even as Python's ``round`` does. With vmin, and span = vmax - vmin,
+    taken over the finite cells, rounding keeps t in [0, 1]. Each distinct
+    colour is formatted once.
+    """
+    if not np.isfinite(span):
+        raise ValueError(f"the finite cells span {span}, beyond the largest double")
+    t = (np.where(singular, vmin, values) - vmin) / span
+    lo, hi = np.array(RAMP_LOW), np.array(RAMP_HIGH)
+    rgb = np.rint(lo + t[..., None] * (hi - lo)).astype(np.int64)
+    codes = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    distinct, index = np.unique(codes, return_inverse=True)
+    palette = [f"#{c:06x}" for c in distinct.tolist()] + [SINGULAR_COLOR]
+    index = index.reshape(codes.shape)
+    index[singular] = len(distinct)
+    return np.array(palette, dtype=object)[index]
 
 
 class _Frame:
@@ -146,7 +162,7 @@ def _document(body: list[str]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    return "\n".join([head, *body, "</svg>", ""])
 
 
 def _polyline(points: list[tuple[float, float]], color: str, width: float = 1.5,
@@ -175,23 +191,26 @@ def heatmap_svg(
     vmax = float(finite.max()) if finite.size else 1.0
     span = (vmax - vmin) or 1.0
 
-    body = []
     half_b = (betas[1] - betas[0]) / 2 if spec.n_beta > 1 and betas[1] > betas[0] else 0.5
     half_g = (gs[1] - gs[0]) / 2 if spec.n_g > 1 and gs[1] > gs[0] else 0.5
-    for i in range(spec.n_beta):
-        px = frame.x(max(betas[i] - half_b, frame.x0))
-        px1 = frame.x(min(betas[i] + half_b, frame.x1))
-        for j in range(spec.n_g):
-            py1 = frame.y(min(gs[j] + half_g, frame.y1))
-            py = frame.y(max(gs[j] - half_g, frame.y0))
-            if scan.singular[i, j]:
-                color = SINGULAR_COLOR
-            else:
-                color = _ramp_color((scan.values[i, j] - vmin) / span)
-            body.append(
-                f'<rect x="{_f(px)}" y="{_f(py1)}" width="{_f(px1 - px)}" '
-                f'height="{_f(py - py1)}" fill="{color}"/>'
-            )
+    # y and height depend on the G node only, x and width on the beta node
+    ys, heights = [], []
+    for g in gs:
+        py1 = frame.y(min(g + half_g, frame.y1))
+        py = frame.y(max(g - half_g, frame.y0))
+        ys.append(_f(py1))
+        heights.append(_f(py - py1))
+    fills = _ramp_fills(scan.values, scan.singular, vmin, span)
+
+    body = []  # one string per beta row
+    for b, row in zip(betas, fills):
+        px = frame.x(max(b - half_b, frame.x0))
+        px1 = frame.x(min(b + half_b, frame.x1))
+        x, width = _f(px), _f(px1 - px)
+        body.append("\n".join([
+            f'<rect x="{x}" y="{y}" width="{width}" height="{h}" fill="{fill}"/>'
+            for y, h, fill in zip(ys, heights, row.tolist())
+        ]))
     for contour, color, dasharray in contours:
         for line in contour.polylines:
             pts = [(frame.x(b), frame.y(g)) for b, g in line]

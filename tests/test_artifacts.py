@@ -2,14 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import writer_reference as ref
 from gammafeedback import (
+    ContourSet,
     GridSpec,
     ImpactSpec,
     ModelParams,
+    SimState,
     StochasticSpec,
+    Trajectory,
     amplification_grid,
     extract_contour,
+    simulate_one_shot,
     simulate_recursive,
     simulate_stochastic,
     stability_grid,
@@ -55,6 +62,19 @@ class TestGridCsv:
         assert np.all(value[singular] == 0.0)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(ref.grid_scans())
+    @example(amplification_grid(GridSpec(beta_min=1.0, beta_max=1.0, g_min=100.0,
+                                         g_max=100.0, n_beta=2, n_g=2,
+                                         shock_ratio=0.05, lam=0.02)))
+    def test_matches_scalar_reference(self, scan):
+        assert grid_csv(scan) == ref.grid_csv(scan)
+
+
+# A float field that may be -0.0, an integer, or not finite.
+_number = st.one_of(st.floats(allow_nan=True), st.integers(-10**6, 10**6), st.just(-0.0))
+
+
 class TestContourCsv:
     def test_round_trip(self):
         contour = extract_contour(stability_grid(SPEC), 0.0)
@@ -67,6 +87,20 @@ class TestContourCsv:
     def test_header(self):
         contour = extract_contour(stability_grid(SPEC), 0.0)
         assert contour_csv(contour).startswith("polyline_id,beta,G\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.tuples(_number, _number), max_size=6), max_size=4))
+    @example([[(-0.0, 0.0)], [], [(1, 2.5), (3, -0.0)]])
+    def test_matches_scalar_reference(self, polylines):
+        contours = ContourSet(level=0.0, polylines=[np.array(p, dtype=float).reshape(-1, 2)
+                                                    for p in polylines])
+        assert contour_csv(contours) == ref.contour_csv(contours)
+
+    def test_extracted_contours_match_scalar_reference(self):
+        for scan, level in ((stability_grid(SPEC), 0.0), (amplification_grid(SPEC), 2.0)):
+            contours = extract_contour(scan, level)
+            assert contours.polylines
+            assert contour_csv(contours) == ref.contour_csv(contours)
 
 
 class TestTrajectoryCsv:
@@ -83,6 +117,20 @@ class TestTrajectoryCsv:
         states = read_trajectory_csv(trajectory_csv(traj))
         assert states == traj.states
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10**6), *[_number] * 6), max_size=8))
+    def test_matches_scalar_reference(self, rows):
+        traj = Trajectory(params=PARAMS, impact=ImpactSpec.tanh(1.0),
+                          states=[SimState(*row) for row in rows])
+        assert trajectory_csv(traj) == ref.trajectory_csv(traj)
+
+    def test_integer_start_values_written_as_floats(self):
+        # the one-shot run carries the caller's n0 on every state, s0 on the first
+        params = ModelParams(lam=0.05, beta=1.0, mu0=0.025, n0=150, s0=80)
+        text = trajectory_csv(simulate_one_shot(params, ImpactSpec.tanh(1.0), 5))
+        assert text == ref.trajectory_csv(simulate_one_shot(params, ImpactSpec.tanh(1.0), 5))
+        assert text.split("\n")[1] == "0,80.0,0.0,0.0,150.0,0.025,0.0"
+
     def test_nu_column_populated_for_stochastic(self):
         traj = simulate_stochastic(PARAMS, ImpactSpec.tanh(1.0),
                                    StochasticSpec(seed=3), 40)
@@ -94,6 +142,12 @@ class TestCurveCsv:
     def test_schema(self):
         text = curve_csv([0.5, 1.0], [10.0, 20.0])
         assert text == "beta,g_star\n0.5,10.0\n1.0,20.0\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_number, max_size=8), st.lists(_number, max_size=8))
+    def test_matches_scalar_reference(self, betas, values):
+        assert curve_csv(betas, values) == ref.curve_csv(betas, values)
+        assert curve_csv(np.array(betas, dtype=float), values) == ref.curve_csv(betas, values)
 
 
 class TestManifest:

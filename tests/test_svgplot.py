@@ -1,19 +1,26 @@
 """SVG emitter: document shape, legends, determinism, dispatch."""
 
-import pytest
+import re
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+
+import writer_reference as ref
 from gammafeedback import (
     EventSpec,
+    GridScan,
     GridSpec,
     ImpactSpec,
     ModelParams,
+    amplification_grid,
     extract_contour,
     simulate_event_driven,
     simulate_one_shot,
     simulate_recursive,
     stability_grid,
 )
-from gammafeedback.svgplot import emit_svg, line_chart_svg
+from gammafeedback.svgplot import SINGULAR_COLOR, _Frame, emit_svg, heatmap_svg, line_chart_svg
 
 PARAMS = ModelParams(lam=0.05, beta=1.0, mu0=0.025)
 TANH = ImpactSpec.tanh(1.0)
@@ -43,14 +50,65 @@ def test_legend_entries_follow_input_order():
     assert len([l for l in svg.splitlines() if l.startswith("<polyline")]) == 5
 
 
+RECT = re.compile(r'<rect x="([^"]+)" y="([^"]+)" width="([^"]+)" height="([^"]+)" '
+                  r'fill="([^"]+)"')
+
+
 def test_heatmap_has_cells_and_contour_overlay():
-    scan = stability_grid(SPEC)
-    contour = extract_contour(scan, 0.0)
-    svg = emit_svg(scan, contours=[(contour, "#000000", "6,4")])
-    rects = svg.count("<rect ")
-    assert rects >= SPEC.n_beta * SPEC.n_g
-    assert 'stroke-dasharray="6,4"' in svg
-    assert 'stroke="#000000"' in svg
+    contour = extract_contour(stability_grid(SPEC), 0.0)
+    frame = _Frame((SPEC.beta_min, SPEC.beta_max), (SPEC.g_min, SPEC.g_max))
+    nodes = [(i, j) for i in range(SPEC.n_beta) for j in range(SPEC.n_g)]
+    for scan in (stability_grid(SPEC), amplification_grid(SPEC)):
+        svg = emit_svg(scan, contours=[(contour, "#000000", "6,4")])
+        rects = RECT.findall(svg)
+        cells = [r for r in rects if r[4] != "none"]
+        assert len(rects) == len(cells) + 1  # the plot frame
+        assert len(cells) == SPEC.n_beta * SPEC.n_g
+
+        finite = scan.values[~scan.singular]
+        vmin, span = finite.min(), finite.max() - finite.min()
+        for (i, j), (x, y, width, height, fill) in zip(nodes, cells):
+            # the cell's rect holds its own node (on the edge for the clipped
+            # outer cells) and has the node's own colour
+            assert float(x) <= frame.x(SPEC.betas()[i]) <= float(x) + float(width)
+            assert float(y) <= frame.y(SPEC.gs()[j]) <= float(y) + float(height)
+            assert fill == (SINGULAR_COLOR if scan.singular[i, j]
+                            else ref.ramp_color((scan.values[i, j] - vmin) / span))
+        assert 'stroke-dasharray="6,4"' in svg
+        assert 'stroke="#000000"' in svg
+
+
+def _edge_scan(values, singular=None, **axes):
+    spec = GridSpec(**{**dict(beta_min=0.5, beta_max=2.0, g_min=10.0, g_max=90.0,
+                              n_beta=3, n_g=4, shock_ratio=0.05, lam=0.003), **axes})
+    values = np.asarray(values, dtype=float).reshape(spec.n_beta, spec.n_g)
+    singular = np.zeros(values.shape, bool) if singular is None else singular
+    return GridScan(spec=spec, field_name="edge", values=values, singular=singular)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref.grid_scans())
+# two nodes per axis, both axes degenerate, every cell singular (no finite cell)
+@example(amplification_grid(GridSpec(beta_min=1.0, beta_max=1.0, g_min=100.0, g_max=100.0,
+                                     n_beta=2, n_g=2, shock_ratio=0.05, lam=0.02)))
+@example(stability_grid(GridSpec(beta_min=1.0, beta_max=1.0, g_min=0.0, g_max=300.0,
+                                 n_beta=4, n_g=5, shock_ratio=0.05, lam=0.003)))
+@example(stability_grid(GridSpec(beta_min=0.2, beta_max=3.0, g_min=50.0, g_max=50.0,
+                                 n_beta=5, n_g=2, shock_ratio=0.05, lam=0.003)))
+@example(_edge_scan([-0.0] * 12))  # a constant field: span 0
+@example(_edge_scan([-0.0, 0.0, 1.0, -1.0] * 3))
+@example(_edge_scan([2.5] * 12, singular=np.eye(3, 4, dtype=bool)))
+def test_heatmap_matches_scalar_reference(scan):
+    contours = [(extract_contour(scan, 0.0), "#000000", "6,4")]
+    assert heatmap_svg(scan, contours, title="t") == ref.heatmap_svg(scan, contours, title="t")
+
+
+def test_heatmap_rejects_a_span_beyond_doubles():
+    # (vmax - vmin) overflows; the per-cell ramp raised ValueError here too
+    scan = _edge_scan([-1.5e308, 1.5e308] * 6)
+    for render in (heatmap_svg, ref.heatmap_svg):
+        with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
+            render(scan)
 
 
 def test_heatmap_marks_singular_cells():
