@@ -5,7 +5,8 @@ Command-line front door.
                   [--svg] [--quiet]
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error (singular
-denominator, or a simulated price leaving (0, 1e12 * s0] at a named step),
+denominator, or at a named step a simulated price leaving (0, 1e12 * s0] or
+the position decay's m**xi overflowing a double),
 4 I/O error. Failures print a one-line JSON error record to stderr.
 """
 

@@ -35,7 +35,8 @@ MODES = ("one_shot", "recursive", "stochastic", "event_driven")
 
 
 class NumericalOverflow(ArithmeticError):
-    """Raised when a price leaves (0, OVERFLOW_FACTOR * s0]; names the step."""
+    """Raised when a price leaves (0, OVERFLOW_FACTOR * s0], or the position
+    decay's m**xi overflows a double; names the step."""
 
 
 class SimState(NamedTuple):
@@ -124,7 +125,12 @@ def _drive(start: SimState, params: ModelParams, impact: ImpactSpec, horizon: in
                 f"price {s!r} left (0, {OVERFLOW_FACTOR:g} * s0] at step {t + 1}"
             )
         m += ratio
-        n = n0 / (1.0 + eta * m**xi)
+        try:
+            n = n0 / (1.0 + eta * m**xi)
+        except OverflowError:  # a float power raises where a product goes to inf
+            raise NumericalOverflow(
+                f"position decay m**xi overflowed (m = {m!r}, xi = {xi!r}) at step {t + 1}"
+            ) from None
         mu = mu0 * n / n0
         append(SimState(t + 1, s, ds, m, n, mu, nu))
     return states

@@ -189,6 +189,20 @@ gamma0 = 1.0
         assert error["message"].endswith(f"at step {step}")
         assert not (tmp_path / "x" / "trajectory.csv").exists()
 
+    def test_position_decay_overflow_is_3(self, tmp_path, cfg, capsys):
+        # m**xi overflows a double: Python raises where the product would be inf
+        runaway = (SIM_CFG.replace("mu0 = 0.025", "mu0 = 1e9\nxi = 40")
+                   .replace("horizon = 150", "horizon = 50"))
+        rc = main(["simulate", "--config", str(cfg(runaway)),
+                   "--out", str(tmp_path / "x"), "--quiet"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "numerical"
+        assert "m**xi overflowed" in error["message"]
+        assert error["message"].endswith("at step 1")
+
     def test_unreadable_config_is_4(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "missing.cfg"),
                    "--out", str(tmp_path / "x"), "--quiet"])
