@@ -74,9 +74,10 @@ def read_contour_csv(text: str) -> list[np.ndarray]:
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    fl = float  # a start state may carry the caller's int n0 and s0
+    # float(): a start state may carry the caller's int n0 and s0
     return "t,S,dS,m_cum,N,mu,nu\n" + "".join([
-        f"{t},{fl(s)!r},{fl(ds)!r},{fl(m)!r},{fl(n)!r},{fl(mu)!r},{fl(nu)!r}\n"
+        f"{t},{float(s)!r},{float(ds)!r},{float(m)!r},{float(n)!r},{float(mu)!r},"
+        f"{float(nu)!r}\n"
         for t, s, ds, m, n, mu, nu in traj.states
     ])
 
