@@ -73,13 +73,22 @@ def read_contour_csv(text: str) -> list[np.ndarray]:
     return [np.array(lines[pid]) for pid in sorted(lines)]
 
 
+# Long trajectories are formatted this many states at a time, so that the
+# per-line strings alive at once stay few.
+_STATES_PER_CHUNK = 1024
+
+
 def trajectory_csv(traj: Trajectory) -> str:
-    # float(): a start state may carry the caller's int n0 and s0
-    return "t,S,dS,m_cum,N,mu,nu\n" + "".join([
-        f"{t},{float(s)!r},{float(ds)!r},{float(m)!r},{float(n)!r},{float(mu)!r},"
-        f"{float(nu)!r}\n"
-        for t, s, ds, m, n, mu, nu in traj.states
-    ])
+    states = traj.states
+    chunks = ["t,S,dS,m_cum,N,mu,nu\n"]
+    for start in range(0, len(states), _STATES_PER_CHUNK):
+        # float(): a start state may carry the caller's int n0 and s0
+        chunks.append("".join([
+            f"{t},{float(s)!r},{float(ds)!r},{float(m)!r},{float(n)!r},{float(mu)!r},"
+            f"{float(nu)!r}\n"
+            for t, s, ds, m, n, mu, nu in states[start:start + _STATES_PER_CHUNK]
+        ]))
+    return "".join(chunks)
 
 
 def read_trajectory_csv(text: str) -> list[SimState]:

@@ -22,6 +22,7 @@ from gammafeedback import (
     stability_grid,
 )
 from gammafeedback.artifacts import (
+    _STATES_PER_CHUNK as CHUNK,
     RunManifest,
     contour_csv,
     curve_csv,
@@ -60,7 +61,6 @@ class TestGridCsv:
         _, _, value, singular = read_grid_csv(grid_csv(scan))
         assert singular.sum() == scan.singular.sum()
         assert np.all(value[singular] == 0.0)
-
 
     @settings(max_examples=200, deadline=None)
     @given(ref.grid_scans())
@@ -123,6 +123,15 @@ class TestTrajectoryCsv:
         traj = Trajectory(params=PARAMS, impact=ImpactSpec.tanh(1.0),
                           states=[SimState(*row) for row in rows])
         assert trajectory_csv(traj) == ref.trajectory_csv(traj)
+
+    @pytest.mark.parametrize("horizon", [CHUNK - 1, CHUNK, 2 * CHUNK])
+    def test_chunked_long_runs_match_scalar_reference(self, horizon):
+        # horizon + 1 states: exactly one chunk, one past it, one past two
+        for traj in (simulate_stochastic(PARAMS, ImpactSpec.tanh(1.0), StochasticSpec(seed=3),
+                                         horizon),
+                     simulate_one_shot(ModelParams(lam=0.002, beta=1.0, mu0=0.025, n0=150, s0=80),
+                                       ImpactSpec.linear(), horizon)):
+            assert trajectory_csv(traj) == ref.trajectory_csv(traj)
 
     def test_integer_start_values_written_as_floats(self):
         # the one-shot run carries the caller's n0 on every state, s0 on the first
