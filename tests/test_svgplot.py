@@ -78,10 +78,11 @@ def test_heatmap_has_cells_and_contour_overlay():
         assert 'stroke="#000000"' in svg
 
 
-def _edge_scan(values, singular=None, **axes):
-    spec = GridSpec(**{**dict(beta_min=0.5, beta_max=2.0, g_min=10.0, g_max=90.0,
-                              n_beta=3, n_g=4, shock_ratio=0.05, lam=0.003), **axes})
-    values = np.asarray(values, dtype=float).reshape(spec.n_beta, spec.n_g)
+def _edge_scan(values, singular=None):
+    """A 3 x 4 scan of the given values, none singular by default."""
+    spec = GridSpec(beta_min=0.5, beta_max=2.0, g_min=10.0, g_max=90.0,
+                    n_beta=3, n_g=4, shock_ratio=0.05, lam=0.003)
+    values = np.asarray(values, dtype=float).reshape(3, 4)
     singular = np.zeros(values.shape, bool) if singular is None else singular
     return GridScan(spec=spec, field_name="edge", values=values, singular=singular)
 
