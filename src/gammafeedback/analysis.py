@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import (
     EPS_SINGULAR,
@@ -28,6 +27,9 @@ from .model import (
     hedging_impact,
     surprise_amplification,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Absolute tolerance on |f| - 1 when classifying fixed points.
 CLASSIFY_TOL = 1e-9
@@ -76,9 +78,13 @@ class GridSpec:
             raise ValueError(f"k must be >= 0 (got {self.k})")
 
     def betas(self) -> np.ndarray:
+        import numpy as np
+
         return np.linspace(self.beta_min, self.beta_max, self.n_beta)
 
     def gs(self) -> np.ndarray:
+        import numpy as np
+
         return np.linspace(self.g_min, self.g_max, self.n_g)
 
     @property
@@ -104,6 +110,8 @@ class GridScan:
     singular: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         expected = (self.spec.n_beta, self.spec.n_g)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
@@ -147,6 +155,8 @@ class FixedPointReport:
 
 def stability_grid(spec: GridSpec) -> GridScan:
     """Evaluate D = 1 - lam*G*(1 + k*x) on the grid, x at the fixed shock."""
+    import numpy as np
+
     betas = spec.betas()
     gs = spec.gs()
     x = spec.shock_ratio / (betas * spec.sigma_m)
@@ -162,6 +172,8 @@ def stability_grid(spec: GridSpec) -> GridScan:
 
 def amplification_grid(spec: GridSpec) -> GridScan:
     """Evaluate 1/D on the grid; cells with D <= EPS_SINGULAR are flagged."""
+    import numpy as np
+
     d = stability_grid(spec).values
     singular = d <= EPS_SINGULAR
     values = np.full(d.shape, SINGULAR_VALUE)
@@ -228,6 +240,8 @@ def extract_contour(scan: GridScan, level: float) -> ContourSet:
     Cells touching a singular or non-finite node contribute nothing.
     Returns an empty set when the level is never crossed.
     """
+    import numpy as np
+
     f = scan.values - level
     usable = np.isfinite(scan.values) & ~scan.singular
     inside = (f > 0) & usable

@@ -17,17 +17,13 @@ digests byte for byte.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import ContourSet, GridScan
-from .dynamics import SimState, Trajectory
+from .dynamics import Trajectory
 
 
 def _fmt(value: float) -> str:
@@ -35,6 +31,8 @@ def _fmt(value: float) -> str:
 
 
 def grid_csv(scan: GridScan) -> str:
+    import numpy as np
+
     gs = [_fmt(g) for g in scan.spec.gs()]
     values = np.asarray(scan.values, dtype=float)
     flags = scan.singular.astype(np.int8)
@@ -46,31 +44,14 @@ def grid_csv(scan: GridScan) -> str:
     return "".join(rows)
 
 
-def read_grid_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Parse a grid CSV back into (beta, G, value, singular) column arrays."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if rows[0] != ["beta", "G", "value", "singular"]:
-        raise ValueError(f"unexpected grid CSV header: {rows[0]}")
-    data = np.array([[float(c) for c in row] for row in rows[1:]])
-    return data[:, 0], data[:, 1], data[:, 2], data[:, 3].astype(bool)
-
-
 def contour_csv(contours: ContourSet) -> str:
+    import numpy as np
+
     rows = ["polyline_id,beta,G\n"]  # then one string per polyline
     for pid, line in enumerate(contours.polylines):
         rows.append("".join([f"{pid},{b!r},{g!r}\n"
                              for b, g in np.asarray(line, dtype=float).tolist()]))
     return "".join(rows)
-
-
-def read_contour_csv(text: str) -> list[np.ndarray]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if rows[0] != ["polyline_id", "beta", "G"]:
-        raise ValueError(f"unexpected contour CSV header: {rows[0]}")
-    lines: dict[int, list] = {}
-    for pid, beta, g in rows[1:]:
-        lines.setdefault(int(pid), []).append((float(beta), float(g)))
-    return [np.array(lines[pid]) for pid in sorted(lines)]
 
 
 # Long trajectories are formatted this many states at a time, so that the
@@ -89,24 +70,6 @@ def trajectory_csv(traj: Trajectory) -> str:
             for t, s, ds, m, n, mu, nu in states[start:start + _STATES_PER_CHUNK]
         ]))
     return "".join(chunks)
-
-
-def read_trajectory_csv(text: str) -> list[SimState]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if rows[0] != ["t", "S", "dS", "m_cum", "N", "mu", "nu"]:
-        raise ValueError(f"unexpected trajectory CSV header: {rows[0]}")
-    return [
-        SimState(
-            t=int(r[0]),
-            s=float(r[1]),
-            ds_obs=float(r[2]),
-            m_cum=float(r[3]),
-            n_t=float(r[4]),
-            mu_t=float(r[5]),
-            nu_t=float(r[6]),
-        )
-        for r in rows[1:]
-    ]
 
 
 def curve_csv(betas, values, value_name: str = "g_star") -> str:

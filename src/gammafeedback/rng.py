@@ -34,8 +34,10 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -59,7 +61,16 @@ def splitmix64(state: int) -> tuple[int, int]:
 _LANES = 1024
 _STRIDE_LOG2 = 10
 _STRIDE = 1 << _STRIDE_LOG2
-_BIT_SHIFTS = np.arange(64, dtype=np.uint64)
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_shifts() -> np.ndarray:
+    """The shifts 0..63 that split a uint64 word into its bits (read-only)."""
+    import numpy as np
+
+    shifts = np.arange(64, dtype=np.uint64)
+    shifts.flags.writeable = False
+    return shifts
 
 
 def _advance(s: np.ndarray) -> None:
@@ -79,7 +90,9 @@ def _apply(jump: np.ndarray, states: np.ndarray) -> np.ndarray:
     The map is given by the images of the 256 unit states, shape (4, 256);
     the image of a state is the XOR of the images of its set bits.
     """
-    bits = (states[:, None, :] >> _BIT_SHIFTS[None, :, None]) & np.uint64(1)
+    import numpy as np
+
+    bits = (states[:, None, :] >> _bit_shifts()[None, :, None]) & np.uint64(1)
     masks = bits.reshape(256, -1) * np.uint64(_MASK)
     return np.bitwise_xor.reduce(masks[:, None, :] & jump.T[:, :, None], axis=0)
 
@@ -88,6 +101,8 @@ def _apply(jump: np.ndarray, states: np.ndarray) -> np.ndarray:
 def _jump(j: int) -> np.ndarray:
     """T^(2^j), the state map that skips 2^j draws, as the images of the
     256 unit states (read-only). T itself is built from ``_advance``."""
+    import numpy as np
+
     if j == 0:
         bit = np.arange(256)
         jump = np.zeros((4, 256), dtype=np.uint64)
@@ -103,6 +118,8 @@ def _jump(j: int) -> np.ndarray:
 def _lane_starts(state: np.ndarray, lanes: int, stride_log2: int) -> np.ndarray:
     """States at positions 0, stride, 2*stride, ... from state, shape (4, lanes),
     where stride = 2^stride_log2."""
+    import numpy as np
+
     starts = np.empty((4, lanes), dtype=np.uint64)
     starts[:, :1] = state
     have, j = 1, stride_log2
@@ -197,6 +214,8 @@ class Rng:
         about sqrt(m) lanes; a full block has ``_LANES`` lanes ``_STRIDE``
         apart.
         """
+        import numpy as np
+
         out = np.empty(n, dtype=np.uint64)
         state = np.array([[self._s0], [self._s1], [self._s2], [self._s3]], dtype=np.uint64)
         for begin in range(0, n, _LANES * _STRIDE):
@@ -220,10 +239,14 @@ class Rng:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms in [0, 1) as a float64 array."""
+        import numpy as np
+
         return (self.u64_array(n) >> np.uint64(11)) * _U53
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals; consumes ceil(n/2)*2 uniforms pairwise."""
+        import numpy as np
+
         pairs = (n + 1) // 2
         u = self.uniforms(2 * pairs)
         u1 = u[0::2]

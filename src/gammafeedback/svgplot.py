@@ -11,10 +11,13 @@ t = 1; singular cells render gray.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .analysis import ContourSet, GridScan
 from .dynamics import Trajectory
+
+if TYPE_CHECKING:
+    import numpy as np
 
 WIDTH = 720
 HEIGHT = 520
@@ -43,6 +46,8 @@ def _ramp_fills(values: np.ndarray, singular: np.ndarray, vmin: float,
     taken over the finite cells, rounding keeps t in [0, 1]. Each distinct
     colour is formatted once.
     """
+    import numpy as np
+
     if not np.isfinite(span):
         raise ValueError(f"the finite cells span {span}, beyond the largest double")
     t = (np.where(singular, vmin, values) - vmin) / span
@@ -82,7 +87,12 @@ def _pad_span(lo: float, hi: float) -> tuple[float, float]:
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    return list(np.linspace(lo, hi, n))
+    """n evenly spaced ticks from lo to hi, in the arithmetic of np.linspace."""
+    delta = hi - lo
+    step = delta / (n - 1)
+    if step == 0:  # a subnormal span: numpy scales i / (n - 1) by delta instead
+        return [lo + i / (n - 1) * delta for i in range(n - 1)] + [hi]
+    return [lo + i * step for i in range(n - 1)] + [hi]
 
 
 def _tick_text(v: float) -> str:
@@ -256,6 +266,8 @@ def contour_svg(
     """Standalone polyline plot of a contour set."""
     if not contours.polylines:
         raise ValueError("contour set is empty")
+    import numpy as np
+
     all_pts = np.vstack(contours.polylines)
     frame = _Frame(
         (all_pts[:, 0].min(), all_pts[:, 0].max()),

@@ -27,12 +27,10 @@ from gammafeedback.artifacts import (
     contour_csv,
     curve_csv,
     grid_csv,
-    read_contour_csv,
-    read_grid_csv,
-    read_trajectory_csv,
     sha256_hex,
     trajectory_csv,
 )
+from writer_reference import read_contour_csv, read_grid_csv, read_trajectory_csv
 
 SPEC = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
                 n_beta=12, n_g=15, shock_ratio=0.05, lam=0.003)

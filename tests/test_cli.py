@@ -5,15 +5,18 @@ subprocess to cover the console entry point.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from gammafeedback import parse_config
-from gammafeedback.artifacts import RunManifest, read_trajectory_csv, sha256_hex
+from gammafeedback.artifacts import RunManifest, sha256_hex
 from gammafeedback.cli import main
 from gammafeedback.runner import run_subcommand
+from writer_reference import read_trajectory_csv
 
 SIM_CFG = """
 [model]
@@ -307,3 +310,57 @@ class TestConsoleEntrypoint:
         record = json.loads(proc.stderr.strip().splitlines()[-1])
         assert record["error"] == "config"
         assert "beta" in record["message"]
+
+
+class TestNumpyStaysUnloaded:
+    """Only the map subcommands and bulk draws import numpy.
+
+    Each case runs in a fresh interpreter, since this one has numpy loaded.
+    """
+
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+    # every path section; static-response needs a stable denominator
+    CFG = (SIM_CFG.replace("lambda = 0.05", "lambda = 0.001")
+           + "\n[events]\nseed = 31337\nn_spikes = 20\n")
+
+    def _run(self, script):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run([sys.executable, "-c", script], env={**env, "PYTHONPATH": self.SRC},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_path_subcommands_never_load_numpy(self, tmp_path, cfg):
+        path = cfg(self.CFG)
+        script = f"""
+import sys
+import gammafeedback
+from gammafeedback.cli import main
+print("import", "numpy" in sys.modules)
+for sub in ("simulate", "simulate-stochastic", "simulate-events",
+            "static-response", "fixed-point"):
+    rc = main([sub, "--config", {str(path)!r}, "--out", {str(tmp_path)!r} + "/" + sub,
+               "--svg", "--quiet"])
+    print(sub, rc, "numpy" in sys.modules)
+"""
+        assert self._run(script) == [
+            "import", "False",
+            "simulate", "0", "False",
+            "simulate-stochastic", "0", "False",
+            "simulate-events", "0", "False",
+            "static-response", "0", "False",
+            "fixed-point", "0", "False",
+        ]
+        assert (tmp_path / "simulate-events" / "trajectory.svg").exists()
+
+    def test_stability_map_loads_numpy(self, tmp_path, cfg):
+        path = cfg(GRID_CFG)
+        script = f"""
+import sys
+from gammafeedback.cli import main
+rc = main(["stability-map", "--config", {str(path)!r}, "--out", {str(tmp_path / "map")!r},
+           "--svg", "--quiet"])
+print(rc, "numpy" in sys.modules)
+"""
+        assert self._run(script) == ["0", "True"]
+        assert (tmp_path / "map" / "stability_map.svg").exists()

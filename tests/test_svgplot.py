@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import writer_reference as ref
 from gammafeedback import (
@@ -20,7 +21,8 @@ from gammafeedback import (
     simulate_recursive,
     stability_grid,
 )
-from gammafeedback.svgplot import SINGULAR_COLOR, _Frame, emit_svg, heatmap_svg, line_chart_svg
+from gammafeedback.svgplot import (SINGULAR_COLOR, _Frame, _pad_span, _ticks, emit_svg,
+                                   heatmap_svg, line_chart_svg)
 
 PARAMS = ModelParams(lam=0.05, beta=1.0, mu0=0.025)
 TANH = ImpactSpec.tanh(1.0)
@@ -102,6 +104,40 @@ def _edge_scan(values, singular=None):
 def test_heatmap_matches_scalar_reference(scan):
     contours = [(extract_contour(scan, 0.0), "#000000", "6,4")]
     assert heatmap_svg(scan, contours, title="t") == ref.heatmap_svg(scan, contours, title="t")
+
+
+def _signed(smallest, largest):
+    magnitude = st.floats(min_value=smallest, max_value=largest)
+    return st.one_of(magnitude, magnitude.map(lambda v: -v))
+
+
+_tick_ends = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       _signed(1e295, 1.7976931348623157e308),
+                       _signed(1e-305, 1e-295))
+
+
+@st.composite
+def tick_spans(draw):
+    """Finite lo < hi, or the span _pad_span makes of lo == hi (0.0 included)."""
+    a = draw(st.one_of(st.just(0.0), _tick_ends))
+    b = draw(st.one_of(st.just(a), _tick_ends))
+    if a == b:
+        return _pad_span(a, b)
+    return min(a, b), max(a, b)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(tick_spans(), st.integers(2, 12))
+@example(_pad_span(0.0, 0.0), 6)
+@example((0.0, 5e-324), 6)  # step underflows to 0: numpy scales i / (n - 1) by the span
+@example((-1e-323, 1e-323), 6)
+@example((-1e308, 1e308), 6)  # the span overflows to inf
+@example(_pad_span(1.7e308, 1.7e308), 6)  # padding overflows hi to inf
+def test_ticks_match_linspace(span, n):
+    lo, hi = span
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = ref.ticks(lo, hi, n)
+    assert [v.hex() for v in _ticks(lo, hi, n)] == [float(v).hex() for v in expected]
 
 
 def test_heatmap_rejects_a_span_beyond_doubles():

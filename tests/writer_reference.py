@@ -1,9 +1,11 @@
 """Scalar reference writers: the per-cell and per-row code the fast writers replace.
 
 ``heatmap_svg`` formats every coordinate and colours every cell on its own,
-and the CSV writers go through ``csv.writer`` one row at a time. The tests
-require the writers in ``gammafeedback`` to produce exactly these strings.
-``grid_scans`` draws the scans they are compared on.
+the CSV writers go through ``csv.writer`` one row at a time, and ``ticks``
+is ``np.linspace``. The tests require the writers in ``gammafeedback`` to
+produce exactly these strings and values. The ``read_*_csv`` readers parse
+the written files back for the round-trip tests. ``grid_scans`` draws the
+scans the writers are compared on.
 """
 
 import csv
@@ -12,7 +14,7 @@ import io
 import numpy as np
 from hypothesis import strategies as st
 
-from gammafeedback import GridScan, GridSpec, amplification_grid, stability_grid
+from gammafeedback import GridScan, GridSpec, SimState, amplification_grid, stability_grid
 from gammafeedback.svgplot import (RAMP_HIGH, RAMP_LOW, SINGULAR_COLOR, _axes, _document,
                                    _f, _Frame, _polyline)
 
@@ -25,6 +27,10 @@ def ramp_color(t: float) -> str:
     t = min(max(t, 0.0), 1.0)
     rgb = [round(lo + t * (hi - lo)) for lo, hi in zip(RAMP_LOW, RAMP_HIGH)]
     return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+
+
+def ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+    return list(np.linspace(lo, hi, n))
 
 
 def heatmap_svg(scan, contours=(), title="", xlabel="beta", ylabel="G") -> str:
@@ -116,6 +122,46 @@ def curve_csv(betas, values, value_name="g_star") -> str:
     for beta, value in zip(betas, values):
         writer.writerow([_fmt(beta), _fmt(value)])
     return buf.getvalue()
+
+
+# -- readers for the round-trip tests ----------------------------------------
+
+
+def read_grid_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Parse a grid CSV back into (beta, G, value, singular) column arrays."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if rows[0] != ["beta", "G", "value", "singular"]:
+        raise ValueError(f"unexpected grid CSV header: {rows[0]}")
+    data = np.array([[float(c) for c in row] for row in rows[1:]])
+    return data[:, 0], data[:, 1], data[:, 2], data[:, 3].astype(bool)
+
+
+def read_contour_csv(text: str) -> list[np.ndarray]:
+    rows = list(csv.reader(io.StringIO(text)))
+    if rows[0] != ["polyline_id", "beta", "G"]:
+        raise ValueError(f"unexpected contour CSV header: {rows[0]}")
+    lines: dict[int, list] = {}
+    for pid, beta, g in rows[1:]:
+        lines.setdefault(int(pid), []).append((float(beta), float(g)))
+    return [np.array(lines[pid]) for pid in sorted(lines)]
+
+
+def read_trajectory_csv(text: str) -> list[SimState]:
+    rows = list(csv.reader(io.StringIO(text)))
+    if rows[0] != ["t", "S", "dS", "m_cum", "N", "mu", "nu"]:
+        raise ValueError(f"unexpected trajectory CSV header: {rows[0]}")
+    return [
+        SimState(
+            t=int(r[0]),
+            s=float(r[1]),
+            ds_obs=float(r[2]),
+            m_cum=float(r[3]),
+            n_t=float(r[4]),
+            mu_t=float(r[5]),
+            nu_t=float(r[6]),
+        )
+        for r in rows[1:]
+    ]
 
 
 # -- scans to compare the writers on -----------------------------------------
