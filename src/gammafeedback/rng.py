@@ -24,10 +24,12 @@ Bulk draws: ``u64_array()`` and ``uniforms()`` are bit-identical to the
 scalar stream and leave the generator in the same state. The update is
 linear over GF(2)^256, so the stream is cut into lanes whose start states
 come from GF(2) jump-ahead (Haramoto et al., INFORMS J. Computing 2008);
-numpy advances all lanes together. ``normals()`` applies the Box-Muller
-transform vectorized; trigonometric rounding may differ from the scalar path
-in the last ulp, so bulk normals are for statistics, not for replaying a
-scalar-path simulation.
+numpy advances all lanes together with in-place operations, a band of steps
+at a time, and applies the output function to each band while it is still in
+cache. ``normals()`` applies the Box-Muller transform vectorized, in chunks,
+over the uniforms' own buffer; trigonometric rounding may differ from the
+scalar path in the last ulp, so bulk normals are for statistics, not for
+replaying a scalar-path simulation.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ def splitmix64(state: int) -> tuple[int, int]:
 _LANES = 1024
 _STRIDE_LOG2 = 10
 _STRIDE = 1 << _STRIDE_LOG2
+# The lanes' s1 words are collected _BAND steps at a time (64 x 1024 words,
+# 512 KiB), output-transformed in place and copied into the serial result.
+# normals() transforms _CHUNK values at a time.
+_BAND = 64
+_CHUNK = 1 << 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -73,15 +80,21 @@ def _bit_shifts() -> np.ndarray:
     return shifts
 
 
-def _advance(s: np.ndarray) -> None:
-    """One xoshiro256** state update of every column of s, shape (4, m), in place."""
-    t = s[1] << 17
-    s[2] ^= s[0]
-    s[3] ^= s[1]
-    s[1] ^= s[2]
-    s[0] ^= s[3]
-    s[2] ^= t
-    s[3] = (s[3] << 45) | (s[3] >> 19)
+def _advance(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, s3: np.ndarray,
+             t: np.ndarray) -> None:
+    """One xoshiro256** state update of the uint64 words s0..s3 of every lane,
+    in place; t is scratch of their shape."""
+    import numpy as np
+
+    np.left_shift(s1, 17, out=t)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    np.left_shift(s3, 45, out=t)
+    s3 >>= 19
+    s3 |= t
 
 
 def _apply(jump: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -107,7 +120,7 @@ def _jump(j: int) -> np.ndarray:
         bit = np.arange(256)
         jump = np.zeros((4, 256), dtype=np.uint64)
         jump[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
-        _advance(jump)
+        _advance(*jump, np.empty(256, dtype=np.uint64))
     else:
         half = _jump(j - 1)
         jump = _apply(half, half)
@@ -208,32 +221,48 @@ class Rng:
 
         Bit-identical to n calls of ``next_u64`` and leaves the same state.
         Each block of m <= ``_LANES * _STRIDE`` draws starts one lane every
-        stride positions by GF(2) jump-ahead, advances all lanes together,
-        and reads them back lane by lane. The stride is the power of two
-        2^ceil(log2(m)/2), so a block takes about sqrt(m) numpy steps over
-        about sqrt(m) lanes; a full block has ``_LANES`` lanes ``_STRIDE``
-        apart.
+        stride positions by GF(2) jump-ahead and advances all lanes together.
+        The stride is the power of two 2^ceil(log2(m)/2), so a block takes
+        about sqrt(m) numpy steps over about sqrt(m) lanes; a full block has
+        ``_LANES`` lanes ``_STRIDE`` apart. Every ``_BAND`` steps the lanes'
+        outputs are finished in place and copied lane by lane into the result.
         """
         import numpy as np
 
+        _check_count(n)
         out = np.empty(n, dtype=np.uint64)
         state = np.array([[self._s0], [self._s1], [self._s2], [self._s3]], dtype=np.uint64)
         for begin in range(0, n, _LANES * _STRIDE):
             m = min(n - begin, _LANES * _STRIDE)
             stride_log2 = ((m - 1).bit_length() + 1) // 2
-            stride = 1 << stride_log2
+            stride = 1 << stride_log2  # never more than m
             lanes = -(-m // stride)
-            steps = min(m, stride)
+            full = m // stride  # lanes all of whose stride steps are draws
             last = m - (lanes - 1) * stride  # steps the last lane needs
-            s = _lane_starts(state, lanes, stride_log2)
-            s1_hist = np.empty((lanes, steps), dtype=np.uint64)
-            for i in range(steps):
-                s1_hist[:, i] = s[1]
-                _advance(s)
-                if i + 1 == last:
-                    state = s[:, -1:].copy()
-            x = s1_hist.reshape(-1)[:m] * np.uint64(5)
-            out[begin:begin + m] = ((x << 7) | (x >> 57)) * np.uint64(9)
+            head = out[begin:begin + full * stride].reshape(full, stride)
+            tail = out[begin + full * stride:begin + m]  # the last lane, if short
+            lane_states = _lane_starts(state, lanes, stride_log2)
+            s0, s1, s2, s3 = lane_states
+            t = np.empty(lanes, dtype=np.uint64)
+            band = np.empty((min(_BAND, stride), lanes), dtype=np.uint64)
+            spare = np.empty_like(band)
+            for i0 in range(0, stride, _BAND):
+                rows = min(_BAND, stride - i0)
+                for i in range(rows):
+                    band[i] = s1
+                    _advance(s0, s1, s2, s3, t)
+                    if i0 + i + 1 == last:
+                        state = lane_states[:, -1:].copy()
+                x, w = band[:rows], spare[:rows]
+                x *= 5
+                np.left_shift(x, 7, out=w)
+                x >>= 57
+                x |= w
+                x *= 9
+                head[:, i0:i0 + rows] = x[:, :full].T
+                part = tail[i0:i0 + rows]
+                if part.size:
+                    part[:] = x[:part.size, full]
         self._s0, self._s1, self._s2, self._s3 = (int(w) for w in state[:, 0])
         return out
 
@@ -241,18 +270,37 @@ class Rng:
         """n uniforms in [0, 1) as a float64 array."""
         import numpy as np
 
-        return (self.u64_array(n) >> np.uint64(11)) * _U53
+        u = self.u64_array(n)
+        u >>= 11
+        f = u.view(np.float64)  # converted in place; chunks bound numpy's overlap copy
+        for begin in range(0, n, _CHUNK):
+            np.multiply(u[begin:begin + _CHUNK], _U53, out=f[begin:begin + _CHUNK])
+        return f
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals; consumes ceil(n/2)*2 uniforms pairwise."""
         import numpy as np
 
+        _check_count(n)
         pairs = (n + 1) // 2
-        u = self.uniforms(2 * pairs)
-        u1 = u[0::2]
-        u2 = u[1::2]
-        r = np.sqrt(-2.0 * np.log(1.0 - u1))
-        z = np.empty(2 * pairs)
-        z[0::2] = r * np.cos(_TWO_PI * u2)
-        z[1::2] = r * np.sin(_TWO_PI * u2)
+        z = self.uniforms(2 * pairs)  # each chunk's pairs become its normals
+        r = np.empty(min(pairs, _CHUNK // 2))
+        angle = np.empty_like(r)
+        trig = np.empty_like(r)
+        for begin in range(0, 2 * pairs, _CHUNK):
+            u = z[begin:begin + _CHUNK]
+            k = len(u) // 2
+            rk, ak, tk = r[:k], angle[:k], trig[:k]
+            np.subtract(1.0, u[0::2], out=rk)
+            np.log(rk, out=rk)
+            rk *= -2.0
+            np.sqrt(rk, out=rk)
+            np.multiply(u[1::2], _TWO_PI, out=ak)
+            np.multiply(rk, np.cos(ak, out=tk), out=u[0::2])
+            np.multiply(rk, np.sin(ak, out=tk), out=u[1::2])
         return z[:n]
+
+
+def _check_count(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be >= 0 (got {n})")

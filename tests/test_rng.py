@@ -6,6 +6,7 @@ file; the implementation must match it draw for draw.
 
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammafeedback import Rng
-from gammafeedback.rng import _LANES, _STRIDE
+from gammafeedback.rng import _BAND, _CHUNK, _LANES, _STRIDE, _TWO_PI
 
 MASK = (1 << 64) - 1
 
@@ -82,12 +83,16 @@ class TestStream:
         assert a.next_u64() == b.next_u64()
 
 
-# Lane, stride and block boundaries of the bulk path. A block of m draws runs
-# lanes 2^ceil(log2(m)/2) apart: the stride doubles at m = 4^a + 1 (2, 5, 17,
-# 65, ..., 4097), every lane is full at m = 4^a, and 24/25 put the last of
-# three 8-apart lanes exactly full and one past it.
-LANE_SIZES = [0, 1, 2, 3, 4, 5, 16, 17, 24, 25, 64, 65, 1000, _STRIDE - 1, _STRIDE,
-              _STRIDE + 1, 3 * _STRIDE + 7, 4096, 4097, 200_003]
+# Lane, stride, band and block boundaries of the bulk path. A block of m draws
+# runs lanes 2^ceil(log2(m)/2) apart: the stride doubles at m = 4^a + 1 (2, 5,
+# 17, 65, ..., 4097), every lane is full at m = 4^a, and 24/25 put the last of
+# three 8-apart lanes exactly full and one past it. Lanes are advanced _BAND
+# steps at a time: one band, one band +- 1, lanes x band +- 1, and 128-apart
+# lanes whose short last one ends one step into its second band.
+LANE_SIZES = [0, 1, 2, 3, 4, 5, 16, 17, 24, 25, _BAND - 1, _BAND, _BAND + 1, 1000,
+              _STRIDE - 1, _STRIDE, _STRIDE + 1, 3 * _STRIDE + 7, 4096, 4097,
+              100 * 2 * _BAND + _BAND + 1, _LANES * _BAND - 1, _LANES * _BAND,
+              _LANES * _BAND + 1, 200_003]
 BLOCK = _LANES * _STRIDE
 SEEDS = [0, 1, 2**64 - 1, 20240811]
 
@@ -144,6 +149,14 @@ class TestBulkLanes:
         assert rng.u64_array(n).tolist() == expected[:n]
         assert rng.next_u64() == expected[n]
 
+    @pytest.mark.parametrize("draw", ["u64_array", "uniforms", "normals"])
+    @pytest.mark.parametrize("n", [-1, -2, -3])
+    def test_negative_count_rejected(self, draw, n):
+        rng = Rng(5)
+        with pytest.raises(ValueError, match=rf"^n must be >= 0 \(got {n}\)$"):
+            getattr(rng, draw)(n)
+        assert rng.next_u64() == Rng(5).next_u64()  # the stream did not move
+
 
 class TestUniform:
     def test_unit_interval_and_determinism(self):
@@ -184,6 +197,34 @@ class TestNormal:
         # mean within 3 standard errors, std within 1%
         assert abs(z.mean()) < 3.0 / math.sqrt(n)
         assert abs(z.std() - 1.0) < 0.01
+
+    @pytest.mark.parametrize("n", [1, 3, 1001, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_bulk_matches_whole_array_transform(self, n):
+        # the transform as one expression over all the uniforms, bit for bit
+        seed = 20240811
+        a, b = Rng(seed), Rng(seed)
+        pairs = (n + 1) // 2
+        u = b.uniforms(2 * pairs)
+        u1, u2 = u[0::2], u[1::2]
+        r = np.sqrt(-2.0 * np.log(1.0 - u1))
+        z = np.empty(2 * pairs)
+        z[0::2] = r * np.cos(_TWO_PI * u2)
+        z[1::2] = r * np.sin(_TWO_PI * u2)
+        bulk = a.normals(n)
+        assert bulk.shape == (n,)
+        assert bulk.tobytes() == z[:n].tobytes()
+        assert a.next_u64() == b.next_u64()
+
+    def test_bulk_peak_memory(self):
+        Rng(1).normals(10**6)  # fills the jump tables, which stay cached
+        tracemalloc.start()
+        try:
+            Rng(2).normals(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 7.6 MiB of result, the lane set-up and one band; no whole-array temporaries
+        assert peak < 24 * 2**20
 
     def test_bulk_matches_scalar_closely(self):
         # same uniform stream; trig rounding may differ in the last ulp
