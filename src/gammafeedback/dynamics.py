@@ -174,8 +174,7 @@ def simulate_one_shot(params: ModelParams, impact: ImpactSpec, horizon: int) -> 
         raise ValueError(f"horizon must be >= 1 (got {horizon})")
     s0, n0, mu0 = params.s0, params.n0, params.mu0
     jump = _drive(SimState(0, s0, mu0 * s0, 0.0, n0, mu0), params, impact, 1)[1]
-    jump = jump._replace(n_t=n0, mu_t=0.0)
-    flat = jump._replace(ds_obs=0.0)
-    states = [initial_state(params), jump]
-    states += [flat._replace(t=t) for t in range(2, horizon + 1)]
+    _, s, ds, m, _, _, nu = jump
+    states = [initial_state(params), SimState(1, s, ds, m, n0, 0.0, nu)]
+    states += [SimState(t, s, 0.0, m, n0, 0.0, nu) for t in range(2, horizon + 1)]
     return Trajectory(params=params, impact=impact, states=states, mode="one_shot")
