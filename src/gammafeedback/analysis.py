@@ -39,6 +39,16 @@ CLASSIFY_TOL = 1e-9
 SINGULAR_VALUE = 0.0
 
 
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced floats from lo to hi, in the arithmetic of
+    np.linspace: ``lo + i * step``, with the last one set to hi."""
+    delta = hi - lo
+    step = delta / (n - 1)
+    if step == 0:  # a subnormal span: numpy scales i / (n - 1) by delta instead
+        return [lo + i / (n - 1) * delta for i in range(n - 1)] + [hi]
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Inclusive rectangular grid over (beta, G) plus the fixed scan inputs.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .analysis import ContourSet, GridScan
+from .analysis import ContourSet, GridScan, linspace
 from .dynamics import Trajectory
 
 if TYPE_CHECKING:
@@ -88,11 +88,7 @@ def _pad_span(lo: float, hi: float) -> tuple[float, float]:
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     """n evenly spaced ticks from lo to hi, in the arithmetic of np.linspace."""
-    delta = hi - lo
-    step = delta / (n - 1)
-    if step == 0:  # a subnormal span: numpy scales i / (n - 1) by delta instead
-        return [lo + i / (n - 1) * delta for i in range(n - 1)] + [hi]
-    return [lo + i * step for i in range(n - 1)] + [hi]
+    return linspace(lo, hi, n)
 
 
 def _tick_text(v: float) -> str:

@@ -313,7 +313,7 @@ class TestConsoleEntrypoint:
 
 
 class TestNumpyStaysUnloaded:
-    """Only the map subcommands and bulk draws import numpy.
+    """Only the grid maps and bulk draws import numpy.
 
     Each case runs in a fresh interpreter, since this one has numpy loaded.
     """
@@ -352,6 +352,18 @@ for sub in ("simulate", "simulate-stochastic", "simulate-events",
             "fixed-point", "0", "False",
         ]
         assert (tmp_path / "simulate-events" / "trajectory.svg").exists()
+
+    def test_bifurcation_scan_never_loads_numpy(self, tmp_path, cfg):
+        path = cfg(GRID_CFG)
+        script = f"""
+import sys
+from gammafeedback.cli import main
+rc = main(["bifurcation-scan", "--config", {str(path)!r}, "--out", {str(tmp_path / "scan")!r},
+           "--svg", "--quiet"])
+print(rc, "numpy" in sys.modules)
+"""
+        assert self._run(script) == ["0", "False"]
+        assert (tmp_path / "scan" / "bifurcation.svg").exists()
 
     def test_stability_map_loads_numpy(self, tmp_path, cfg):
         path = cfg(GRID_CFG)
