@@ -83,7 +83,7 @@ def _bit_shifts() -> np.ndarray:
 def _advance(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, s3: np.ndarray,
              t: np.ndarray) -> None:
     """One xoshiro256** state update of the uint64 words s0..s3 of every lane,
-    in place; t is scratch of their shape."""
+    in place; t is a temporary of their shape."""
     import numpy as np
 
     np.left_shift(s1, 17, out=t)
@@ -142,6 +142,11 @@ def _lane_starts(state: np.ndarray, lanes: int, stride_log2: int) -> np.ndarray:
         have += take
         j += 1
     return starts
+
+
+def _check_count(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be >= 0 (got {n})")
 
 
 class Rng:
@@ -299,8 +304,3 @@ class Rng:
             np.multiply(rk, np.cos(ak, out=tk), out=u[0::2])
             np.multiply(rk, np.sin(ak, out=tk), out=u[1::2])
         return z[:n]
-
-
-def _check_count(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be >= 0 (got {n})")

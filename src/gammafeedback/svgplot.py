@@ -23,6 +23,7 @@ WIDTH = 720
 HEIGHT = 520
 MARGIN = {"left": 72, "right": 36, "top": 44, "bottom": 56}
 RIGHT_AXIS_MARGIN = 72
+TICKS = 6  # evenly spaced, ends included, on every axis
 
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -86,11 +87,6 @@ def _pad_span(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    """n evenly spaced ticks from lo to hi, in the arithmetic of np.linspace."""
-    return linspace(lo, hi, n)
-
-
 def _tick_text(v: float) -> str:
     return f"{v:.6g}"
 
@@ -101,7 +97,7 @@ def _axes(frame: _Frame, xlabel: str, ylabel: str, title: str) -> list[str]:
         f'width="{_f(frame.px1 - frame.px0)}" height="{_f(frame.py0 - frame.py1)}" '
         'fill="none" stroke="#444444" stroke-width="1"/>'
     ]
-    for xv in _ticks(frame.x0, frame.x1):
+    for xv in linspace(frame.x0, frame.x1, TICKS):
         px = frame.x(xv)
         parts.append(
             f'<line x1="{_f(px)}" y1="{_f(frame.py0)}" x2="{_f(px)}" '
@@ -111,7 +107,7 @@ def _axes(frame: _Frame, xlabel: str, ylabel: str, title: str) -> list[str]:
             f'<text x="{_f(px)}" y="{_f(frame.py0 + 18)}" font-size="11" '
             f'text-anchor="middle" font-family="sans-serif">{_tick_text(xv)}</text>'
         )
-    for yv in _ticks(frame.y0, frame.y1):
+    for yv in linspace(frame.y0, frame.y1, TICKS):
         py = frame.y(yv)
         parts.append(
             f'<line x1="{_f(frame.px0 - 5)}" y1="{_f(py)}" x2="{_f(frame.px0)}" '
@@ -299,7 +295,7 @@ def event_series_svg(traj: Trajectory, title: str = "") -> str:
     pts = [(frame.x(t), frame.y(v)) for t, v in enumerate(prices)]
     body.append(_polyline(pts, PALETTE[3]))
     body.extend(_axes(frame, "t", "S", title))
-    for nv in _ticks(0.0, nu_frame.y1):
+    for nv in linspace(0.0, nu_frame.y1, TICKS):
         py = nu_frame.y(nv)
         body.append(
             f'<line x1="{_f(frame.px1)}" y1="{_f(py)}" x2="{_f(frame.px1 + 5)}" '

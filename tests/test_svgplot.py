@@ -21,8 +21,9 @@ from gammafeedback import (
     simulate_recursive,
     stability_grid,
 )
-from gammafeedback.svgplot import (SINGULAR_COLOR, _Frame, _pad_span, _ticks, emit_svg,
-                                   heatmap_svg, line_chart_svg)
+from gammafeedback.analysis import linspace
+from gammafeedback.svgplot import (SINGULAR_COLOR, _Frame, _pad_span, emit_svg, heatmap_svg,
+                                   line_chart_svg)
 
 PARAMS = ModelParams(lam=0.05, beta=1.0, mu0=0.025)
 TANH = ImpactSpec.tanh(1.0)
@@ -137,7 +138,7 @@ def test_ticks_match_linspace(span, n):
     lo, hi = span
     with np.errstate(over="ignore", invalid="ignore"):
         expected = ref.ticks(lo, hi, n)
-    assert [v.hex() for v in _ticks(lo, hi, n)] == [float(v).hex() for v in expected]
+    assert [v.hex() for v in linspace(lo, hi, n)] == [float(v).hex() for v in expected]
 
 
 def test_heatmap_rejects_a_span_beyond_doubles():
