@@ -16,9 +16,9 @@ Stability maps and fixed-point analysis of the hedging-feedback loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .model import (
     EPS_SINGULAR,
@@ -27,9 +27,6 @@ from .model import (
     hedging_impact,
     surprise_amplification,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Absolute tolerance on |f| - 1 when classifying fixed points.
 CLASSIFY_TOL = 1e-9
@@ -42,6 +39,7 @@ SINGULAR_VALUE = 0.0
 def linspace(lo: float, hi: float, n: int) -> list[float]:
     """n >= 2 evenly spaced floats from lo to hi, in the arithmetic of
     np.linspace: ``lo + i * step``, with the last one set to hi."""
+    lo, hi = float(lo), float(hi)
     delta = hi - lo
     step = delta / (n - 1)
     if step == 0:  # a subnormal span: numpy scales i / (n - 1) by delta instead
@@ -87,15 +85,11 @@ class GridSpec:
         if self.k < 0:
             raise ValueError(f"k must be >= 0 (got {self.k})")
 
-    def betas(self) -> np.ndarray:
-        import numpy as np
+    def betas(self) -> list[float]:
+        return linspace(self.beta_min, self.beta_max, self.n_beta)
 
-        return np.linspace(self.beta_min, self.beta_max, self.n_beta)
-
-    def gs(self) -> np.ndarray:
-        import numpy as np
-
-        return np.linspace(self.g_min, self.g_max, self.n_g)
+    def gs(self) -> list[float]:
+        return linspace(self.g_min, self.g_max, self.n_g)
 
     @property
     def cell_width_g(self) -> float:
@@ -110,33 +104,37 @@ class GridSpec:
 class GridScan:
     """A scalar field sampled on a GridSpec.
 
-    ``values`` is row-major (n_beta, n_g); ``singular`` flags cells where
-    the field is undefined (their stored value is SINGULAR_VALUE).
+    ``values`` is n_beta rows of n_g floats, one row per beta node;
+    ``singular`` holds one bool per cell and flags cells where the field is
+    undefined (their stored value is SINGULAR_VALUE).
     """
 
     spec: GridSpec
     field_name: str
-    values: np.ndarray
-    singular: np.ndarray
+    values: list[list[float]]
+    singular: list[list[bool]]
 
     def __post_init__(self) -> None:
-        import numpy as np
-
         expected = (self.spec.n_beta, self.spec.n_g)
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape} != {expected}")
-        if self.singular.shape != expected:
-            raise ValueError(f"singular shape {self.singular.shape} != {expected}")
-        if not np.all(np.isfinite(self.values[~self.singular])):
-            raise ValueError("non-singular cells must be finite")
+        for name, rows in (("values", self.values), ("singular", self.singular)):
+            if len(rows) != expected[0] or any(len(row) != expected[1] for row in rows):
+                lengths = sorted({len(row) for row in rows})
+                raise ValueError(f"{name} shape: {len(rows)} rows of lengths {lengths}, "
+                                 f"expected {expected}")
+        for row, flags in zip(self.values, self.singular):
+            # singular cells may hold anything: look at the flags only when
+            # some cell of the row is not finite
+            if not all(map(math.isfinite, row)) and not all(
+                    s or math.isfinite(v) for v, s in zip(row, flags)):
+                raise ValueError("non-singular cells must be finite")
 
 
 @dataclass
 class ContourSet:
     """Iso-level polylines in (beta, G) coordinates.
 
-    Each polyline is an (m, 2) array of [beta, G] vertices; closed loops
-    repeat their first vertex at the end.
+    Each polyline is a list of (beta, G) vertices; closed loops repeat their
+    first vertex at the end.
     """
 
     level: float
@@ -164,30 +162,33 @@ class FixedPointReport:
 
 
 def stability_grid(spec: GridSpec) -> GridScan:
-    """Evaluate D = 1 - lam*G*(1 + k*x) on the grid, x at the fixed shock."""
-    import numpy as np
+    """Evaluate D = 1 - lam*G*(1 + k*x) on the grid, x at the fixed shock.
 
-    betas = spec.betas()
+    Each cell is ``1 - (lam * (1 + k*x)) * G``, in that order.
+    """
     gs = spec.gs()
-    x = spec.shock_ratio / (betas * spec.sigma_m)
-    amp = 1.0 + spec.k * x
-    values = 1.0 - spec.lam * amp[:, None] * gs[None, :]
+    lam, shock, sigma_m, k = spec.lam, spec.shock_ratio, spec.sigma_m, spec.k
+    values = []
+    for b in spec.betas():
+        scale = b * sigma_m
+        # a product that underflows to 0 makes x inf or nan, and the row
+        # non-finite either way: GridScan rejects it
+        x = shock / scale if scale else math.nan
+        la = lam * (1.0 + k * x)
+        values.append([1.0 - la * g for g in gs])
     return GridScan(
         spec=spec,
         field_name="stability_denominator",
         values=values,
-        singular=np.zeros(values.shape, dtype=bool),
+        singular=[[False] * spec.n_g for _ in range(spec.n_beta)],
     )
 
 
 def amplification_grid(spec: GridSpec) -> GridScan:
     """Evaluate 1/D on the grid; cells with D <= EPS_SINGULAR are flagged."""
-    import numpy as np
-
     d = stability_grid(spec).values
-    singular = d <= EPS_SINGULAR
-    values = np.full(d.shape, SINGULAR_VALUE)
-    np.divide(1.0, d, out=values, where=~singular)
+    values = [[1.0 / v if v > EPS_SINGULAR else SINGULAR_VALUE for v in row] for row in d]
+    singular = [[v <= EPS_SINGULAR for v in row] for row in d]
     return GridScan(
         spec=spec,
         field_name="amplification",
@@ -231,15 +232,15 @@ def _edge_key(local_edge: int, i: int, j: int) -> tuple[str, int, int]:
     return ("c", i, j)
 
 
-def _crossing_point(key, f, betas, gs):
-    """Linear-interpolated zero of f along a node edge."""
+def _crossing_point(key, values, level, betas, gs):
+    """Linear-interpolated crossing of ``level`` along a node edge."""
     kind, i, j = key
-    fa = f[i, j]
+    fa = values[i][j] - level
     if kind == "r":
-        fb = f[i, j + 1]
+        fb = values[i][j + 1] - level
         t = fa / (fa - fb)
         return (betas[i], gs[j] + t * (gs[j + 1] - gs[j]))
-    fb = f[i + 1, j]
+    fb = values[i + 1][j] - level
     t = fa / (fa - fb)
     return (betas[i] + t * (betas[i + 1] - betas[i]), gs[j])
 
@@ -247,46 +248,60 @@ def _crossing_point(key, f, betas, gs):
 def extract_contour(scan: GridScan, level: float) -> ContourSet:
     """Marching-squares polylines of ``scan`` at ``level``.
 
-    Cells touching a singular or non-finite node contribute nothing.
-    Returns an empty set when the level is never crossed.
+    Cells touching a singular node contribute nothing. Returns an empty set
+    when the level is never crossed.
     """
-    import numpy as np
+    values = scan.values
+    # One byte per node, 1 for usable (not singular) and for inside (usable
+    # and above the level; non-singular values are finite, so v > level is
+    # v - level > 0), read as little-endian integers: byte j of a row's
+    # integer is node j, and a shift by 8 moves to the next node.
+    n_g = scan.spec.n_g
+    all_usable = int.from_bytes(b"\x01" * n_g, "little")
+    inside, usable = [], []
+    for row, flags in zip(values, scan.singular):
+        if any(flags):
+            inside.append(bytes([not s and v > level for v, s in zip(row, flags)]))
+            usable.append(int.from_bytes(bytes([not s for s in flags]), "little"))
+        else:
+            inside.append(bytes([v > level for v in row]))
+            usable.append(all_usable)
+    masks = [int.from_bytes(row, "little") for row in inside]
 
-    f = scan.values - level
-    usable = np.isfinite(scan.values) & ~scan.singular
-    inside = (f > 0) & usable
-
-    # Case index per cell; restrict to cells whose four corners are usable.
-    case = (
-        inside[:-1, :-1].astype(np.int8)
-        + 2 * inside[:-1, 1:]
-        + 4 * inside[1:, 1:]
-        + 8 * inside[1:, :-1]
-    )
-    ok = usable[:-1, :-1] & usable[:-1, 1:] & usable[1:, 1:] & usable[1:, :-1]
-    case = np.where(ok, case, 0)
-
-    betas = scan.spec.betas()
-    gs = scan.spec.gs()
     links: dict[tuple, list[tuple]] = {}
 
     def _link(ka, kb):
         links.setdefault(ka, []).append(kb)
         links.setdefault(kb, []).append(ka)
 
-    for i, j in zip(*np.nonzero((case > 0) & (case < 15))):
-        c = int(case[i, j])
-        if c in _SADDLE_CASES:
-            center = 0.25 * (f[i, j] + f[i, j + 1] + f[i + 1, j + 1] + f[i + 1, j])
-            # Center inside joins the two inside corners across the cell.
-            if c == 5:  # c0 and c2 inside
-                segs = [(0, 1), (2, 3)] if center > 0 else [(0, 3), (1, 2)]
-            else:  # c1 and c3 inside
-                segs = [(0, 3), (1, 2)] if center > 0 else [(0, 1), (2, 3)]
-        else:
-            segs = _MS_TABLE[c]
-        for ea, eb in segs:
-            _link(_edge_key(ea, i, j), _edge_key(eb, i, j))
+    for i in range(scan.spec.n_beta - 1):
+        a, b = inside[i], inside[i + 1]
+        ma, mb = masks[i], masks[i + 1]
+        # a cell needs four usable corners and two that differ; going round
+        # it, an even number of the corner pairs c0-c1, c1-c2, c2-c3, c3-c0
+        # differ, so the cell is crossed when c0-c1, c3-c2 or c0-c3 does
+        ok = usable[i] & usable[i + 1]
+        ok &= ok >> 8
+        todo = ((ma ^ (ma >> 8)) | (mb ^ (mb >> 8)) | (ma ^ mb)) & ok
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            j = low.bit_length() >> 3
+            # corners c0..c3 of cell (i, j), in the order of _MS_TABLE
+            c = a[j] + 2 * a[j + 1] + 4 * b[j + 1] + 8 * b[j]
+            if c in _SADDLE_CASES:
+                center = 0.25 * ((values[i][j] - level) + (values[i][j + 1] - level)
+                                 + (values[i + 1][j + 1] - level)
+                                 + (values[i + 1][j] - level))
+                # Center inside joins the two inside corners across the cell.
+                if c == 5:  # c0 and c2 inside
+                    segs = [(0, 1), (2, 3)] if center > 0 else [(0, 3), (1, 2)]
+                else:  # c1 and c3 inside
+                    segs = [(0, 3), (1, 2)] if center > 0 else [(0, 1), (2, 3)]
+            else:
+                segs = _MS_TABLE[c]
+            for ea, eb in segs:
+                _link(_edge_key(ea, i, j), _edge_key(eb, i, j))
 
     # Chain segments into polylines: open chains first (from degree-1 edges
     # in sorted order), then remaining closed loops.
@@ -321,11 +336,11 @@ def extract_contour(scan: GridScan, level: float) -> ContourSet:
         if key not in visited:
             polylines.append(_walk(key))
 
-    out = ContourSet(level=level)
-    for chain in polylines:
-        pts = np.array([_crossing_point(k, f, betas, gs) for k in chain])
-        out.polylines.append(pts)
-    return out
+    betas = scan.spec.betas()
+    gs = scan.spec.gs()
+    return ContourSet(level=level, polylines=[
+        [_crossing_point(k, values, level, betas, gs) for k in chain] for chain in polylines
+    ])
 
 
 def critical_exposure(

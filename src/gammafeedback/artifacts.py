@@ -31,26 +31,22 @@ def _fmt(value: float) -> str:
 
 
 def grid_csv(scan: GridScan) -> str:
-    import numpy as np
-
     gs = [_fmt(g) for g in scan.spec.gs()]
-    values = np.asarray(scan.values, dtype=float)
-    flags = scan.singular.astype(np.int8)
     rows = ["beta,G,value,singular\n"]  # then one string per beta row
-    for beta, row_values, row_flags in zip(scan.spec.betas(), values, flags):
+    for beta, row_values, row_flags in zip(scan.spec.betas(), scan.values, scan.singular):
         b = _fmt(beta)
-        rows.append("".join([f"{b},{g},{v!r},{flag}\n" for g, v, flag
-                             in zip(gs, row_values.tolist(), row_flags.tolist())]))
+        if any(row_flags):
+            rows.append("".join([f"{b},{g},{v!r},{'01'[flag]}\n" for g, v, flag
+                                 in zip(gs, row_values, row_flags)]))
+        else:
+            rows.append("".join([f"{b},{g},{v!r},0\n" for g, v in zip(gs, row_values)]))
     return "".join(rows)
 
 
 def contour_csv(contours: ContourSet) -> str:
-    import numpy as np
-
     rows = ["polyline_id,beta,G\n"]  # then one string per polyline
     for pid, line in enumerate(contours.polylines):
-        rows.append("".join([f"{pid},{b!r},{g!r}\n"
-                             for b, g in np.asarray(line, dtype=float).tolist()]))
+        rows.append("".join([f"{pid},{b!r},{g!r}\n" for b, g in line]))
     return "".join(rows)
 
 

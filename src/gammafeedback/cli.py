@@ -9,17 +9,13 @@ denominator, or at a named step a simulated price leaving (0, 1e12 * s0] or
 the position decay's m**xi overflowing a double),
 4 I/O error. Failures print a one-line JSON error record to stderr.
 
-numpy is imported only by the map subcommands and bulk draws. Before the
-subcommand runs, ``OPENBLAS_NUM_THREADS`` defaults to 1: the program calls no
-BLAS routine, and a larger OpenBLAS pool only spins while numpy loads. A
-value already in the environment is kept.
+No subcommand imports numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -56,7 +52,6 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")

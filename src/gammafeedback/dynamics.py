@@ -79,7 +79,14 @@ class Trajectory:
 
 
 def position_decay(n0: float, m_cum: float, eta: float = 2.0, xi: float = 5.0) -> float:
-    """Active position n0 / (1 + eta * m_cum^xi); decreasing in movement."""
+    """Active position n0 / (1 + eta * m_cum^xi); decreasing in movement.
+
+    Raises OverflowError, as Python's float power does, when m_cum**xi
+    overflows a double (m_cum = 1e100 with xi = 5, say). Once the power is
+    finite, a product eta * m_cum**xi beyond the largest double is inf and
+    the position is 0.0. The step driver turns the error into
+    NumericalOverflow naming the step.
+    """
     if m_cum < 0:
         raise ValueError(f"m_cum must be >= 0 (got {m_cum})")
     return n0 / (1.0 + eta * m_cum**xi)

@@ -20,16 +20,18 @@ machines and builds, independent of any library's RNG internals:
   largest multiple of n below 2^64 are discarded), so there is no modulo
   bias.
 
-Bulk draws: ``u64_array()`` and ``uniforms()`` are bit-identical to the
+Bulk draws need numpy (the ``bulk`` extra); nothing else in the package
+imports it. ``u64_array()`` and ``uniforms()`` are bit-identical to the
 scalar stream and leave the generator in the same state. The update is
 linear over GF(2)^256, so the stream is cut into lanes whose start states
 come from GF(2) jump-ahead (Haramoto et al., INFORMS J. Computing 2008);
 numpy advances all lanes together with in-place operations, a band of steps
 at a time, and applies the output function to each band while it is still in
 cache. ``normals()`` applies the Box-Muller transform vectorized, in chunks,
-over the uniforms' own buffer; trigonometric rounding may differ from the
-scalar path in the last ulp, so bulk normals are for statistics, not for
-replaying a scalar-path simulation.
+over the uniforms' own buffer. numpy's ``log`` may differ from ``math.log``
+in the last ulp (its ``sqrt``, ``cos`` and ``sin`` agree with ``math``), so a
+bulk normal may differ from the scalar path's in the last bits: bulk normals
+are for statistics, not for replaying a scalar-path simulation.
 """
 
 from __future__ import annotations

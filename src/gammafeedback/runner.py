@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (amplification_grid, analyze_fixed_point, critical_exposure,
-                       extract_contour, linearized_feedback, linspace, stability_grid)
+                       extract_contour, linearized_feedback, stability_grid)
 from .artifacts import RunManifest, contour_csv, curve_csv, grid_csv, trajectory_csv
 from .config import ConfigError, RunConfig, render_config
 from .dynamics import simulate_recursive
@@ -79,7 +79,7 @@ def _trajectory(title: str, simulate):
 
 def _bifurcation_scan(config: RunConfig) -> list[tuple[str, str]]:
     grid = config.grid
-    betas = linspace(grid.beta_min, grid.beta_max, grid.n_beta)  # without numpy
+    betas = grid.betas()
     roots = [critical_exposure(grid.lam, b, grid.shock_ratio, grid.sigma_m, grid.k)
              for b in betas]
     files = [("bifurcation.csv", curve_csv(betas, roots))]

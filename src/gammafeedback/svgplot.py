@@ -11,13 +11,12 @@ t = 1; singular cells render gray.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import math
+import struct
+from bisect import bisect_right
 
 from .analysis import ContourSet, GridScan, linspace
 from .dynamics import Trajectory
-
-if TYPE_CHECKING:
-    import numpy as np
 
 WIDTH = 720
 HEIGHT = 520
@@ -38,28 +37,89 @@ def _f(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _ramp_fills(values: np.ndarray, singular: np.ndarray, vmin: float,
-                span: float) -> np.ndarray:
+_DOUBLE = struct.Struct("<d")
+_INT64 = struct.Struct("<q")
+
+
+def _order(v: float) -> int:
+    """The rank of a double among doubles: adjacent doubles differ by 1."""
+    bits = _INT64.unpack(_DOUBLE.pack(v))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _from_order(k: int) -> float:
+    return _DOUBLE.unpack(_INT64.pack(k if k >= 0 else -k | -0x8000_0000_0000_0000))[0]
+
+
+def _ramp_cuts(vmin: float, vmax: float, span: float) -> tuple[list[float], list[str]]:
+    """The ramp over [vmin, vmax] as a step function of v.
+
+    Each channel ``round(lo + ((v - vmin) / span) * (hi - lo))`` is monotone
+    in v, so the colour changes only at the first double of each channel
+    step. Returns those doubles ascending, ``cuts``, and ``names``, where
+    ``names[bisect_right(cuts, v)]`` is the colour of v. Each step is found
+    from its analytic position by galloping and then bisecting over the
+    ranks of the doubles, so it is exact however few doubles the span holds.
+    """
+    bottom, top = _order(vmin), _order(vmax)
+    cuts = set()
+    for lo, hi in zip(RAMP_LOW, RAMP_HIGH):
+        d = hi - lo
+        sign = 1 if d > 0 else -1
+
+        def level(k):
+            """The channel at the double of rank k, negated if it falls with v."""
+            return sign * round(lo + ((_from_order(k) - vmin) / span) * d)
+
+        for m in range(level(bottom) + 1, level(top) + 1):
+            # the first double whose level reaches m: gallop from the analytic
+            # guess until level(below) < m <= level(above), then bisect
+            guess = vmin + (sign * (m - 0.5) - lo) / d * span
+            k = _order(min(max(guess, vmin), vmax))
+            if level(k) >= m:  # then k > bottom
+                above, below, step = k, k - 1, 2
+                while below > bottom and level(below) >= m:
+                    above, below, step = below, max(below - step, bottom), 2 * step
+            else:  # then k < top
+                below, above, step = k, k + 1, 2
+                while above < top and level(above) < m:
+                    below, above, step = above, min(above + step, top), 2 * step
+            while above - below > 1:
+                mid = (below + above) // 2
+                if level(mid) >= m:
+                    above = mid
+                else:
+                    below = mid
+            cuts.add(above)
+    cuts = [_from_order(k) for k in sorted(cuts)]
+    names = []
+    for v in [vmin, *cuts]:
+        t = (v - vmin) / span
+        r, g, b = (round(lo + t * (hi - lo)) for lo, hi in zip(RAMP_LOW, RAMP_HIGH))
+        names.append(f"#{r:02x}{g:02x}{b:02x}")
+    return cuts, names
+
+
+def _ramp_fills(values: list[list[float]], singular: list[list[bool]], vmin: float,
+                vmax: float) -> list[list[str]]:
     """The fill of every cell: the ramp colour at t = (v - vmin) / span, or gray.
 
     Each channel is ``round(lo + t * (hi - lo))`` in doubles, rounded half
-    to even as Python's ``round`` does. With vmin, and span = vmax - vmin,
-    taken over the finite cells, rounding keeps t in [0, 1]. Each distinct
-    colour is formatted once.
+    to even, with span = vmax - vmin (1 when that is 0). vmin and vmax are
+    the least and greatest of the non-singular cells, so t stays in [0, 1].
     """
-    import numpy as np
-
-    if not np.isfinite(span):
+    span = (vmax - vmin) or 1.0
+    if not math.isfinite(span):
         raise ValueError(f"the finite cells span {span}, beyond the largest double")
-    t = (np.where(singular, vmin, values) - vmin) / span
-    lo, hi = np.array(RAMP_LOW), np.array(RAMP_HIGH)
-    rgb = np.rint(lo + t[..., None] * (hi - lo)).astype(np.int64)
-    codes = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
-    distinct, index = np.unique(codes, return_inverse=True)
-    palette = [f"#{c:06x}" for c in distinct.tolist()] + [SINGULAR_COLOR]
-    index = index.reshape(codes.shape)
-    index[singular] = len(distinct)
-    return np.array(palette, dtype=object)[index]
+    cuts, names = _ramp_cuts(vmin, vmax, span)
+    fills = []
+    for row, flags in zip(values, singular):
+        if any(flags):
+            fills.append([SINGULAR_COLOR if s else names[bisect_right(cuts, v)]
+                          for v, s in zip(row, flags)])
+        else:
+            fills.append([names[bisect_right(cuts, v)] for v in row])
+    return fills
 
 
 class _Frame:
@@ -188,10 +248,15 @@ def heatmap_svg(
     spec = scan.spec
     betas, gs = spec.betas(), spec.gs()
     frame = _Frame((spec.beta_min, spec.beta_max), (spec.g_min, spec.g_max))
-    finite = scan.values[~scan.singular]
-    vmin = float(finite.min()) if finite.size else 0.0
-    vmax = float(finite.max()) if finite.size else 1.0
-    span = (vmax - vmin) or 1.0
+    lows, highs = [], []
+    for row, flags in zip(scan.values, scan.singular):
+        if any(flags):
+            row = [v for v, s in zip(row, flags) if not s]
+        if row:
+            lows.append(min(row))
+            highs.append(max(row))
+    vmin = min(lows) if lows else 0.0
+    vmax = max(highs) if highs else 1.0
 
     half_b = (betas[1] - betas[0]) / 2 if spec.n_beta > 1 and betas[1] > betas[0] else 0.5
     half_g = (gs[1] - gs[0]) / 2 if spec.n_g > 1 and gs[1] > gs[0] else 0.5
@@ -202,7 +267,7 @@ def heatmap_svg(
         py = frame.y(max(g - half_g, frame.y0))
         ys.append(_f(py1))
         heights.append(_f(py - py1))
-    fills = _ramp_fills(scan.values, scan.singular, vmin, span)
+    fills = _ramp_fills(scan.values, scan.singular, vmin, vmax)
 
     body = []  # one string per beta row
     for b, row in zip(betas, fills):
@@ -211,7 +276,7 @@ def heatmap_svg(
         x, width = _f(px), _f(px1 - px)
         body.append("\n".join([
             f'<rect x="{x}" y="{y}" width="{width}" height="{h}" fill="{fill}"/>'
-            for y, h, fill in zip(ys, heights, row.tolist())
+            for y, h, fill in zip(ys, heights, row)
         ]))
     for contour, color, dasharray in contours:
         for line in contour.polylines:
@@ -258,13 +323,9 @@ def contour_svg(
     """Standalone polyline plot of a contour set."""
     if not contours.polylines:
         raise ValueError("contour set is empty")
-    import numpy as np
-
-    all_pts = np.vstack(contours.polylines)
-    frame = _Frame(
-        (all_pts[:, 0].min(), all_pts[:, 0].max()),
-        (all_pts[:, 1].min(), all_pts[:, 1].max()),
-    )
+    betas = [b for line in contours.polylines for b, _ in line]
+    gs = [g for line in contours.polylines for _, g in line]
+    frame = _Frame((min(betas), max(betas)), (min(gs), max(gs)))
     body = []
     for line in contours.polylines:
         pts = [(frame.x(b), frame.y(g)) for b, g in line]

@@ -5,12 +5,16 @@ as an independent oracle; fixed points are checked against brute-force
 iteration of the affine map.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import writer_reference as ref
 from gammafeedback import (
     ContourSet,
     FixedPointClass,
@@ -26,6 +30,7 @@ from gammafeedback import (
     stability_denominator,
     stability_grid,
 )
+from gammafeedback.artifacts import contour_csv, grid_csv
 
 REL = 1e-9
 
@@ -47,8 +52,21 @@ class TestGridSpec:
     def test_axes_are_inclusive(self):
         spec = GridSpec(beta_min=0.5, beta_max=1.5, g_min=0.0, g_max=300.0,
                         n_beta=3, n_g=4, shock_ratio=0.05, lam=0.003)
-        assert spec.betas().tolist() == [0.5, 1.0, 1.5]
-        assert spec.gs().tolist() == [0.0, 100.0, 200.0, 300.0]
+        assert spec.betas() == [0.5, 1.0, 1.5]
+        assert spec.gs() == [0.0, 100.0, 200.0, 300.0]
+
+    def test_integer_bounds_give_float_nodes(self):
+        # as np.linspace: int bounds give the float bounds' nodes, grids and contours
+        ints = GridSpec(beta_min=1, beta_max=3, g_min=0, g_max=300, n_beta=5, n_g=7,
+                        shock_ratio=0.05, lam=0.003)
+        floats = GridSpec(beta_min=1.0, beta_max=3.0, g_min=0.0, g_max=300.0, n_beta=5, n_g=7,
+                          shock_ratio=0.05, lam=0.003)
+        assert all(type(v) is float for v in ints.betas() + ints.gs())
+        assert _hex_rows([ints.betas(), ints.gs()]) == _hex_rows([floats.betas(), floats.gs()])
+        for grid in (stability_grid, amplification_grid):
+            assert grid_csv(grid(ints)) == grid_csv(grid(floats))
+            assert (contour_csv(extract_contour(grid(ints), 0.5))
+                    == contour_csv(extract_contour(grid(floats), 0.5)))
 
     @pytest.mark.parametrize("kwargs", [
         {"beta_min": 0.0}, {"beta_min": -1.0}, {"g_min": -5.0},
@@ -69,20 +87,31 @@ class TestGridScanValidation:
                         n_beta=3, n_g=4, shock_ratio=0.05, lam=0.003)
         with pytest.raises(ValueError, match="shape"):
             GridScan(spec=spec, field_name="stability_denominator",
-                     values=np.ones((2, 4)), singular=np.zeros((2, 4), bool))
+                     values=[[1.0] * 4] * 2, singular=[[False] * 4] * 2)
+        # the right number of rows, one of them short
+        with pytest.raises(ValueError, match="shape"):
+            GridScan(spec=spec, field_name="stability_denominator",
+                     values=[[1.0] * 4, [1.0] * 3, [1.0] * 4],
+                     singular=[[False] * 4] * 3)
+        with pytest.raises(ValueError, match="shape"):
+            GridScan(spec=spec, field_name="stability_denominator",
+                     values=[[1.0] * 4] * 3, singular=[[False] * 4] * 2 + [[False] * 5])
 
     def test_unflagged_nonfinite_rejected(self):
         spec = GridSpec(beta_min=0.5, beta_max=1.5, g_min=0.0, g_max=10.0,
                         n_beta=2, n_g=2, shock_ratio=0.05, lam=0.003)
-        values = np.array([[1.0, np.inf], [1.0, 1.0]])
+        values = [[1.0, math.inf], [1.0, 1.0]]
         with pytest.raises(ValueError, match="finite"):
             GridScan(spec=spec, field_name="amplification",
-                     values=values, singular=np.zeros((2, 2), bool))
-        # the same matrix is fine once the cell is flagged
-        flags = np.array([[False, True], [False, False]])
-        values_flagged = np.where(flags, 0.0, values)
+                     values=values, singular=[[False, False], [False, False]])
+        with pytest.raises(ValueError, match="finite"):
+            GridScan(spec=spec, field_name="amplification",
+                     values=values, singular=[[True, False], [False, False]])
+        # the same values are fine once the cell is flagged, nan too
+        flags = [[False, True], [False, False]]
+        GridScan(spec=spec, field_name="amplification", values=values, singular=flags)
         GridScan(spec=spec, field_name="amplification",
-                 values=values_flagged, singular=flags)
+                 values=[[1.0, math.nan], [1.0, 1.0]], singular=flags)
 
 
 class TestStabilityGrid:
@@ -90,8 +119,19 @@ class TestStabilityGrid:
         spec = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=0.0,
                         n_beta=5, n_g=2, shock_ratio=0.05, lam=0.003)
         scan = stability_grid(spec)
-        assert np.all(scan.values == 1.0)
-        assert not scan.singular.any()
+        assert scan.values == [[1.0, 1.0]] * 5
+        assert scan.singular == [[False, False]] * 5
+
+    def test_underflowing_surprise_scale_rejected(self):
+        # beta * sigma_m rounds to 0: x is inf or nan, as in numpy, and the
+        # non-finite row is rejected instead of dividing by zero
+        for shock in (0.05, 0.0):
+            spec = GridSpec(beta_min=1e-323, beta_max=1.0, g_min=0.0, g_max=300.0,
+                            n_beta=3, n_g=4, shock_ratio=shock, lam=0.003, sigma_m=0.01)
+            assert not np.isfinite(ref.stability_values(spec)[0]).any()
+            for grid in (stability_grid, amplification_grid):
+                with pytest.raises(ValueError, match="finite"):
+                    grid(spec)
 
     def test_cell_matches_scalar_op(self):
         spec = GridSpec(beta_min=0.5, beta_max=1.5, g_min=0.0, g_max=300.0,
@@ -99,21 +139,23 @@ class TestStabilityGrid:
         scan = stability_grid(spec)
         # node (beta=1, G=100): oracle 1 - 0.003*100*(13/3) = -0.3
         oracle = 1 - Fraction(3, 1000) * 100 * Fraction(13, 3)
-        assert scan.values[1, 1] == pytest.approx(float(oracle), rel=REL)
+        assert scan.values[1][1] == pytest.approx(float(oracle), rel=REL)
         # every node agrees with the scalar operation
         for i, beta in enumerate(spec.betas()):
             for j, g in enumerate(spec.gs()):
                 p = ModelParams(lam=spec.lam, beta=beta, mu0=0.0,
                                 n0=max(g, 1e-300), gamma0=1.0,
                                 sigma_m=spec.sigma_m, k=spec.k)
-                assert scan.values[i, j] == pytest.approx(
+                assert scan.values[i][j] == pytest.approx(
                     stability_denominator(p, spec.shock_ratio), rel=1e-12, abs=1e-12
                 )
 
     def test_monotone_rows_and_columns(self):
         scan = stability_grid(FIG1A)
-        assert np.all(np.diff(scan.values, axis=1) < 0)  # decreasing in G
-        assert np.all(np.diff(scan.values[:, 1:], axis=0) > 0)  # increasing in beta
+        for row in scan.values:  # decreasing in G
+            assert all(b < a for a, b in zip(row, row[1:]))
+        for below, above in zip(scan.values, scan.values[1:]):  # increasing in beta
+            assert all(b > a for a, b in zip(below[1:], above[1:]))
 
 
 class TestAmplificationGrid:
@@ -124,16 +166,16 @@ class TestAmplificationGrid:
         a = amplification_grid(spec)
         for i in range(4):
             for j in range(4):
-                if d.values[i, j] <= 1e-9:
-                    assert a.singular[i, j]
-                    assert a.values[i, j] == 0.0
+                if d.values[i][j] <= 1e-9:
+                    assert a.singular[i][j]
+                    assert a.values[i][j] == 0.0
                 else:
-                    assert not a.singular[i, j]
-                    assert abs(a.values[i, j] - 1.0 / d.values[i, j]) <= 1e-12
+                    assert not a.singular[i][j]
+                    assert abs(a.values[i][j] - 1.0 / d.values[i][j]) <= 1e-12
 
     def test_zero_exposure_amplification_is_one(self):
         a = amplification_grid(FIG1A)
-        assert np.all(a.values[:, 0] == 1.0)
+        assert [row[0] for row in a.values] == [1.0] * FIG1A.n_beta
 
     def test_amplification_two_at_half_denominator(self):
         # construct a node with D exactly 0.5: G = 0.5/(lam*phi) on a
@@ -145,23 +187,25 @@ class TestAmplificationGrid:
                         n_beta=2, n_g=2, shock_ratio=shock, lam=lam,
                         sigma_m=sigma, k=k)
         a = amplification_grid(spec)
-        assert a.values[0, 1] == pytest.approx(2.0, rel=1e-12)
+        assert a.values[0][1] == pytest.approx(2.0, rel=1e-12)
 
     def test_consistency_with_stability_grid(self):
         d = stability_grid(FIG1A)
         a = amplification_grid(FIG1A)
-        mask = ~a.singular
-        assert np.max(np.abs(a.values[mask] - 1.0 / d.values[mask])) <= 1e-12
+        assert any(map(any, a.singular)) and not all(map(all, a.singular))
+        for a_row, flags, d_row in zip(a.values, a.singular, d.values):
+            for av, s, dv in zip(a_row, flags, d_row):
+                assert s or abs(av - 1.0 / dv) <= 1e-12
 
 
 class TestExtractContour:
     def _scan_from(self, values, beta_min=1.0, beta_max=2.0, g_min=0.0, g_max=1.0):
-        values = np.asarray(values, dtype=float)
         spec = GridSpec(beta_min=beta_min, beta_max=beta_max, g_min=g_min,
-                        g_max=g_max, n_beta=values.shape[0], n_g=values.shape[1],
+                        g_max=g_max, n_beta=len(values), n_g=len(values[0]),
                         shock_ratio=0.0, lam=0.003)
         return GridScan(spec=spec, field_name="stability_denominator",
-                        values=values, singular=np.zeros(values.shape, bool))
+                        values=[[float(v) for v in row] for row in values],
+                        singular=[[False] * len(row) for row in values])
 
     def test_vertical_midline(self):
         scan = self._scan_from([[1.0, -1.0], [1.0, -1.0]])
@@ -169,8 +213,8 @@ class TestExtractContour:
         assert len(contour.polylines) == 1
         line = contour.polylines[0]
         assert len(line) == 2
-        assert np.allclose(line[:, 1], 0.5)  # G at the midpoint column
-        assert set(line[:, 0]) == {1.0, 2.0}  # spans the beta range
+        assert [g for _, g in line] == pytest.approx([0.5, 0.5])  # G at the midpoint column
+        assert {b for b, _ in line} == {1.0, 2.0}  # spans the beta range
 
     def test_no_crossing_is_empty(self):
         scan = self._scan_from([[5.0, 5.0], [5.0, 5.0]])
@@ -181,28 +225,28 @@ class TestExtractContour:
         # f = 3 at G=0 and -1 at G=1: crossing at t = 3/4
         scan = self._scan_from([[3.0, -1.0], [3.0, -1.0]])
         contour = extract_contour(scan, 0.0)
-        assert np.allclose(contour.polylines[0][:, 1], 0.75)
+        assert [g for _, g in contour.polylines[0]] == pytest.approx([0.75, 0.75])
 
     def test_closed_loop(self):
         # an island of positive values yields a closed polyline
-        values = -np.ones((5, 5))
-        values[2, 2] = 1.0
+        values = [[-1.0] * 5 for _ in range(5)]
+        values[2][2] = 1.0
         scan = self._scan_from(values)
         contour = extract_contour(scan, 0.0)
         assert len(contour.polylines) == 1
         line = contour.polylines[0]
-        assert np.allclose(line[0], line[-1])  # closed
+        assert line[0] == line[-1]  # closed
         assert len(line) == 5
 
     def test_saddle_disambiguation_by_center(self):
         # opposite-sign diagonal with positive center joins the inside
         # corners into two separate arcs around the negative corners
-        values = np.array([[4.0, -1.0], [-1.0, 4.0]])
+        values = [[4.0, -1.0], [-1.0, 4.0]]
         scan = self._scan_from(values)
         contour = extract_contour(scan, 0.0)
         assert len(contour.polylines) == 2
         # negative center on the same geometry flips the pairing
-        values = np.array([[1.0, -4.0], [-4.0, 1.0]])
+        values = [[1.0, -4.0], [-4.0, 1.0]]
         scan = self._scan_from(values)
         contour = extract_contour(scan, 0.0)
         assert len(contour.polylines) == 2
@@ -239,13 +283,12 @@ class TestExtractContour:
         scan = stability_grid(FIG1A)
         contour = extract_contour(scan, 0.0)
         for line in contour.polylines:
-            assert np.all(line[:, 0] >= FIG1A.beta_min - 1e-12)
-            assert np.all(line[:, 0] <= FIG1A.beta_max + 1e-12)
-            assert np.all(line[:, 1] >= FIG1A.g_min - 1e-12)
-            assert np.all(line[:, 1] <= FIG1A.g_max + 1e-12)
-            steps = np.abs(np.diff(line, axis=0))
-            assert np.all(steps[:, 0] <= FIG1A.cell_width_beta + 1e-12)
-            assert np.all(steps[:, 1] <= FIG1A.cell_width_g + 1e-12)
+            for beta, g in line:
+                assert FIG1A.beta_min - 1e-12 <= beta <= FIG1A.beta_max + 1e-12
+                assert FIG1A.g_min - 1e-12 <= g <= FIG1A.g_max + 1e-12
+            for (b0, g0), (b1, g1) in zip(line, line[1:]):
+                assert abs(b1 - b0) <= FIG1A.cell_width_beta + 1e-12
+                assert abs(g1 - g0) <= FIG1A.cell_width_g + 1e-12
 
     def test_skips_cells_touching_singular_nodes(self):
         spec = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
@@ -259,6 +302,88 @@ class TestExtractContour:
             for beta, g in line:
                 d = 1 - spec.lam * g * (1 + spec.k * spec.shock_ratio / (beta * spec.sigma_m))
                 assert d > 0
+
+
+def _hex_rows(rows):
+    return [[float(v).hex() for v in row] for row in rows]
+
+
+def _hex_lines(polylines):
+    return [[(float(b).hex(), float(g).hex()) for b, g in line] for line in polylines]
+
+
+# A non-square grid that starts above G = 0, as the CLI's skew golden.
+SKEW = GridSpec(beta_min=0.25, beta_max=2.75, g_min=40.0, g_max=260.0, n_beta=61, n_g=47,
+                shock_ratio=0.04, lam=0.002, sigma_m=0.025, k=1.5)
+DEGENERATE = [
+    GridSpec(beta_min=1.0, beta_max=1.0, g_min=0.0, g_max=300.0, n_beta=4, n_g=5,
+             shock_ratio=0.05, lam=0.003),
+    GridSpec(beta_min=0.2, beta_max=3.0, g_min=50.0, g_max=50.0, n_beta=5, n_g=2,
+             shock_ratio=0.05, lam=0.003),
+    GridSpec(beta_min=1.0, beta_max=1.0, g_min=100.0, g_max=100.0, n_beta=2, n_g=2,
+             shock_ratio=0.05, lam=0.02),
+]
+
+
+@st.composite
+def saddle_scans(draw) -> GridScan:
+    """Checkerboard signs with drawn magnitudes, so that most cells are
+    saddles, and a few singular nodes."""
+    spec = draw(ref.grid_specs())
+    magnitude = st.one_of(st.integers(1, 3).map(float), st.floats(1e-3, 1e3))  # centers of 0
+    values = [[draw(magnitude) * (1 if (i + j) % 2 else -1) for j in range(spec.n_g)]
+              for i in range(spec.n_beta)]
+    singular = [[draw(st.integers(0, 9)) == 0 for _ in range(spec.n_g)]
+                for _ in range(spec.n_beta)]
+    return GridScan(spec=spec, field_name="saddles", values=values, singular=singular)
+
+
+class TestMatchesNumpyReference:
+    """The pure-Python grids and contours equal the numpy path bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ref.grid_specs())
+    @example(SKEW)
+    @example(FIG1A)
+    @example(DEGENERATE[0])
+    @example(DEGENERATE[1])
+    @example(DEGENERATE[2])
+    def test_grids(self, spec):
+        scan = stability_grid(spec)
+        assert _hex_rows(scan.values) == _hex_rows(ref.stability_values(spec).tolist())
+        assert scan.singular == [[False] * spec.n_g] * spec.n_beta
+        values, singular = ref.amplification_values(spec)
+        scan = amplification_grid(spec)
+        assert _hex_rows(scan.values) == _hex_rows(values.tolist())
+        assert scan.singular == singular.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(ref.grid_scans(), saddle_scans()),
+           st.one_of(st.sampled_from([0.0, -0.0, 2.0]), st.floats(-1e6, 1e6)))
+    def test_contours(self, scan, level):
+        assert (_hex_lines(extract_contour(scan, level).polylines)
+                == _hex_lines(ref.extract_contour(scan, level)))
+
+    @pytest.mark.parametrize("spec", [FIG1A, SKEW, *DEGENERATE],
+                             ids=["fig1a", "skew", "beta-fixed", "g-fixed", "both-fixed"])
+    def test_map_contours(self, spec):
+        # the CLI's contours: D = 0 and 1/D = 2, singular cells and all
+        for scan, level in ((stability_grid(spec), 0.0), (amplification_grid(spec), 2.0)):
+            assert (_hex_lines(extract_contour(scan, level).polylines)
+                    == _hex_lines(ref.extract_contour(scan, level)))
+
+    def test_saddle_cells(self):
+        # both pairings of each saddle case next to ordinary cells, and a
+        # saddle whose center is exactly 0 (outside) in the last row pair
+        values = [[4.0, -1.0, 1.0, -4.0], [-1.0, 4.0, -4.0, 1.0], [2.0, 2.0, -3.0, 0.5],
+                  [-2.0, -2.0, 3.0, -0.5]]
+        spec = GridSpec(beta_min=0.5, beta_max=1.5, g_min=10.0, g_max=40.0, n_beta=4, n_g=4,
+                        shock_ratio=0.05, lam=0.003)
+        scan = GridScan(spec=spec, field_name="saddles", values=values,
+                        singular=[[False] * 4 for _ in range(4)])
+        contour = extract_contour(scan, 0.0)
+        assert len(contour.polylines) >= 2
+        assert _hex_lines(contour.polylines) == _hex_lines(ref.extract_contour(scan, 0.0))
 
 
 class TestCriticalExposure:

@@ -16,6 +16,7 @@ from gammafeedback import parse_config
 from gammafeedback.artifacts import RunManifest, sha256_hex
 from gammafeedback.cli import main
 from gammafeedback.runner import run_subcommand
+from test_golden import CASES as GOLDEN_CASES
 from writer_reference import read_trajectory_csv
 
 SIM_CFG = """
@@ -313,7 +314,7 @@ class TestConsoleEntrypoint:
 
 
 class TestNumpyStaysUnloaded:
-    """Only the grid maps and bulk draws import numpy.
+    """No subcommand imports numpy; only the bulk draws do.
 
     Each case runs in a fresh interpreter, since this one has numpy loaded.
     """
@@ -365,14 +366,40 @@ print(rc, "numpy" in sys.modules)
         assert self._run(script) == ["0", "False"]
         assert (tmp_path / "scan" / "bifurcation.svg").exists()
 
-    def test_stability_map_loads_numpy(self, tmp_path, cfg):
+    def test_grid_maps_never_load_numpy(self, tmp_path, cfg):
         path = cfg(GRID_CFG)
         script = f"""
 import sys
 from gammafeedback.cli import main
-rc = main(["stability-map", "--config", {str(path)!r}, "--out", {str(tmp_path / "map")!r},
-           "--svg", "--quiet"])
-print(rc, "numpy" in sys.modules)
+for sub in ("stability-map", "amplification-map"):
+    rc = main([sub, "--config", {str(path)!r}, "--out", {str(tmp_path)!r} + "/" + sub,
+               "--svg", "--quiet"])
+    print(sub, rc, "numpy" in sys.modules)
 """
-        assert self._run(script) == ["0", "True"]
-        assert (tmp_path / "map" / "stability_map.svg").exists()
+        assert self._run(script) == ["stability-map", "0", "False",
+                                     "amplification-map", "0", "False"]
+        assert (tmp_path / "stability-map" / "stability_map.svg").exists()
+        assert (tmp_path / "amplification-map" / "amplification_map.svg").exists()
+
+    def test_golden_svg_runs_without_numpy(self):
+        # numpy made unimportable: every subcommand's --svg golden case still
+        # writes its pinned bytes
+        tests = str(Path(__file__).resolve().parent)
+        script = f"""
+import pathlib, sys, tempfile
+sys.modules["numpy"] = None
+sys.path.insert(0, {tests!r})
+from test_golden import CASES, GOLDEN, run_case
+for case in CASES:
+    if case.endswith("--svg"):
+        with tempfile.TemporaryDirectory() as root:
+            print(case.split()[1], run_case(case, pathlib.Path(root)) == GOLDEN[case])
+print("numpy", sys.modules["numpy"])
+"""
+        out = self._run(script)
+        assert out[-2:] == ["numpy", "None"]
+        results = dict(zip(out[:-2:2], out[1:-2:2]))
+        assert sorted(results) == sorted(
+            ("stability-map", "amplification-map", "static-response", "simulate",
+             "simulate-stochastic", "simulate-events", "bifurcation-scan", "fixed-point"))
+        assert out[1:-2:2] == ["True"] * sum(case.endswith("--svg") for case in GOLDEN_CASES)

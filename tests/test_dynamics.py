@@ -77,6 +77,15 @@ class TestPositionDecay:
     def test_eta_zero_disables_decay(self):
         assert position_decay(200.0, 7.0, 0.0, 5.0) == 200.0
 
+    def test_power_overflow_raises(self):
+        # m**xi beyond the largest double raises, as float ** does
+        with pytest.raises(OverflowError):
+            position_decay(200.0, 1e100, 2.0, 5.0)
+        with pytest.raises(OverflowError):
+            position_decay(200.0, 1e62, 0.0, 5.0)  # even with the decay switched off
+        # a finite power whose product with eta overflows gives no position
+        assert position_decay(200.0, 1e61, 1e10, 5.0) == 0.0
+
 
 class TestShockDecay:
     def test_undecayed(self):

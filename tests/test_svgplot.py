@@ -1,5 +1,6 @@
 """SVG emitter: document shape, legends, determinism, dispatch."""
 
+import math
 import re
 
 import numpy as np
@@ -22,7 +23,8 @@ from gammafeedback import (
     stability_grid,
 )
 from gammafeedback.analysis import linspace
-from gammafeedback.svgplot import (SINGULAR_COLOR, _Frame, _pad_span, emit_svg, heatmap_svg,
+from gammafeedback.svgplot import (SINGULAR_COLOR, _Frame, _from_order, _order, _pad_span,
+                                   _ramp_cuts, _ramp_fills, emit_svg, heatmap_svg,
                                    line_chart_svg)
 
 PARAMS = ModelParams(lam=0.05, beta=1.0, mu0=0.025)
@@ -68,25 +70,26 @@ def test_heatmap_has_cells_and_contour_overlay():
         assert len(rects) == len(cells) + 1  # the plot frame
         assert len(cells) == SPEC.n_beta * SPEC.n_g
 
-        finite = scan.values[~scan.singular]
-        vmin, span = finite.min(), finite.max() - finite.min()
+        finite = [v for row, flags in zip(scan.values, scan.singular)
+                  for v, s in zip(row, flags) if not s]
+        vmin, span = min(finite), max(finite) - min(finite)
         for (i, j), (x, y, width, height, fill) in zip(nodes, cells):
             # the cell's rect holds its own node (on the edge for the clipped
             # outer cells) and has the node's own colour
             assert float(x) <= frame.x(SPEC.betas()[i]) <= float(x) + float(width)
             assert float(y) <= frame.y(SPEC.gs()[j]) <= float(y) + float(height)
-            assert fill == (SINGULAR_COLOR if scan.singular[i, j]
-                            else ref.ramp_color((scan.values[i, j] - vmin) / span))
+            assert fill == (SINGULAR_COLOR if scan.singular[i][j]
+                            else ref.ramp_color((scan.values[i][j] - vmin) / span))
         assert 'stroke-dasharray="6,4"' in svg
         assert 'stroke="#000000"' in svg
 
 
 def _edge_scan(values, singular=None):
-    """A 3 x 4 scan of the given values, none singular by default."""
+    """A 3 x 4 scan of the given 12 values, row by row, none singular by default."""
     spec = GridSpec(beta_min=0.5, beta_max=2.0, g_min=10.0, g_max=90.0,
                     n_beta=3, n_g=4, shock_ratio=0.05, lam=0.003)
-    values = np.asarray(values, dtype=float).reshape(3, 4)
-    singular = np.zeros(values.shape, bool) if singular is None else singular
+    values = [[float(v) for v in values[i:i + 4]] for i in range(0, 12, 4)]
+    singular = [[False] * 4 for _ in range(3)] if singular is None else singular
     return GridScan(spec=spec, field_name="edge", values=values, singular=singular)
 
 
@@ -101,10 +104,85 @@ def _edge_scan(values, singular=None):
                                  n_beta=5, n_g=2, shock_ratio=0.05, lam=0.003)))
 @example(_edge_scan([-0.0] * 12))  # a constant field: span 0
 @example(_edge_scan([-0.0, 0.0, 1.0, -1.0] * 3))
-@example(_edge_scan([2.5] * 12, singular=np.eye(3, 4, dtype=bool)))
+@example(_edge_scan([2.5] * 12, singular=[[i == j for j in range(4)] for i in range(3)]))
+@example(_edge_scan([1.0 + k * 2.0**-52 for k in range(12)]))  # a span of 11 ulps
+@example(_edge_scan([-5e8 + k * 1e8 for k in range(12)]))  # a span of 1.1e9
 def test_heatmap_matches_scalar_reference(scan):
     contours = [(extract_contour(scan, 0.0), "#000000", "6,4")]
     assert heatmap_svg(scan, contours, title="t") == ref.heatmap_svg(scan, contours, title="t")
+
+
+@st.composite
+def ramp_ranges(draw):
+    """vmin <= vmax a few ulps apart, about 1e9 apart, near zero, or anywhere."""
+    kind = draw(st.sampled_from(["ulps", "wide", "tiny", "any"]))
+    if kind == "ulps":
+        vmin = draw(st.floats(-1e300, 1e300))
+        return vmin, _from_order(_order(vmin) + draw(st.integers(0, 12)))
+    if kind == "wide":
+        vmin = draw(st.floats(-2e9, 2e9))
+        return vmin, vmin + draw(st.floats(5e8, 2e9))
+    if kind == "tiny":  # across 0.0, down to subnormal spans
+        return -draw(st.floats(0.0, 1e-300)), draw(st.floats(0.0, 1e-300))
+    a, b = draw(st.floats(-1e300, 1e300)), draw(st.floats(-1e300, 1e300))
+    return min(a, b), max(a, b)
+
+
+def _fills_match(values, singular, vmin, vmax):
+    want = ref.ramp_fills(values, singular, vmin, (vmax - vmin) or 1.0).tolist()
+    assert _ramp_fills(values, singular, vmin, vmax) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(ramp_ranges())
+@example((0.0, 1.0))
+@example((-5.0, 1.0))
+@example((-1.0, 1.0))  # the middle steps fall among the doubles next to 0.0
+@example((1.0, 1.0 + 2.0**-52))
+@example((0.0, 5e-324))
+@example((1e9, 2e9))
+@example((-1.5e308, 1.5e308))  # the span overflows: rejected
+def test_ramp_fills_exact_at_every_step(bounds):
+    # each colour step starts at its cut: the cut and the double below it
+    # take the numpy fills on either side of the step
+    vmin, vmax = bounds
+    span = (vmax - vmin) or 1.0
+    if not math.isfinite(span):
+        with pytest.raises(ValueError):
+            _ramp_fills([[vmin, vmax]], [[False, False]], vmin, vmax)
+        return
+    cuts, names = _ramp_cuts(vmin, vmax, span)
+    assert cuts == sorted(set(cuts)) and len(names) == len(cuts) + 1
+    row = [vmin, vmax, *cuts, *(math.nextafter(c, -math.inf) for c in cuts)]
+    assert all(vmin <= v <= vmax for v in row)
+    _fills_match([row], [[False] * len(row)], vmin, vmax)
+    assert len(set(_ramp_fills([row], [[False] * len(row)], vmin, vmax)[0])) == len(names)
+
+
+@st.composite
+def ramp_fields(draw):
+    """Rows of values from vmin to vmax, some cells singular and holding junk."""
+    vmin, vmax = draw(ramp_ranges())
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(2, 20))
+    cell = st.one_of(st.floats(vmin, vmax),
+                     st.integers(_order(vmin), _order(vmax)).map(_from_order))
+    values = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols),
+                           min_size=n_rows, max_size=n_rows))
+    values[0][0], values[-1][-1] = vmin, vmax
+    singular = [[draw(st.integers(0, 4)) == 0 for _ in range(n_cols)] for _ in range(n_rows)]
+    singular[0][0] = singular[-1][-1] = False
+    junk = st.sampled_from([math.nan, math.inf, -math.inf, 0.0])
+    values = [[draw(junk) if s else v for v, s in zip(row, flags)]
+              for row, flags in zip(values, singular)]
+    return values, singular, vmin, vmax
+
+
+@settings(max_examples=200, deadline=None)
+@given(ramp_fields())
+def test_ramp_fills_match_numpy_reference(field):
+    values, singular, vmin, vmax = field
+    if math.isfinite(vmax - vmin):
+        _fills_match(values, singular, vmin, vmax)
 
 
 def _signed(smallest, largest):
@@ -153,7 +231,7 @@ def test_heatmap_marks_singular_cells():
     from gammafeedback import amplification_grid
 
     scan = amplification_grid(SPEC)
-    assert scan.singular.any()
+    assert any(map(any, scan.singular))
     svg = emit_svg(scan)
     assert "#9e9e9e" in svg
 

@@ -1,20 +1,26 @@
-"""Scalar reference writers: the per-cell and per-row code the fast writers replace.
+"""Reference implementations: the code the fast writers and the pure-Python maps replace.
 
 ``heatmap_svg`` formats every coordinate and colours every cell on its own,
 the CSV writers go through ``csv.writer`` one row at a time, and ``ticks``
-is ``np.linspace``. The tests require the writers in ``gammafeedback`` to
-produce exactly these strings and values. The ``read_*_csv`` readers parse
-the written files back for the round-trip tests. ``grid_scans`` draws the
-scans the writers are compared on.
+is ``np.linspace``. ``stability_values``, ``amplification_values``,
+``ramp_fills`` and ``extract_contour`` are the numpy grids, heatmap fills
+and marching squares that ``gammafeedback`` computed before it stopped
+importing numpy. The tests require ``gammafeedback`` to produce exactly these
+strings and values, bit for bit. The ``read_*_csv`` readers parse the written
+files back for the round-trip tests. ``grid_scans`` draws the scans the
+writers are compared on.
 """
 
 import csv
 import io
+import math
 
 import numpy as np
 from hypothesis import strategies as st
 
 from gammafeedback import GridScan, GridSpec, SimState, amplification_grid, stability_grid
+from gammafeedback.analysis import _MS_TABLE, _SADDLE_CASES, _edge_key
+from gammafeedback.model import EPS_SINGULAR
 from gammafeedback.svgplot import (RAMP_HIGH, RAMP_LOW, SINGULAR_COLOR, _axes, _document,
                                    _f, _Frame, _polyline)
 
@@ -36,8 +42,10 @@ def ticks(lo: float, hi: float, n: int = 6) -> list[float]:
 def heatmap_svg(scan, contours=(), title="", xlabel="beta", ylabel="G") -> str:
     spec = scan.spec
     betas, gs = spec.betas(), spec.gs()
+    values = np.asarray(scan.values, dtype=float)
+    singular = np.asarray(scan.singular, dtype=bool)
     frame = _Frame((spec.beta_min, spec.beta_max), (spec.g_min, spec.g_max))
-    finite = scan.values[~scan.singular]
+    finite = values[~singular]
     vmin = float(finite.min()) if finite.size else 0.0
     vmax = float(finite.max()) if finite.size else 1.0
     span = (vmax - vmin) or 1.0
@@ -51,10 +59,10 @@ def heatmap_svg(scan, contours=(), title="", xlabel="beta", ylabel="G") -> str:
         for j in range(spec.n_g):
             py1 = frame.y(min(gs[j] + half_g, frame.y1))
             py = frame.y(max(gs[j] - half_g, frame.y0))
-            if scan.singular[i, j]:
+            if singular[i, j]:
                 color = SINGULAR_COLOR
             else:
-                color = ramp_color((scan.values[i, j] - vmin) / span)
+                color = ramp_color((values[i, j] - vmin) / span)
             body.append(
                 f'<rect x="{_f(px)}" y="{_f(py1)}" width="{_f(px1 - px)}" '
                 f'height="{_f(py - py1)}" fill="{color}"/>'
@@ -70,6 +78,8 @@ def heatmap_svg(scan, contours=(), title="", xlabel="beta", ylabel="G") -> str:
 def grid_csv(scan) -> str:
     betas = scan.spec.betas()
     gs = scan.spec.gs()
+    values = np.asarray(scan.values, dtype=float)
+    singular = np.asarray(scan.singular, dtype=bool)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["beta", "G", "value", "singular"])
@@ -79,8 +89,8 @@ def grid_csv(scan) -> str:
                 [
                     _fmt(betas[i]),
                     _fmt(gs[j]),
-                    _fmt(scan.values[i, j]),
-                    int(scan.singular[i, j]),
+                    _fmt(values[i, j]),
+                    int(singular[i, j]),
                 ]
             )
     return buf.getvalue()
@@ -122,6 +132,109 @@ def curve_csv(betas, values, value_name="g_star") -> str:
     for beta, value in zip(betas, values):
         writer.writerow([_fmt(beta), _fmt(value)])
     return buf.getvalue()
+
+
+# -- the numpy maps ------------------------------------------------------------
+
+
+def stability_values(spec: GridSpec) -> np.ndarray:
+    """D = 1 - lam * (1 + k*x) * G over the grid, as whole-array operations."""
+    betas = np.linspace(spec.beta_min, spec.beta_max, spec.n_beta)
+    gs = np.linspace(spec.g_min, spec.g_max, spec.n_g)
+    with np.errstate(all="ignore"):
+        x = spec.shock_ratio / (betas * spec.sigma_m)
+        amp = 1.0 + spec.k * x
+        return 1.0 - spec.lam * amp[:, None] * gs[None, :]
+
+
+def amplification_values(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """1/D and its singular flags (D <= EPS_SINGULAR, stored as 0.0)."""
+    d = stability_values(spec)
+    singular = d <= EPS_SINGULAR
+    values = np.full(d.shape, 0.0)
+    np.divide(1.0, d, out=values, where=~singular)
+    return values, singular
+
+
+def ramp_fills(values, singular, vmin: float, span: float) -> np.ndarray:
+    """Every cell's fill: the ramp colour by np.rint, or gray where singular."""
+    values = np.asarray(values, dtype=float)
+    singular = np.asarray(singular, dtype=bool)
+    with np.errstate(all="ignore"):
+        t = (np.where(singular, vmin, values) - vmin) / span
+    lo, hi = np.array(RAMP_LOW), np.array(RAMP_HIGH)
+    rgb = np.rint(lo + t[..., None] * (hi - lo)).astype(np.int64)
+    codes = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    distinct, index = np.unique(codes, return_inverse=True)
+    palette = [f"#{c:06x}" for c in distinct.tolist()] + [SINGULAR_COLOR]
+    index = index.reshape(codes.shape)
+    index[singular] = len(distinct)
+    return np.array(palette, dtype=object)[index]
+
+
+def extract_contour(scan, level: float) -> list[np.ndarray]:
+    """Marching-squares polylines over whole-array case indices, each an
+    (m, 2) array of [beta, G] vertices."""
+    values = np.asarray(scan.values, dtype=float)
+    singular = np.asarray(scan.singular, dtype=bool)
+    with np.errstate(all="ignore"):
+        f = values - level
+    usable = np.isfinite(values) & ~singular
+    inside = (f > 0) & usable
+    case = (inside[:-1, :-1].astype(np.int8) + 2 * inside[:-1, 1:]
+            + 4 * inside[1:, 1:] + 8 * inside[1:, :-1])
+    ok = usable[:-1, :-1] & usable[:-1, 1:] & usable[1:, 1:] & usable[1:, :-1]
+    case = np.where(ok, case, 0)
+    betas = np.linspace(scan.spec.beta_min, scan.spec.beta_max, scan.spec.n_beta)
+    gs = np.linspace(scan.spec.g_min, scan.spec.g_max, scan.spec.n_g)
+
+    links: dict[tuple, list[tuple]] = {}
+    for i, j in zip(*np.nonzero((case > 0) & (case < 15))):
+        c = int(case[i, j])
+        if c in _SADDLE_CASES:
+            center = 0.25 * (f[i, j] + f[i, j + 1] + f[i + 1, j + 1] + f[i + 1, j])
+            if c == 5:
+                segs = [(0, 1), (2, 3)] if center > 0 else [(0, 3), (1, 2)]
+            else:
+                segs = [(0, 3), (1, 2)] if center > 0 else [(0, 1), (2, 3)]
+        else:
+            segs = _MS_TABLE[c]
+        for ea, eb in segs:
+            ka, kb = _edge_key(ea, int(i), int(j)), _edge_key(eb, int(i), int(j))
+            links.setdefault(ka, []).append(kb)
+            links.setdefault(kb, []).append(ka)
+
+    visited: set[tuple] = set()
+
+    def walk(start):
+        chain, current = [start], start
+        visited.add(start)
+        while True:
+            nxt = next((cand for cand in links[current] if cand not in visited), None)
+            if nxt is None:
+                if len(chain) > 2 and start in links[current]:
+                    chain.append(start)
+                return chain
+            chain.append(nxt)
+            visited.add(nxt)
+            current = nxt
+
+    chains = []
+    for key in [*sorted(k for k, nbrs in links.items() if len(nbrs) == 1), *sorted(links)]:
+        if key not in visited:
+            chains.append(walk(key))
+
+    def crossing(key):
+        kind, i, j = key
+        fa = f[i, j]
+        fb = f[i, j + 1] if kind == "r" else f[i + 1, j]
+        with np.errstate(all="ignore"):
+            t = fa / (fa - fb)
+            if kind == "r":
+                return (betas[i], gs[j] + t * (gs[j + 1] - gs[j]))
+            return (betas[i] + t * (betas[i + 1] - betas[i]), gs[j])
+
+    return [np.array([crossing(k) for k in chain]) for chain in chains]
 
 
 # -- readers for the round-trip tests ----------------------------------------
@@ -191,16 +304,16 @@ _cell = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e6, 1e6))
 def arbitrary_scans(draw) -> GridScan:
     """Any values and any singular mask; singular cells may hold nan or inf."""
     spec = draw(grid_specs())
-    shape = (spec.n_beta, spec.n_g)
-    n = spec.n_beta * spec.n_g
+    rows = st.lists(_cell, min_size=spec.n_g, max_size=spec.n_g)
     if draw(st.booleans()):
-        values = np.full(shape, draw(_cell))  # a constant field: span 0
+        values = [[draw(_cell)] * spec.n_g] * spec.n_beta  # a constant field: span 0
     else:
-        values = np.array(draw(st.lists(_cell, min_size=n, max_size=n))).reshape(shape)
-    singular = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))).reshape(shape)
-    junk = st.sampled_from([np.nan, np.inf, -np.inf, 0.0])
-    for i, j in zip(*np.nonzero(singular)):
-        values[i, j] = draw(junk)
+        values = draw(st.lists(rows, min_size=spec.n_beta, max_size=spec.n_beta))
+    flags = st.lists(st.booleans(), min_size=spec.n_g, max_size=spec.n_g)
+    singular = draw(st.lists(flags, min_size=spec.n_beta, max_size=spec.n_beta))
+    junk = st.sampled_from([math.nan, math.inf, -math.inf, 0.0])
+    values = [[draw(junk) if s else v for v, s in zip(row, row_flags)]
+              for row, row_flags in zip(values, singular)]
     return GridScan(spec=spec, field_name="arbitrary", values=values, singular=singular)
 
 
