@@ -225,6 +225,38 @@ gamma0 = 1.0
         rc = main(["simulate", "--config", str(cfg(SIM_CFG)), "--quiet"])
         assert rc == 2
 
+    @pytest.mark.parametrize("subcommand, text, out, code, kind", [
+        # a ConfigError from the parser, and one from the run (missing section)
+        ("simulate", SIM_CFG.replace("beta = 1.0", "beta = -1"), "fresh", 2, "config"),
+        ("simulate", GRID_CFG, "fresh", 2, "config"),
+        # a plain ValueError: beta_min * sigma_m underflows to 0, so x is not
+        # finite and GridScan rejects the row
+        ("stability-map", GRID_CFG.replace("beta_min = 0.2", "beta_min = 1e-200")
+         .replace("[run]", "sigma_m = 1e-200\n\n[run]"), "fresh", 2, "config"),
+        # SingularDenominator: D = -0.3
+        ("static-response", "[model]\nlambda = 0.003\nbeta = 1.0\nmu0 = 0.05\nn0 = 100\n"
+         "gamma0 = 1.0\n", "fresh", 3, "numerical"),
+        # NumericalOverflow: the position decay's m**xi
+        ("simulate", SIM_CFG.replace("mu0 = 0.025", "mu0 = 1e9\nxi = 40"), "fresh", 3,
+         "numerical"),
+        # FileExistsError, and an OSError that is not one: --out names a file
+        ("simulate", SIM_CFG, "occupied", 4, "io"),
+        ("simulate", SIM_CFG, "file", 4, "io"),
+    ], ids=["parse", "missing-section", "underflow", "singular", "overflow", "occupied",
+            "out-is-file"])
+    def test_error_ladder(self, tmp_path, cfg, capsys, subcommand, text, out, code, kind):
+        target = tmp_path / "out"
+        if out == "occupied":
+            target.mkdir()
+            (target / "stale.txt").write_text("old run")
+        elif out == "file":
+            target.write_text("a file")
+        rc = main([subcommand, "--config", str(cfg(text)), "--out", str(target), "--quiet"])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == kind
+
 
 class TestManifest:
     def test_digests_match_files(self, tmp_path, cfg):

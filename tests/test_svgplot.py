@@ -1,5 +1,6 @@
 """SVG emitter: document shape, legends, determinism, dispatch."""
 
+import hashlib
 import math
 import re
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import writer_reference as ref
 from gammafeedback import (
+    ContourSet,
     EventSpec,
     GridScan,
     GridSpec,
@@ -24,8 +26,8 @@ from gammafeedback import (
 )
 from gammafeedback.analysis import linspace
 from gammafeedback.svgplot import (SINGULAR_COLOR, _Frame, _from_order, _order, _pad_span,
-                                   _ramp_cuts, _ramp_fills, emit_svg, heatmap_svg,
-                                   line_chart_svg)
+                                   _ramp_cuts, _ramp_fills, contour_svg, emit_svg,
+                                   heatmap_svg, line_chart_svg, timeseries_svg)
 
 PARAMS = ModelParams(lam=0.05, beta=1.0, mu0=0.025)
 TANH = ImpactSpec.tanh(1.0)
@@ -264,6 +266,52 @@ def test_contour_dispatch():
     contour = extract_contour(stability_grid(SPEC), 0.0)
     svg = emit_svg(contour)
     assert svg.count("<polyline") == len(contour.polylines)
+
+
+FIG1A = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
+                 n_beta=200, n_g=200, shock_ratio=0.05, lam=0.003)
+MUS = (0.005, 0.01, 0.015, 0.02, 0.025)
+
+
+def _two_contours():
+    scan = stability_grid(FIG1A)
+    lines = [extract_contour(scan, 0.5).polylines[0], extract_contour(scan, 0.0).polylines[0]]
+    return contour_svg(ContourSet(level=0.0, polylines=lines), title="D = 1/2 and D = 0",
+                       xlabel="b", ylabel="exposure")
+
+
+def _five_labelled_runs():
+    trajs = [simulate_recursive(ModelParams(lam=0.05, beta=1.0, mu0=m, n0=200.0, gamma0=1.0),
+                                TANH, 200) for m in MUS]
+    return emit_svg(trajs, labels=[f"mu0={m}" for m in MUS], title="Recursive sweep")
+
+
+def _unequal_horizons():
+    trajs = [simulate_one_shot(ModelParams(lam=0.05, beta=1.0, mu0=m), TANH, h)
+             for m, h in zip(MUS, (40, 10, 25, 1, 30))]
+    return timeseries_svg(trajs, xlabel="step", ylabel="price")
+
+
+# SHA-256 of the bytes of the charts that no CLI golden renders: contour
+# plots, whose frame spans every polyline, and multi-series price charts,
+# with a legend and with series of different lengths.
+PINNED_CHARTS = {
+    "fig1a-d0-contour": (
+        lambda: emit_svg(extract_contour(stability_grid(FIG1A), 0.0)),
+        "0a63d89aa9c916c029b64210df3e34cc56338cff1ad458e5084c6a54ee54f3f5"),
+    "two-contours": (_two_contours,
+                     "0876a8225928e8812db45fd81ed650f53af602429f30603f55e4d959b36e2bc3"),
+    "five-labelled-runs": (_five_labelled_runs,
+                           "bb85d5605b3363d5547885bb096287db08fa48af884d5a6c3de8a3e90b8cf924"),
+    "unequal-horizons": (_unequal_horizons,
+                         "e2da42fd81295009b1a04401ec8cb7c3a878fb46917cece750ed466012bd2b62"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CHARTS)
+def test_chart_bytes_pinned(name):
+    render, digest = PINNED_CHARTS[name]
+    assert hashlib.sha256(render().encode("utf-8")).hexdigest() == digest
 
 
 def test_unknown_artifact_rejected():
