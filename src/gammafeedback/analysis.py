@@ -1,9 +1,10 @@
 """
 Stability maps and fixed-point analysis of the hedging-feedback loop.
 
-- ``stability_grid`` / ``amplification_grid``: scalar fields D(beta, G) and
-  1/D over an inclusive rectangular grid, with the surprise term evaluated
-  at a fixed exogenous shock ratio.
+- ``stability_grid(spec)`` / ``amplification_grid(dscan)``: the scalar
+  field D(beta, G) over an inclusive rectangular grid, with the surprise
+  term evaluated at a fixed exogenous shock ratio, and 1/D computed from
+  that D scan.
 - ``extract_contour``: marching-squares iso-lines with linear edge
   interpolation; saddle cells are disambiguated by the sign of the
   cell-center average.
@@ -184,13 +185,14 @@ def stability_grid(spec: GridSpec) -> GridScan:
     )
 
 
-def amplification_grid(spec: GridSpec) -> GridScan:
-    """Evaluate 1/D on the grid; cells with D <= EPS_SINGULAR are flagged."""
-    d = stability_grid(spec).values
+def amplification_grid(dscan: GridScan) -> GridScan:
+    """Evaluate 1/D on the grid of a ``stability_grid`` scan of D; cells
+    with D <= EPS_SINGULAR are flagged."""
+    d = dscan.values
     values = [[1.0 / v if v > EPS_SINGULAR else SINGULAR_VALUE for v in row] for row in d]
     singular = [[v <= EPS_SINGULAR for v in row] for row in d]
     return GridScan(
-        spec=spec,
+        spec=dscan.spec,
         field_name="amplification",
         values=values,
         singular=singular,

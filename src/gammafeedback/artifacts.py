@@ -26,15 +26,11 @@ from .analysis import ContourSet, GridScan
 from .dynamics import Trajectory
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def grid_csv(scan: GridScan) -> str:
-    gs = [_fmt(g) for g in scan.spec.gs()]
+    gs = [repr(g) for g in scan.spec.gs()]
     rows = ["beta,G,value,singular\n"]  # then one string per beta row
     for beta, row_values, row_flags in zip(scan.spec.betas(), scan.values, scan.singular):
-        b = _fmt(beta)
+        b = repr(beta)
         if any(row_flags):
             rows.append("".join([f"{b},{g},{v!r},{'01'[flag]}\n" for g, v, flag
                                  in zip(gs, row_values, row_flags)]))

@@ -71,19 +71,13 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = args.out or config.output_dir
         if out_dir is None:
             raise ConfigError("no output directory: pass --out or set [run] out")
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
-
-    try:
         manifest = run_subcommand(args.subcommand, config, out_dir)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
+    # SingularDenominator is a ValueError, so it comes first; ValueError
+    # covers ConfigError and OSError covers FileExistsError
     except (SingularDenominator, NumericalOverflow) as exc:
         return _fail(EXIT_NUMERICAL, "numerical", str(exc))
     except ValueError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
-    except FileExistsError as exc:
-        return _fail(EXIT_IO, "io", str(exc))
     except OSError as exc:
         return _fail(EXIT_IO, "io", str(exc))
 

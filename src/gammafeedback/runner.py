@@ -43,7 +43,7 @@ def _stability_map(config: RunConfig) -> list[tuple[str, str]]:
 
 def _amplification_map(config: RunConfig) -> list[tuple[str, str]]:
     dscan = stability_grid(config.grid)
-    ascan = amplification_grid(config.grid)
+    ascan = amplification_grid(dscan)
     amp2 = extract_contour(ascan, 2.0)
     d0 = extract_contour(dscan, 0.0)
     files = [("amplification_grid.csv", grid_csv(ascan)),
@@ -164,9 +164,12 @@ def run_subcommand(name: str, config: RunConfig, out_dir: str | Path) -> RunMani
     seeds = {s: getattr(config, s).seed for s in sections if s in _SEEDED}
     manifest = RunManifest(tool="gammafeedback", version=__version__, subcommand=name,
                            config_text=resolved, seeds=seeds, duration_seconds=duration)
+    # encoded once: the bytes digested are the bytes written, with "\n"
+    # line ends on every platform
     for filename, content in [*files, ("config.resolved.cfg", resolved)]:
         path = out / filename
-        path.write_text(content, encoding="utf-8")
-        manifest.add_output(path, content)
-    (out / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+        data = content.encode("utf-8")
+        path.write_bytes(data)
+        manifest.add_output(path, data)
+    (out / "manifest.json").write_bytes(manifest.to_json().encode("utf-8"))
     return manifest

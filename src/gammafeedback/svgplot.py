@@ -258,8 +258,8 @@ def heatmap_svg(
     vmin = min(lows) if lows else 0.0
     vmax = max(highs) if highs else 1.0
 
-    half_b = (betas[1] - betas[0]) / 2 if spec.n_beta > 1 and betas[1] > betas[0] else 0.5
-    half_g = (gs[1] - gs[0]) / 2 if spec.n_g > 1 and gs[1] > gs[0] else 0.5
+    half_b = (betas[1] - betas[0]) / 2 if betas[1] > betas[0] else 0.5
+    half_g = (gs[1] - gs[0]) / 2 if gs[1] > gs[0] else 0.5
     # y and height depend on the G node only, x and width on the beta node
     ys, heights = [], []
     for g in gs:
@@ -286,6 +286,21 @@ def heatmap_svg(
     return _document(body)
 
 
+def _chart(series, colors, title, xlabel, ylabel, labels=None) -> str:
+    """Lines through the (xs, ys) ``series`` on one frame that spans all
+    their points, each in its colour, then the axes and, given labels, a
+    legend of (label, colour) in series order."""
+    # float x limits: a range's int steps then divide as floats, which is faster
+    frame = _Frame((float(min(min(xs) for xs, _ in series)),
+                    float(max(max(xs) for xs, _ in series))),
+                   (min(min(ys) for _, ys in series), max(max(ys) for _, ys in series)))
+    body = [_polyline([(frame.x(x), frame.y(y)) for x, y in zip(xs, ys)], color)
+            for (xs, ys), color in zip(series, colors)]
+    body.extend(_axes(frame, xlabel, ylabel, title))
+    body.extend(_legend(list(zip(labels, colors)) if labels else [], frame))
+    return _document(body)
+
+
 def timeseries_svg(
     trajectories: list[Trajectory],
     labels: list[str] | None = None,
@@ -296,22 +311,9 @@ def timeseries_svg(
     """Multi-line price chart; legend entries follow the input order."""
     if not trajectories:
         raise ValueError("no trajectories to plot")
-    ys = [traj.prices for traj in trajectories]
-    xmax = max(len(y) - 1 for y in ys)
-    ymin = min(min(y) for y in ys)
-    ymax = max(max(y) for y in ys)
-    frame = _Frame((0.0, float(xmax)), (ymin, ymax))
-    body = []
-    entries = []
-    for idx, y in enumerate(ys):
-        color = PALETTE[idx % len(PALETTE)]
-        pts = [(frame.x(t), frame.y(v)) for t, v in enumerate(y)]
-        body.append(_polyline(pts, color))
-        if labels:
-            entries.append((labels[idx], color))
-    body.extend(_axes(frame, xlabel, ylabel, title))
-    body.extend(_legend(entries, frame))
-    return _document(body)
+    colors = [PALETTE[idx % len(PALETTE)] for idx in range(len(trajectories))]
+    series = [(range(len(traj)), traj.prices) for traj in trajectories]
+    return _chart(series, colors, title, xlabel, ylabel, labels)
 
 
 def contour_svg(
@@ -323,15 +325,8 @@ def contour_svg(
     """Standalone polyline plot of a contour set."""
     if not contours.polylines:
         raise ValueError("contour set is empty")
-    betas = [b for line in contours.polylines for b, _ in line]
-    gs = [g for line in contours.polylines for _, g in line]
-    frame = _Frame((min(betas), max(betas)), (min(gs), max(gs)))
-    body = []
-    for line in contours.polylines:
-        pts = [(frame.x(b), frame.y(g)) for b, g in line]
-        body.append(_polyline(pts, PALETTE[0]))
-    body.extend(_axes(frame, xlabel, ylabel, title))
-    return _document(body)
+    series = [tuple(zip(*line)) for line in contours.polylines]
+    return _chart(series, [PALETTE[0]] * len(series), title, xlabel, ylabel)
 
 
 def event_series_svg(traj: Trajectory, title: str = "") -> str:
@@ -377,11 +372,7 @@ def event_series_svg(traj: Trajectory, title: str = "") -> str:
 
 def line_chart_svg(xs, ys, title: str = "", xlabel: str = "x", ylabel: str = "y") -> str:
     """Single-series line chart for scalar curves (e.g. root-exposure scans)."""
-    frame = _Frame((min(xs), max(xs)), (min(ys), max(ys)))
-    pts = [(frame.x(x), frame.y(y)) for x, y in zip(xs, ys)]
-    body = [_polyline(pts, PALETTE[0])]
-    body.extend(_axes(frame, xlabel, ylabel, title))
-    return _document(body)
+    return _chart([(xs, ys)], [PALETTE[0]], title, xlabel, ylabel)
 
 
 def emit_svg(artifact, **kwargs) -> str:

@@ -40,6 +40,10 @@ FIG1A = GridSpec(
 )
 
 
+def _amplification(spec):
+    return amplification_grid(stability_grid(spec))
+
+
 def iterate_affine(a, f, steps, start=0.0):
     """Brute-force orbit of d -> a + f*d; independent of analyze_fixed_point."""
     d = start
@@ -63,7 +67,7 @@ class TestGridSpec:
                           shock_ratio=0.05, lam=0.003)
         assert all(type(v) is float for v in ints.betas() + ints.gs())
         assert _hex_rows([ints.betas(), ints.gs()]) == _hex_rows([floats.betas(), floats.gs()])
-        for grid in (stability_grid, amplification_grid):
+        for grid in (stability_grid, _amplification):
             assert grid_csv(grid(ints)) == grid_csv(grid(floats))
             assert (contour_csv(extract_contour(grid(ints), 0.5))
                     == contour_csv(extract_contour(grid(floats), 0.5)))
@@ -129,7 +133,7 @@ class TestStabilityGrid:
             spec = GridSpec(beta_min=1e-323, beta_max=1.0, g_min=0.0, g_max=300.0,
                             n_beta=3, n_g=4, shock_ratio=shock, lam=0.003, sigma_m=0.01)
             assert not np.isfinite(ref.stability_values(spec)[0]).any()
-            for grid in (stability_grid, amplification_grid):
+            for grid in (stability_grid, _amplification):
                 with pytest.raises(ValueError, match="finite"):
                     grid(spec)
 
@@ -163,7 +167,7 @@ class TestAmplificationGrid:
         spec = GridSpec(beta_min=0.5, beta_max=2.0, g_min=0.0, g_max=300.0,
                         n_beta=4, n_g=4, shock_ratio=0.05, lam=0.003)
         d = stability_grid(spec)
-        a = amplification_grid(spec)
+        a = amplification_grid(d)
         for i in range(4):
             for j in range(4):
                 if d.values[i][j] <= 1e-9:
@@ -174,7 +178,7 @@ class TestAmplificationGrid:
                     assert abs(a.values[i][j] - 1.0 / d.values[i][j]) <= 1e-12
 
     def test_zero_exposure_amplification_is_one(self):
-        a = amplification_grid(FIG1A)
+        a = amplification_grid(stability_grid(FIG1A))
         assert [row[0] for row in a.values] == [1.0] * FIG1A.n_beta
 
     def test_amplification_two_at_half_denominator(self):
@@ -186,12 +190,12 @@ class TestAmplificationGrid:
         spec = GridSpec(beta_min=beta, beta_max=beta, g_min=0.0, g_max=g_half,
                         n_beta=2, n_g=2, shock_ratio=shock, lam=lam,
                         sigma_m=sigma, k=k)
-        a = amplification_grid(spec)
+        a = amplification_grid(stability_grid(spec))
         assert a.values[0][1] == pytest.approx(2.0, rel=1e-12)
 
     def test_consistency_with_stability_grid(self):
         d = stability_grid(FIG1A)
-        a = amplification_grid(FIG1A)
+        a = amplification_grid(d)
         assert any(map(any, a.singular)) and not all(map(all, a.singular))
         for a_row, flags, d_row in zip(a.values, a.singular, d.values):
             for av, s, dv in zip(a_row, flags, d_row):
@@ -293,7 +297,7 @@ class TestExtractContour:
     def test_skips_cells_touching_singular_nodes(self):
         spec = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
                         n_beta=60, n_g=60, shock_ratio=0.05, lam=0.003)
-        ascan = amplification_grid(spec)
+        ascan = amplification_grid(stability_grid(spec))
         contour = extract_contour(ascan, 2.0)
         assert contour.polylines
         # every vertex must sit strictly in non-singular territory: its
@@ -353,7 +357,7 @@ class TestMatchesNumpyReference:
         assert _hex_rows(scan.values) == _hex_rows(ref.stability_values(spec).tolist())
         assert scan.singular == [[False] * spec.n_g] * spec.n_beta
         values, singular = ref.amplification_values(spec)
-        scan = amplification_grid(spec)
+        scan = amplification_grid(stability_grid(spec))
         assert _hex_rows(scan.values) == _hex_rows(values.tolist())
         assert scan.singular == singular.tolist()
 
@@ -368,7 +372,7 @@ class TestMatchesNumpyReference:
                              ids=["fig1a", "skew", "beta-fixed", "g-fixed", "both-fixed"])
     def test_map_contours(self, spec):
         # the CLI's contours: D = 0 and 1/D = 2, singular cells and all
-        for scan, level in ((stability_grid(spec), 0.0), (amplification_grid(spec), 2.0)):
+        for scan, level in ((stability_grid(spec), 0.0), (amplification_grid(stability_grid(spec)), 2.0)):
             assert (_hex_lines(extract_contour(scan, level).polylines)
                     == _hex_lines(ref.extract_contour(scan, level)))
 

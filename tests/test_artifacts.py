@@ -54,7 +54,7 @@ class TestGridCsv:
         assert not singular.any()
 
     def test_singular_flag_round_trip(self):
-        scan = amplification_grid(SPEC)
+        scan = amplification_grid(stability_grid(SPEC))
         flags = [s for row in scan.singular for s in row]
         assert any(flags)
         _, _, value, singular = read_grid_csv(grid_csv(scan))
@@ -63,9 +63,9 @@ class TestGridCsv:
 
     @settings(max_examples=200, deadline=None)
     @given(ref.grid_scans())
-    @example(amplification_grid(GridSpec(beta_min=1.0, beta_max=1.0, g_min=100.0,
-                                         g_max=100.0, n_beta=2, n_g=2,
-                                         shock_ratio=0.05, lam=0.02)))
+    @example(amplification_grid(stability_grid(GridSpec(
+        beta_min=1.0, beta_max=1.0, g_min=100.0, g_max=100.0, n_beta=2, n_g=2,
+        shock_ratio=0.05, lam=0.02))))
     def test_matches_scalar_reference(self, scan):
         assert grid_csv(scan) == ref.grid_csv(scan)
 
@@ -96,7 +96,7 @@ class TestContourCsv:
         assert contour_csv(contours) == ref.contour_csv(contours)
 
     def test_extracted_contours_match_scalar_reference(self):
-        for scan, level in ((stability_grid(SPEC), 0.0), (amplification_grid(SPEC), 2.0)):
+        for scan, level in ((stability_grid(SPEC), 0.0), (amplification_grid(stability_grid(SPEC)), 2.0)):
             contours = extract_contour(scan, level)
             assert contours.polylines
             assert contour_csv(contours) == ref.contour_csv(contours)

@@ -65,7 +65,7 @@ def test_heatmap_has_cells_and_contour_overlay():
     contour = extract_contour(stability_grid(SPEC), 0.0)
     frame = _Frame((SPEC.beta_min, SPEC.beta_max), (SPEC.g_min, SPEC.g_max))
     nodes = [(i, j) for i in range(SPEC.n_beta) for j in range(SPEC.n_g)]
-    for scan in (stability_grid(SPEC), amplification_grid(SPEC)):
+    for scan in (stability_grid(SPEC), amplification_grid(stability_grid(SPEC))):
         svg = emit_svg(scan, contours=[(contour, "#000000", "6,4")])
         rects = RECT.findall(svg)
         cells = [r for r in rects if r[4] != "none"]
@@ -98,8 +98,9 @@ def _edge_scan(values, singular=None):
 @settings(max_examples=200, deadline=None)
 @given(ref.grid_scans())
 # two nodes per axis, both axes degenerate, every cell singular (no finite cell)
-@example(amplification_grid(GridSpec(beta_min=1.0, beta_max=1.0, g_min=100.0, g_max=100.0,
-                                     n_beta=2, n_g=2, shock_ratio=0.05, lam=0.02)))
+@example(amplification_grid(stability_grid(GridSpec(
+    beta_min=1.0, beta_max=1.0, g_min=100.0, g_max=100.0, n_beta=2, n_g=2, shock_ratio=0.05,
+    lam=0.02))))
 @example(stability_grid(GridSpec(beta_min=1.0, beta_max=1.0, g_min=0.0, g_max=300.0,
                                  n_beta=4, n_g=5, shock_ratio=0.05, lam=0.003)))
 @example(stability_grid(GridSpec(beta_min=0.2, beta_max=3.0, g_min=50.0, g_max=50.0,
@@ -232,7 +233,7 @@ def test_heatmap_rejects_a_span_beyond_doubles():
 def test_heatmap_marks_singular_cells():
     from gammafeedback import amplification_grid
 
-    scan = amplification_grid(SPEC)
+    scan = amplification_grid(stability_grid(SPEC))
     assert any(map(any, scan.singular))
     svg = emit_svg(scan)
     assert "#9e9e9e" in svg
