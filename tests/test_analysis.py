@@ -357,7 +357,7 @@ class TestMatchesNumpyReference:
         assert _hex_rows(scan.values) == _hex_rows(ref.stability_values(spec).tolist())
         assert scan.singular == [[False] * spec.n_g] * spec.n_beta
         values, singular = ref.amplification_values(spec)
-        scan = amplification_grid(stability_grid(spec))
+        scan = amplification_grid(scan)
         assert _hex_rows(scan.values) == _hex_rows(values.tolist())
         assert scan.singular == singular.tolist()
 
@@ -372,7 +372,8 @@ class TestMatchesNumpyReference:
                              ids=["fig1a", "skew", "beta-fixed", "g-fixed", "both-fixed"])
     def test_map_contours(self, spec):
         # the CLI's contours: D = 0 and 1/D = 2, singular cells and all
-        for scan, level in ((stability_grid(spec), 0.0), (amplification_grid(stability_grid(spec)), 2.0)):
+        dscan = stability_grid(spec)
+        for scan, level in ((dscan, 0.0), (amplification_grid(dscan), 2.0)):
             assert (_hex_lines(extract_contour(scan, level).polylines)
                     == _hex_lines(ref.extract_contour(scan, level)))
 

@@ -96,7 +96,8 @@ class TestContourCsv:
         assert contour_csv(contours) == ref.contour_csv(contours)
 
     def test_extracted_contours_match_scalar_reference(self):
-        for scan, level in ((stability_grid(SPEC), 0.0), (amplification_grid(stability_grid(SPEC)), 2.0)):
+        dscan = stability_grid(SPEC)
+        for scan, level in ((dscan, 0.0), (amplification_grid(dscan), 2.0)):
             contours = extract_contour(scan, level)
             assert contours.polylines
             assert contour_csv(contours) == ref.contour_csv(contours)

@@ -319,5 +319,5 @@ def arbitrary_scans(draw) -> GridScan:
 
 def grid_scans():
     """Stability and amplification grids of random specs, and arbitrary scans."""
-    return st.one_of(grid_specs().map(stability_grid), grid_specs().map(stability_grid).map(amplification_grid),
-                     arbitrary_scans())
+    stability = grid_specs().map(stability_grid)
+    return st.one_of(stability, stability.map(amplification_grid), arbitrary_scans())
