@@ -83,6 +83,9 @@ class GridSpec:
             raise ValueError(f"shock_ratio must be >= 0 (got {self.shock_ratio})")
         if not self.sigma_m > 0:
             raise ValueError(f"sigma_m must be > 0 (got {self.sigma_m})")
+        if self.beta_min * self.sigma_m == 0:  # every node's surprise x divides by it
+            raise ValueError(f"beta_min * sigma_m underflows to 0 (beta_min = "
+                             f"{self.beta_min}, sigma_m = {self.sigma_m})")
         if self.k < 0:
             raise ValueError(f"k must be >= 0 (got {self.k})")
 
@@ -171,11 +174,7 @@ def stability_grid(spec: GridSpec) -> GridScan:
     lam, shock, sigma_m, k = spec.lam, spec.shock_ratio, spec.sigma_m, spec.k
     values = []
     for b in spec.betas():
-        scale = b * sigma_m
-        # a product that underflows to 0 makes x inf or nan, and the row
-        # non-finite either way: GridScan rejects it
-        x = shock / scale if scale else math.nan
-        la = lam * (1.0 + k * x)
+        la = lam * (1.0 + k * (shock / (b * sigma_m)))
         values.append([1.0 - la * g for g in gs])
     return GridScan(
         spec=spec,
@@ -199,39 +198,30 @@ def amplification_grid(dscan: GridScan) -> GridScan:
     )
 
 
-# Marching squares: corner bits (c0..c3) -> segments as pairs of local edge
-# ids. Corners: c0=(i,j), c1=(i,j+1), c2=(i+1,j+1), c3=(i+1,j); edges:
-# 0=bottom c0-c1, 1=right c1-c2, 2=top c3-c2, 3=left c0-c3. Cases 5 (c0
-# and c2 inside) and 10 (c1 and c3 inside) are saddles, resolved by the
-# cell-center average in extract_contour, and have no entry here.
-_MS_TABLE: dict[int, list[tuple[int, int]]] = {
-    0: [],
-    1: [(0, 3)],
-    2: [(0, 1)],
-    3: [(1, 3)],
-    4: [(1, 2)],
-    6: [(0, 2)],
-    7: [(2, 3)],
-    8: [(2, 3)],
-    9: [(0, 2)],
-    11: [(1, 2)],
-    12: [(1, 3)],
-    13: [(0, 1)],
-    14: [(0, 3)],
-    15: [],
+# Marching squares: corner bits (c0..c3) of a crossed cell -> segments as
+# pairs of local edge ids. Corners: c0=(i,j), c1=(i,j+1), c2=(i+1,j+1),
+# c3=(i+1,j); edges: 0=bottom c0-c1, 1=right c1-c2, 2=top c3-c2, 3=left
+# c0-c3. Cases 5 (c0 and c2 inside) and 10 (c1 and c3 inside) are saddles;
+# when the cell-center average is inside, case + 16 joins the two inside
+# corners across the cell.
+_MS_TABLE: dict[int, tuple[tuple[int, int], ...]] = {
+    1: ((0, 3),),
+    2: ((0, 1),),
+    3: ((1, 3),),
+    4: ((1, 2),),
+    5: ((0, 3), (1, 2)),
+    6: ((0, 2),),
+    7: ((2, 3),),
+    8: ((2, 3),),
+    9: ((0, 2),),
+    10: ((0, 1), (2, 3)),
+    11: ((1, 2),),
+    12: ((1, 3),),
+    13: ((0, 1),),
+    14: ((0, 3),),
+    5 + 16: ((0, 1), (2, 3)),
+    10 + 16: ((0, 3), (1, 2)),
 }
-_SADDLE_CASES = (5, 10)
-
-
-def _edge_key(local_edge: int, i: int, j: int) -> tuple[str, int, int]:
-    """Global identity of a cell's local edge; rows run along G."""
-    if local_edge == 0:
-        return ("r", i, j)
-    if local_edge == 1:
-        return ("c", i, j + 1)
-    if local_edge == 2:
-        return ("r", i + 1, j)
-    return ("c", i, j)
 
 
 def _crossing_point(key, values, level, betas, gs):
@@ -291,19 +281,14 @@ def extract_contour(scan: GridScan, level: float) -> ContourSet:
             j = low.bit_length() >> 3
             # corners c0..c3 of cell (i, j), in the order of _MS_TABLE
             c = a[j] + 2 * a[j + 1] + 4 * b[j + 1] + 8 * b[j]
-            if c in _SADDLE_CASES:
-                center = 0.25 * ((values[i][j] - level) + (values[i][j + 1] - level)
-                                 + (values[i + 1][j + 1] - level)
-                                 + (values[i + 1][j] - level))
-                # Center inside joins the two inside corners across the cell.
-                if c == 5:  # c0 and c2 inside
-                    segs = [(0, 1), (2, 3)] if center > 0 else [(0, 3), (1, 2)]
-                else:  # c1 and c3 inside
-                    segs = [(0, 3), (1, 2)] if center > 0 else [(0, 1), (2, 3)]
-            else:
-                segs = _MS_TABLE[c]
-            for ea, eb in segs:
-                _link(_edge_key(ea, i, j), _edge_key(eb, i, j))
+            if c in (5, 10) and 0.25 * ((values[i][j] - level) + (values[i][j + 1] - level)
+                                        + (values[i + 1][j + 1] - level)
+                                        + (values[i + 1][j] - level)) > 0:
+                c += 16
+            # the global identity of each local edge; rows run along G
+            edges = (("r", i, j), ("c", i, j + 1), ("r", i + 1, j), ("c", i, j))
+            for ea, eb in _MS_TABLE[c]:
+                _link(edges[ea], edges[eb])
 
     # Chain segments into polylines: open chains first (from degree-1 edges
     # in sorted order), then remaining closed loops.
@@ -359,6 +344,8 @@ def critical_exposure(
         raise ValueError(f"beta must be > 0 (got {beta})")
     if not sigma_m > 0:
         raise ValueError(f"sigma_m must be > 0 (got {sigma_m})")
+    if beta * sigma_m == 0:
+        raise ValueError(f"beta * sigma_m underflows to 0 (beta = {beta}, sigma_m = {sigma_m})")
     x = shock_ratio / (beta * sigma_m)
     return 1.0 / (lam * surprise_amplification(x, k))
 

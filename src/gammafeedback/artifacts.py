@@ -1,5 +1,5 @@
 """
-CSV artifact schemas, content digests, and the run manifest.
+CSV artifact schemas and the content digest.
 
 All numbers serialize with their shortest round-trip representation, so a
 written file parses back to bit-identical doubles. Schemas:
@@ -9,18 +9,12 @@ written file parses back to bit-identical doubles. Schemas:
 - trajectory: ``t,S,dS,m_cum,N,mu,nu``
 - curve:      ``beta,g_star`` (critical-exposure scan)
 
-The manifest is a JSON document recording the tool version, subcommand,
-resolved configuration text, seeds, wall-clock duration, and a SHA-256
-digest per output file; re-running the resolved config reproduces the
-digests byte for byte.
+``sha256_hex`` is the digest the run manifest records for every output.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
 
 from .analysis import ContourSet, GridScan
 from .dynamics import Trajectory
@@ -74,52 +68,3 @@ def sha256_hex(data: bytes | str) -> str:
         data = data.encode("utf-8")
     return hashlib.sha256(data).hexdigest()
 
-
-# Identifies the seeded-generator algorithm stack for reproducibility audits.
-PRNG_ID = "splitmix64-seeded xoshiro256** + box-muller"
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record written alongside every run's outputs."""
-
-    tool: str
-    version: str
-    subcommand: str
-    config_text: str
-    seeds: dict[str, int] = field(default_factory=dict)
-    prng: str = PRNG_ID
-    duration_seconds: float = 0.0
-    outputs: list[dict[str, str]] = field(default_factory=list)
-
-    def add_output(self, path: Path, content: bytes | str) -> None:
-        self.outputs.append({"path": path.name, "sha256": sha256_hex(content)})
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tool": self.tool,
-                "version": self.version,
-                "subcommand": self.subcommand,
-                "seeds": self.seeds,
-                "prng": self.prng,
-                "duration_seconds": self.duration_seconds,
-                "outputs": self.outputs,
-                "config": self.config_text,
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        raw = json.loads(text)
-        return cls(
-            tool=raw["tool"],
-            version=raw["version"],
-            subcommand=raw["subcommand"],
-            config_text=raw["config"],
-            seeds={k: int(v) for k, v in raw["seeds"].items()},
-            prng=raw["prng"],
-            duration_seconds=raw["duration_seconds"],
-            outputs=raw["outputs"],
-        )

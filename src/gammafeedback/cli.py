@@ -82,9 +82,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_IO, "io", str(exc))
 
     if not args.quiet:
-        outputs = ", ".join(entry["path"] for entry in manifest.outputs)
+        outputs = ", ".join(entry["path"] for entry in manifest["outputs"])
         print(f"{args.subcommand}: wrote {outputs} to {out_dir} "
-              f"in {manifest.duration_seconds:.3f}s")
+              f"in {manifest['duration_seconds']:.3f}s")
     return EXIT_OK
 
 

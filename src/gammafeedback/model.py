@@ -60,6 +60,9 @@ class ModelParams:
             raise ValueError(f"beta must be > 0 (got {self.beta})")
         if not self.sigma_m > 0:
             raise ValueError(f"sigma_m must be > 0 (got {self.sigma_m})")
+        if self.beta * self.sigma_m == 0:  # the surprise x divides by it
+            raise ValueError(f"beta * sigma_m underflows to 0 (beta = {self.beta}, "
+                             f"sigma_m = {self.sigma_m})")
         if not self.n0 > 0:
             raise ValueError(f"n0 must be > 0 (got {self.n0})")
         if not self.gamma0 > 0:

@@ -48,6 +48,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _U53 = 2.0 ** -53
 _TWO_PI = 2.0 * math.pi
 
+# Identifies this algorithm stack in run manifests, for reproducibility audits.
+PRNG_ID = "splitmix64-seeded xoshiro256** + box-muller"
+
 
 def splitmix64(state: int) -> tuple[int, int]:
     """One SplitMix64 step: returns (next_state, output)."""

@@ -11,22 +11,25 @@ resolved config reproduces the digests exactly.
 from __future__ import annotations
 
 import dataclasses
+import json
 import time
 from pathlib import Path
 
-from . import __version__
+from . import __version__, artifacts
 from .analysis import (amplification_grid, analyze_fixed_point, critical_exposure,
                        extract_contour, linearized_feedback, stability_grid)
-from .artifacts import RunManifest, contour_csv, curve_csv, grid_csv, trajectory_csv
+from .artifacts import contour_csv, curve_csv, grid_csv, trajectory_csv
 from .config import ConfigError, RunConfig, render_config
 from .dynamics import simulate_recursive
 from .model import stability_denominator, static_response
+from .rng import PRNG_ID
 from .stochastic import simulate_event_driven, simulate_stochastic
 from .svgplot import emit_svg, line_chart_svg
 
 # Each compute below returns (filename, content) pairs. It looks the library
 # functions up as module globals when it runs, so a wrapper installed on this
-# module's names sees every call.
+# module's names sees every call; run_subcommand looks up
+# ``artifacts.sha256_hex`` on its module for the same reason.
 
 
 def _stability_map(config: RunConfig) -> list[tuple[str, str]]:
@@ -147,8 +150,9 @@ def apply_seed_override(config: RunConfig, seed: int) -> RunConfig:
     return out
 
 
-def run_subcommand(name: str, config: RunConfig, out_dir: str | Path) -> RunManifest:
-    """Execute a subcommand and write all artifacts plus the manifest."""
+def run_subcommand(name: str, config: RunConfig, out_dir: str | Path) -> dict:
+    """Execute a subcommand, write all artifacts plus ``manifest.json``, and
+    return the manifest that file holds."""
     validate_for_subcommand(name, config)
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()):
@@ -161,15 +165,22 @@ def run_subcommand(name: str, config: RunConfig, out_dir: str | Path) -> RunMani
     duration = time.perf_counter() - start
 
     resolved = render_config(config)
-    seeds = {s: getattr(config, s).seed for s in sections if s in _SEEDED}
-    manifest = RunManifest(tool="gammafeedback", version=__version__, subcommand=name,
-                           config_text=resolved, seeds=seeds, duration_seconds=duration)
+    outputs = []
     # encoded once: the bytes digested are the bytes written, with "\n"
     # line ends on every platform
     for filename, content in [*files, ("config.resolved.cfg", resolved)]:
-        path = out / filename
         data = content.encode("utf-8")
-        path.write_bytes(data)
-        manifest.add_output(path, data)
-    (out / "manifest.json").write_bytes(manifest.to_json().encode("utf-8"))
+        (out / filename).write_bytes(data)
+        outputs.append({"path": filename, "sha256": artifacts.sha256_hex(data)})
+    manifest = {
+        "tool": "gammafeedback",
+        "version": __version__,
+        "subcommand": name,
+        "seeds": {s: getattr(config, s).seed for s in sections if s in _SEEDED},
+        "prng": PRNG_ID,
+        "duration_seconds": duration,
+        "outputs": outputs,
+        "config": resolved,
+    }
+    (out / "manifest.json").write_bytes(json.dumps(manifest, indent=2).encode("utf-8"))
     return manifest

@@ -147,8 +147,12 @@ def _pad_span(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _tick_text(v: float) -> str:
-    return f"{v:.6g}"
+def _tick(x1, y1, x2, y2, tx, ty, anchor: str, value: float) -> str:
+    """A tick mark from (x1, y1) to (x2, y2) and its label ``value`` at (tx, ty)."""
+    return (f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '
+            'stroke="#444444" stroke-width="1"/>\n'
+            f'<text x="{_f(tx)}" y="{_f(ty)}" font-size="11" text-anchor="{anchor}" '
+            f'font-family="sans-serif">{value:.6g}</text>')
 
 
 def _axes(frame: _Frame, xlabel: str, ylabel: str, title: str) -> list[str]:
@@ -159,24 +163,10 @@ def _axes(frame: _Frame, xlabel: str, ylabel: str, title: str) -> list[str]:
     ]
     for xv in linspace(frame.x0, frame.x1, TICKS):
         px = frame.x(xv)
-        parts.append(
-            f'<line x1="{_f(px)}" y1="{_f(frame.py0)}" x2="{_f(px)}" '
-            f'y2="{_f(frame.py0 + 5)}" stroke="#444444" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_f(px)}" y="{_f(frame.py0 + 18)}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{_tick_text(xv)}</text>'
-        )
+        parts.append(_tick(px, frame.py0, px, frame.py0 + 5, px, frame.py0 + 18, "middle", xv))
     for yv in linspace(frame.y0, frame.y1, TICKS):
         py = frame.y(yv)
-        parts.append(
-            f'<line x1="{_f(frame.px0 - 5)}" y1="{_f(py)}" x2="{_f(frame.px0)}" '
-            f'y2="{_f(py)}" stroke="#444444" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_f(frame.px0 - 8)}" y="{_f(py + 4)}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif">{_tick_text(yv)}</text>'
-        )
+        parts.append(_tick(frame.px0 - 5, py, frame.px0, py, frame.px0 - 8, py + 4, "end", yv))
     cx = (frame.px0 + frame.px1) / 2
     parts.append(
         f'<text x="{_f(cx)}" y="{_f(HEIGHT - 14)}" font-size="13" '
@@ -353,14 +343,7 @@ def event_series_svg(traj: Trajectory, title: str = "") -> str:
     body.extend(_axes(frame, "t", "S", title))
     for nv in linspace(0.0, nu_frame.y1, TICKS):
         py = nu_frame.y(nv)
-        body.append(
-            f'<line x1="{_f(frame.px1)}" y1="{_f(py)}" x2="{_f(frame.px1 + 5)}" '
-            f'y2="{_f(py)}" stroke="#444444" stroke-width="1"/>'
-        )
-        body.append(
-            f'<text x="{_f(frame.px1 + 8)}" y="{_f(py + 4)}" font-size="11" '
-            f'text-anchor="start" font-family="sans-serif">{_tick_text(nv)}</text>'
-        )
+        body.append(_tick(frame.px1, py, frame.px1 + 5, py, frame.px1 + 8, py + 4, "start", nv))
     body.append(
         f'<text x="{_f(WIDTH - 14)}" y="{_f((frame.py0 + frame.py1) / 2)}" font-size="13" '
         f'text-anchor="middle" font-family="sans-serif" '

@@ -6,6 +6,7 @@ execute. Every expected value is recomputed by an independent oracle
 are fixed here, not calibrated.
 """
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -39,7 +40,6 @@ from gammafeedback import (
     stability_denominator,
     stability_grid,
 )
-from gammafeedback.artifacts import RunManifest
 from gammafeedback.cli import main as cli_main
 from gammafeedback.svgplot import emit_svg
 
@@ -328,11 +328,11 @@ def test_criterion_8_reproducibility(tmp_path):
                     "--out", str(tmp_path / "r1"), "--quiet"])
     rc2 = cli_main(["simulate-stochastic", "--config", str(cfg),
                     "--out", str(tmp_path / "r2"), "--quiet"])
-    m1 = RunManifest.from_json((tmp_path / "r1" / "manifest.json").read_text())
-    m2 = RunManifest.from_json((tmp_path / "r2" / "manifest.json").read_text())
+    m1 = json.loads((tmp_path / "r1" / "manifest.json").read_text())
+    m2 = json.loads((tmp_path / "r2" / "manifest.json").read_text())
     identical = ((tmp_path / "r1" / "trajectory.csv").read_bytes()
                  == (tmp_path / "r2" / "trajectory.csv").read_bytes())
-    report(8, rc1 == 0 and rc2 == 0 and identical and m1.outputs == m2.outputs,
+    report(8, rc1 == 0 and rc2 == 0 and identical and m1["outputs"] == m2["outputs"],
            "identical config + seed: byte-identical trajectory CSV and "
            "matching manifest digests across two invocations")
 

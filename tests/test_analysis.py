@@ -127,15 +127,14 @@ class TestStabilityGrid:
         assert scan.singular == [[False, False]] * 5
 
     def test_underflowing_surprise_scale_rejected(self):
-        # beta * sigma_m rounds to 0: x is inf or nan, as in numpy, and the
-        # non-finite row is rejected instead of dividing by zero
+        # beta_min * sigma_m rounds to 0, so the first row's x would divide by
+        # zero: the spec is rejected, naming both keys, before any grid runs
         for shock in (0.05, 0.0):
-            spec = GridSpec(beta_min=1e-323, beta_max=1.0, g_min=0.0, g_max=300.0,
-                            n_beta=3, n_g=4, shock_ratio=shock, lam=0.003, sigma_m=0.01)
-            assert not np.isfinite(ref.stability_values(spec)[0]).any()
-            for grid in (stability_grid, _amplification):
-                with pytest.raises(ValueError, match="finite"):
-                    grid(spec)
+            with pytest.raises(ValueError, match=r"beta_min \* sigma_m underflows to 0"):
+                GridSpec(beta_min=1e-323, beta_max=1.0, g_min=0.0, g_max=300.0,
+                         n_beta=3, n_g=4, shock_ratio=shock, lam=0.003, sigma_m=0.01)
+        with pytest.raises(ValueError, match=r"beta \* sigma_m underflows to 0"):
+            critical_exposure(0.003, 1e-200, 0.05, sigma_m=1e-200)
 
     def test_cell_matches_scalar_op(self):
         spec = GridSpec(beta_min=0.5, beta_max=1.5, g_min=0.0, g_max=300.0,

@@ -1,5 +1,7 @@
 """CSV schemas round-trip losslessly; manifests digest their outputs."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from gammafeedback import (
     Trajectory,
     amplification_grid,
     extract_contour,
+    parse_config,
     simulate_one_shot,
     simulate_recursive,
     simulate_stochastic,
@@ -23,13 +26,13 @@ from gammafeedback import (
 )
 from gammafeedback.artifacts import (
     _STATES_PER_CHUNK as CHUNK,
-    RunManifest,
     contour_csv,
     curve_csv,
     grid_csv,
     sha256_hex,
     trajectory_csv,
 )
+from gammafeedback.runner import run_subcommand
 from writer_reference import read_contour_csv, read_grid_csv, read_trajectory_csv
 
 SPEC = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
@@ -164,14 +167,19 @@ class TestManifest:
         assert sha256_hex("abc") == sha256_hex(b"abc")
         assert len(sha256_hex("abc")) == 64
 
-    def test_json_round_trip(self):
-        manifest = RunManifest(
-            tool="gammafeedback", version="0.1.0", subcommand="simulate",
-            config_text="[run]\nhorizon = 5\n", seeds={"stochastic": 42},
-            duration_seconds=0.25,
-        )
-        manifest.add_output(__import__("pathlib").Path("trajectory.csv"), "data")
-        again = RunManifest.from_json(manifest.to_json())
-        assert again == manifest
-        assert again.outputs[0]["sha256"] == sha256_hex("data")
-        assert "xoshiro256" in again.prng  # generator identity recorded
+    def test_json_round_trip(self, tmp_path):
+        # the manifest run_subcommand returns is the one manifest.json holds
+        config = parse_config("[model]\nlambda = 0.05\nbeta = 1.0\nmu0 = 0.025\nn0 = 200\n"
+                              "gamma0 = 1.0\n\n[impact]\n\n[stochastic]\nseed = 42\n\n"
+                              "[run]\nhorizon = 5\n")
+        manifest = run_subcommand("simulate-stochastic", config, tmp_path)
+        text = (tmp_path / "manifest.json").read_text()
+        assert text == json.dumps(manifest, indent=2)
+        assert json.loads(text) == manifest
+        assert list(manifest) == ["tool", "version", "subcommand", "seeds", "prng",
+                                  "duration_seconds", "outputs", "config"]
+        assert manifest["seeds"] == {"stochastic": 42}
+        assert manifest["outputs"][0] == {
+            "path": "trajectory.csv",
+            "sha256": sha256_hex((tmp_path / "trajectory.csv").read_bytes())}
+        assert "xoshiro256" in manifest["prng"]  # generator identity recorded

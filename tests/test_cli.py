@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from gammafeedback import parse_config
-from gammafeedback.artifacts import RunManifest, sha256_hex
+from gammafeedback.artifacts import sha256_hex
 from gammafeedback.cli import main
-from gammafeedback.runner import run_subcommand
+from gammafeedback.runner import SUBCOMMANDS, run_subcommand
 from test_golden import CASES as GOLDEN_CASES
 from writer_reference import read_trajectory_csv
 
@@ -229,10 +229,9 @@ gamma0 = 1.0
         # a ConfigError from the parser, and one from the run (missing section)
         ("simulate", SIM_CFG.replace("beta = 1.0", "beta = -1"), "fresh", 2, "config"),
         ("simulate", GRID_CFG, "fresh", 2, "config"),
-        # a plain ValueError: beta_min * sigma_m underflows to 0, so x is not
-        # finite and GridScan rejects the row
-        ("stability-map", GRID_CFG.replace("beta_min = 0.2", "beta_min = 1e-200")
-         .replace("[run]", "sigma_m = 1e-200\n\n[run]"), "fresh", 2, "config"),
+        # a plain ValueError from the run: critical_exposure rejects lambda = 0
+        ("bifurcation-scan", GRID_CFG.replace("lambda = 0.003", "lambda = 0"), "fresh", 2,
+         "config"),
         # SingularDenominator: D = -0.3
         ("static-response", "[model]\nlambda = 0.003\nbeta = 1.0\nmu0 = 0.05\nn0 = 100\n"
          "gamma0 = 1.0\n", "fresh", 3, "numerical"),
@@ -242,7 +241,7 @@ gamma0 = 1.0
         # FileExistsError, and an OSError that is not one: --out names a file
         ("simulate", SIM_CFG, "occupied", 4, "io"),
         ("simulate", SIM_CFG, "file", 4, "io"),
-    ], ids=["parse", "missing-section", "underflow", "singular", "overflow", "occupied",
+    ], ids=["parse", "missing-section", "value-error", "singular", "overflow", "occupied",
             "out-is-file"])
     def test_error_ladder(self, tmp_path, cfg, capsys, subcommand, text, out, code, kind):
         target = tmp_path / "out"
@@ -257,15 +256,34 @@ gamma0 = 1.0
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == kind
 
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_underflowing_surprise_scale_is_2(self, tmp_path, cfg, capsys, subcommand):
+        # beta and sigma_m are positive, but their product rounds to 0 and
+        # every surprise x divides by it
+        if subcommand in ("stability-map", "amplification-map", "bifurcation-scan"):
+            text = GRID_CFG.replace("beta_min = 0.2", "beta_min = 1e-200\nsigma_m = 1e-200")
+        else:
+            text = (EVENTS_CFG if subcommand == "simulate-events" else SIM_CFG).replace(
+                "beta = 1.0", "beta = 1e-200\nsigma_m = 1e-200")
+        rc = main([subcommand, "--config", str(cfg(text)), "--out", str(tmp_path / "x"),
+                   "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "config"
+        assert "beta" in error["message"] and "sigma_m" in error["message"]
+        assert not (tmp_path / "x").exists()
+
 
 class TestManifest:
     def test_digests_match_files(self, tmp_path, cfg):
         main(["simulate-stochastic", "--config", str(cfg(SIM_CFG)),
               "--out", str(tmp_path / "out"), "--quiet"])
-        manifest = RunManifest.from_json((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest.subcommand == "simulate-stochastic"
-        assert manifest.seeds == {"stochastic": 31337}
-        for entry in manifest.outputs:
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["subcommand"] == "simulate-stochastic"
+        assert manifest["seeds"] == {"stochastic": 31337}
+        for entry in manifest["outputs"]:
             data = (tmp_path / "out" / entry["path"]).read_bytes()
             assert sha256_hex(data) == entry["sha256"]
 
@@ -273,8 +291,8 @@ class TestManifest:
         main(["simulate-stochastic", "--config", str(cfg(SIM_CFG)),
               "--out", str(tmp_path / "out"), "--quiet"])
         resolved = (tmp_path / "out" / "config.resolved.cfg").read_text()
-        manifest = RunManifest.from_json((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest.config_text == resolved
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"] == resolved
         reparsed = parse_config(resolved)
         assert reparsed.model.lam == 0.05
         assert reparsed.stochastic.seed == 31337
@@ -285,9 +303,9 @@ class TestManifest:
               "--out", str(tmp_path / "r1"), "--quiet"])
         main(["simulate-stochastic", "--config", str(path),
               "--out", str(tmp_path / "r2"), "--quiet"])
-        m1 = RunManifest.from_json((tmp_path / "r1" / "manifest.json").read_text())
-        m2 = RunManifest.from_json((tmp_path / "r2" / "manifest.json").read_text())
-        assert m1.outputs == m2.outputs
+        m1 = json.loads((tmp_path / "r1" / "manifest.json").read_text())
+        m2 = json.loads((tmp_path / "r2" / "manifest.json").read_text())
+        assert m1["outputs"] == m2["outputs"]
         assert ((tmp_path / "r1" / "trajectory.csv").read_bytes()
                 == (tmp_path / "r2" / "trajectory.csv").read_bytes())
 
@@ -299,8 +317,8 @@ class TestManifest:
               "--out", str(tmp_path / "r2"), "--quiet"])
         assert ((tmp_path / "r1" / "trajectory.csv").read_bytes()
                 != (tmp_path / "r2" / "trajectory.csv").read_bytes())
-        m2 = RunManifest.from_json((tmp_path / "r2" / "manifest.json").read_text())
-        assert m2.seeds == {"stochastic": 99}
+        m2 = json.loads((tmp_path / "r2" / "manifest.json").read_text())
+        assert m2["seeds"] == {"stochastic": 99}
 
 
 class TestRunSubcommandApi:
@@ -309,7 +327,7 @@ class TestRunSubcommandApi:
         manifest = run_subcommand("simulate", config, tmp_path / "out")
         states = read_trajectory_csv((tmp_path / "out" / "trajectory.csv").read_text())
         assert all(st.nu_t == 0.0 for st in states)
-        assert manifest.seeds == {}
+        assert manifest["seeds"] == {}
 
     def test_unknown_subcommand_rejected(self, tmp_path):
         from gammafeedback import ConfigError

@@ -1,7 +1,7 @@
 """Config parsing, defaults, validation messages, and render round-trips."""
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gammafeedback import (ConfigError, EventSpec, GridSpec, ImpactSpec, ModelParams,
@@ -266,16 +266,18 @@ def _floats(min_value=None, exclude_min=False, max_value=None, exclude_max=False
 
 POSITIVE = _floats(0.0, exclude_min=True)
 NON_NEGATIVE = _floats(0.0)
+# (beta, sigma_m) pairs whose product, the surprise scale, does not underflow to 0
+SCALES = st.tuples(POSITIVE, POSITIVE).filter(lambda pair: pair[0] * pair[1] > 0)
 SEEDS = st.integers(0, 2**64 - 1)
 
 
 @st.composite
 def run_configs(draw) -> RunConfig:
     """Valid RunConfigs over all six sections, each optional section maybe absent."""
-    model = draw(st.none() | st.builds(
-        ModelParams, lam=_floats(), beta=POSITIVE, mu0=_floats(), n0=POSITIVE,
-        gamma0=POSITIVE, sigma_m=POSITIVE, k=NON_NEGATIVE, eta=NON_NEGATIVE,
-        xi=POSITIVE, s0=POSITIVE))
+    model = draw(st.none() | SCALES.flatmap(lambda scale: st.builds(
+        ModelParams, lam=_floats(), beta=st.just(scale[0]), mu0=_floats(), n0=POSITIVE,
+        gamma0=POSITIVE, sigma_m=st.just(scale[1]), k=NON_NEGATIVE, eta=NON_NEGATIVE,
+        xi=POSITIVE, s0=POSITIVE)))
     impact = draw(st.none() | st.builds(
         ImpactSpec, kind=st.sampled_from(ImpactSpec.KINDS), c=POSITIVE, i_max=POSITIVE))
     stochastic = draw(st.none() | st.builds(
@@ -289,11 +291,13 @@ def run_configs(draw) -> RunConfig:
     grid = None
     if draw(st.booleans()):
         beta_min, beta_max = sorted(draw(st.tuples(POSITIVE, POSITIVE)))
+        sigma_m = draw(POSITIVE)
+        assume(beta_min * sigma_m > 0)
         g_min, g_max = sorted(draw(st.tuples(NON_NEGATIVE, NON_NEGATIVE)))
         grid = GridSpec(beta_min=beta_min, beta_max=beta_max, g_min=g_min, g_max=g_max,
                         n_beta=draw(st.integers(2, 10**9)), n_g=draw(st.integers(2, 10**9)),
                         shock_ratio=draw(NON_NEGATIVE), lam=draw(_floats()),
-                        sigma_m=draw(POSITIVE), k=draw(NON_NEGATIVE))
+                        sigma_m=sigma_m, k=draw(NON_NEGATIVE))
     output_dir = draw(st.none() | st.text("abcXYZ0129/._-", max_size=24))
     return RunConfig(model=model, impact=impact, stochastic=stochastic, events=events,
                      grid=grid, horizon=horizon, output_dir=output_dir,
@@ -304,7 +308,7 @@ class TestRoundTripProperty:
     @settings(max_examples=300, deadline=None)
     @given(config=run_configs())
     @example(config=RunConfig(
-        model=ModelParams(lam=5e-324, beta=0.1 + 0.2, mu0=-0.0, sigma_m=5e-324),
+        model=ModelParams(lam=5e-324, beta=0.1 + 0.2, mu0=-0.0, sigma_m=1e-323),
         impact=ImpactSpec(kind="tanh", c=0.1 + 0.2), horizon=1, output_dir="",
     ))
     def test_parse_inverts_render(self, config):

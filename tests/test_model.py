@@ -255,6 +255,11 @@ class TestModelParams:
         with pytest.raises(ValueError, match=field):
             ModelParams(**kwargs)
 
+    def test_underflowing_surprise_scale_rejected(self):
+        # both positive, but beta * sigma_m rounds to 0 and x divides by it
+        with pytest.raises(ValueError, match=r"beta \* sigma_m underflows to 0"):
+            ModelParams(lam=0.05, beta=1e-200, mu0=0.025, sigma_m=1e-200)
+
     def test_eta_zero_allowed(self):
         ModelParams(lam=0.05, beta=1.0, mu0=0.025, eta=0.0)
 

@@ -227,7 +227,7 @@ class TestNormal:
         assert peak < 24 * 2**20
 
     def test_bulk_matches_scalar_closely(self):
-        # same uniform stream; trig rounding may differ in the last ulp
+        # same uniform stream; numpy's log may differ from math.log in the last ulp
         a, b = Rng(99), Rng(99)
         bulk = a.normals(200)
         scalar = np.array([b.normal() for _ in range(200)])

@@ -75,12 +75,15 @@ def test_cli_runs_record_runner_level_spans(spans, tmp_path):
     grid.write_text(GRID_CFG)
     tracer = spans.Tracer()
     tracer.install(spans.CLI_TARGETS + spans.LIBRARY_TARGETS)
+    runs = [("simulate", sim, []), ("simulate-stochastic", sim, []), ("simulate-events", sim, []),
+            ("stability-map", grid, []), ("bifurcation-scan", grid, []),
+            # the SVG renderers record spans of their own
+            ("simulate", sim, ["--svg"]), ("simulate-events", sim, ["--svg"]),
+            ("stability-map", grid, ["--svg"]), ("bifurcation-scan", grid, ["--svg"])]
     try:
-        for sub in ("simulate", "simulate-stochastic", "simulate-events"):
-            assert main([sub, "--config", str(sim), "--out", str(tmp_path / sub),
-                         "--quiet"]) == 0
-        assert main(["stability-map", "--config", str(grid), "--out", str(tmp_path / "b"),
-                     "--quiet"]) == 0
+        for i, (sub, cfg, flags) in enumerate(runs):
+            assert main([sub, "--config", str(cfg), "--out", str(tmp_path / str(i)),
+                         "--quiet", *flags]) == 0
     finally:
         tracer.uninstall()
     recorded = {span[1] for span in tracer.spans}
@@ -89,5 +92,8 @@ def test_cli_runs_record_runner_level_spans(spans, tmp_path):
                  "stochastic.simulate_event_driven", "stochastic.generate_event_spikes",
                  "artifacts.trajectory_csv",
                  "analysis.stability_grid", "analysis.extract_contour",
-                 "artifacts.grid_csv", "artifacts.contour_csv", "artifacts.sha256_hex"):
+                 "analysis.critical_exposure", "artifacts.curve_csv",
+                 "artifacts.grid_csv", "artifacts.contour_csv", "artifacts.sha256_hex",
+                 "svgplot.heatmap_svg", "svgplot.timeseries_svg", "svgplot.event_series_svg",
+                 "svgplot.line_chart_svg"):
         assert name in recorded, f"no span for {name}"

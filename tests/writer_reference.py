@@ -19,7 +19,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 from gammafeedback import GridScan, GridSpec, SimState, amplification_grid, stability_grid
-from gammafeedback.analysis import _MS_TABLE, _SADDLE_CASES, _edge_key
 from gammafeedback.model import EPS_SINGULAR
 from gammafeedback.svgplot import (RAMP_HIGH, RAMP_LOW, SINGULAR_COLOR, _axes, _document,
                                    _f, _Frame, _polyline)
@@ -172,6 +171,23 @@ def ramp_fills(values, singular, vmin: float, span: float) -> np.ndarray:
     return np.array(palette, dtype=object)[index]
 
 
+# Marching-squares cases, written out here so that the reference does not
+# share the package's table. Corner bits c0=(i,j), c1=(i,j+1), c2=(i+1,j+1),
+# c3=(i+1,j) -> segments as pairs of local edges 0=bottom c0-c1, 1=right
+# c1-c2, 2=top c3-c2, 3=left c0-c3; the saddles 5 and 10 are resolved in
+# extract_contour.
+_SEGMENTS = {
+    1: [(0, 3)], 2: [(0, 1)], 3: [(1, 3)], 4: [(1, 2)], 6: [(0, 2)], 7: [(2, 3)],
+    8: [(2, 3)], 9: [(0, 2)], 11: [(1, 2)], 12: [(1, 3)], 13: [(0, 1)], 14: [(0, 3)],
+}
+
+
+def _edge_key(edge: int, i: int, j: int) -> tuple[str, int, int]:
+    """The node edge of a cell's local edge: ("r", i, j) runs along G from
+    node (i, j), ("c", i, j) along beta."""
+    return [("r", i, j), ("c", i, j + 1), ("r", i + 1, j), ("c", i, j)][edge]
+
+
 def extract_contour(scan, level: float) -> list[np.ndarray]:
     """Marching-squares polylines over whole-array case indices, each an
     (m, 2) array of [beta, G] vertices."""
@@ -191,14 +207,15 @@ def extract_contour(scan, level: float) -> list[np.ndarray]:
     links: dict[tuple, list[tuple]] = {}
     for i, j in zip(*np.nonzero((case > 0) & (case < 15))):
         c = int(case[i, j])
-        if c in _SADDLE_CASES:
+        if c in (5, 10):
             center = 0.25 * (f[i, j] + f[i, j + 1] + f[i + 1, j + 1] + f[i + 1, j])
+            # a centre inside joins the two inside corners across the cell
             if c == 5:
                 segs = [(0, 1), (2, 3)] if center > 0 else [(0, 3), (1, 2)]
             else:
                 segs = [(0, 3), (1, 2)] if center > 0 else [(0, 1), (2, 3)]
         else:
-            segs = _MS_TABLE[c]
+            segs = _SEGMENTS[c]
         for ea, eb in segs:
             ka, kb = _edge_key(ea, int(i), int(j)), _edge_key(eb, int(i), int(j))
             links.setdefault(ka, []).append(kb)
