@@ -344,10 +344,10 @@ def critical_exposure(
         raise ValueError(f"beta must be > 0 (got {beta})")
     if not sigma_m > 0:
         raise ValueError(f"sigma_m must be > 0 (got {sigma_m})")
-    if beta * sigma_m == 0:
+    scale = beta * sigma_m
+    if scale == 0:
         raise ValueError(f"beta * sigma_m underflows to 0 (beta = {beta}, sigma_m = {sigma_m})")
-    x = shock_ratio / (beta * sigma_m)
-    return 1.0 / (lam * surprise_amplification(x, k))
+    return 1.0 / (lam * surprise_amplification(shock_ratio / scale, k))
 
 
 def analyze_fixed_point(a: float, f: float) -> FixedPointReport:
