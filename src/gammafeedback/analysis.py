@@ -25,6 +25,8 @@ from .model import (
     EPS_SINGULAR,
     ImpactSpec,
     ModelParams,
+    _require,
+    _surprise_scale,
     hedging_impact,
     surprise_amplification,
 )
@@ -69,25 +71,22 @@ class GridSpec:
     k: float = 2.0
 
     def __post_init__(self) -> None:
-        if not self.beta_min > 0:
-            raise ValueError(f"beta_min must be > 0 (got {self.beta_min})")
-        if self.g_min < 0:
-            raise ValueError(f"g_min must be >= 0 (got {self.g_min})")
-        if self.beta_max < self.beta_min:
+        _require("beta_min", self.beta_min)
+        _require("g_min", self.g_min, ">=")
+        if not self.beta_max >= self.beta_min:
             raise ValueError("beta_max must be >= beta_min")
-        if self.g_max < self.g_min:
+        if not self.g_max >= self.g_min:
             raise ValueError("g_max must be >= g_min")
         if self.n_beta < 2 or self.n_g < 2:
             raise ValueError("n_beta and n_g must be >= 2")
-        if self.shock_ratio < 0:
-            raise ValueError(f"shock_ratio must be >= 0 (got {self.shock_ratio})")
-        if not self.sigma_m > 0:
-            raise ValueError(f"sigma_m must be > 0 (got {self.sigma_m})")
+        _require("shock_ratio", self.shock_ratio, ">=")
+        if self.lam != self.lam:  # unbounded, but a number
+            raise ValueError(f"lam must be a number (got {self.lam})")
+        _require("sigma_m", self.sigma_m)
         if self.beta_min * self.sigma_m == 0:  # every node's surprise x divides by it
             raise ValueError(f"beta_min * sigma_m underflows to 0 (beta_min = "
                              f"{self.beta_min}, sigma_m = {self.sigma_m})")
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0 (got {self.k})")
+        _require("k", self.k, ">=")
 
     def betas(self) -> list[float]:
         return linspace(self.beta_min, self.beta_max, self.n_beta)
@@ -172,6 +171,11 @@ def stability_grid(spec: GridSpec) -> GridScan:
     """
     gs = spec.gs()
     lam, shock, sigma_m, k = spec.lam, spec.shock_ratio, spec.sigma_m, spec.k
+    # every cell is finite when the largest, at (beta_min, g_max), is
+    extreme = lam * (1.0 + k * (shock / (spec.beta_min * sigma_m))) * spec.g_max
+    if not math.isfinite(extreme):
+        raise ValueError(f"lambda * (1 + k * shock_ratio / (beta_min * sigma_m)) * g_max "
+                         f"is {extreme!r}: the grid's cells are not finite")
     values = []
     for b in spec.betas():
         la = lam * (1.0 + k * (shock / (b * sigma_m)))
@@ -338,16 +342,8 @@ def critical_exposure(
     k: float = 2.0,
 ) -> float:
     """Exposure G* = 1 / (lam * (1 + k*x)) at which the denominator is zero."""
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0 (got {lam})")
-    if not beta > 0:
-        raise ValueError(f"beta must be > 0 (got {beta})")
-    if not sigma_m > 0:
-        raise ValueError(f"sigma_m must be > 0 (got {sigma_m})")
-    scale = beta * sigma_m
-    if scale == 0:
-        raise ValueError(f"beta * sigma_m underflows to 0 (beta = {beta}, sigma_m = {sigma_m})")
-    return 1.0 / (lam * surprise_amplification(shock_ratio / scale, k))
+    _require("lam", lam)
+    return 1.0 / (lam * surprise_amplification(shock_ratio / _surprise_scale(beta, sigma_m), k))
 
 
 def analyze_fixed_point(a: float, f: float) -> FixedPointReport:

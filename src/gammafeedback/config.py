@@ -18,7 +18,7 @@ import configparser
 from dataclasses import MISSING, dataclass, fields
 
 from .analysis import GridSpec
-from .model import ImpactSpec, ModelParams
+from .model import ImpactSpec, ModelParams, _require
 from .stochastic import EventSpec, StochasticSpec
 
 
@@ -40,8 +40,8 @@ class RunConfig:
     emit_svg: bool = False
 
     def __post_init__(self) -> None:
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1 (got {self.horizon})")
+        if self.horizon is not None:
+            _require("horizon", self.horizon, ">=", 1)
 
 
 _SPECS = {"model": ModelParams, "impact": ImpactSpec, "stochastic": StochasticSpec,

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .model import ImpactSpec, ModelParams, _impact_function
+from .model import ImpactSpec, ModelParams, _impact_function, _require
 
 # A price outside (0, OVERFLOW_FACTOR * s0] aborts a run: only an unbounded
 # (linear) impact response climbs above it, and at or below zero a downward
@@ -87,17 +87,14 @@ def position_decay(n0: float, m_cum: float, eta: float = 2.0, xi: float = 5.0) -
     the position is 0.0. The step driver turns the error into
     NumericalOverflow naming the step.
     """
-    if m_cum < 0:
-        raise ValueError(f"m_cum must be >= 0 (got {m_cum})")
+    _require("m_cum", m_cum, ">=")
     return n0 / (1.0 + eta * m_cum**xi)
 
 
 def shock_decay(mu0: float, n_t: float, n0: float) -> float:
     """Shock rate proportional to remaining exposure: mu0 * n_t / n0."""
-    if not n0 > 0:
-        raise ValueError(f"n0 must be > 0 (got {n0})")
-    if n_t < 0:
-        raise ValueError(f"n_t must be >= 0 (got {n_t})")
+    _require("n0", n0)
+    _require("n_t", n_t, ">=")
     return mu0 * n_t / n0
 
 
@@ -109,8 +106,7 @@ def _drive(start: SimState, params: ModelParams, impact: ImpactSpec, horizon: in
            exposure: Callable | None = None) -> list[SimState]:
     """``start`` and the ``horizon`` states after it; ``exposure`` is the hook
     ``(t, n_t, nu_t) -> (n_eff, nu_next)`` of the module docstring."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1 (got {horizon})")
+    _require("horizon", horizon, ">=", 1)
     lam, gamma0, k, n0, mu0 = params.lam, params.gamma0, params.k, params.n0, params.mu0
     eta, xi, scale = params.eta, params.xi, params.beta * params.sigma_m
     top = OVERFLOW_FACTOR * params.s0
@@ -157,8 +153,7 @@ def feedback_step(
     tracks the deterministic position. ``nu_next`` is recorded on the
     returned state.
     """
-    if not state.s > 0:
-        raise ValueError(f"s must be > 0 (got {state.s})")
+    _require("s", state.s)
     n_eff = exposure_override
     return _drive(state, params, impact, 1,
                   lambda t, n_t, nu_t: (n_t if n_eff is None else n_eff, nu_next))[1]
@@ -177,8 +172,7 @@ def simulate_one_shot(params: ModelParams, impact: ImpactSpec, horizon: int) -> 
     is the shock ``mu0 * s0``: ``ds_1 = shock + gain * shock``. Then the
     shock stops, the position never decays and the price holds flat.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1 (got {horizon})")
+    _require("horizon", horizon, ">=", 1)
     s0, n0, mu0 = params.s0, params.n0, params.mu0
     jump = _drive(SimState(0, s0, mu0 * s0, 0.0, n0, mu0), params, impact, 1)[1]
     _, s, ds, m, _, _, nu = jump

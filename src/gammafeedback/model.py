@@ -24,6 +24,24 @@ from typing import Callable
 EPS_SINGULAR = 1e-9
 
 
+def _require(name: str, value: float, op: str = ">", bound: float = 0) -> None:
+    """Raise ValueError unless ``value op bound``, op being ">" or ">=";
+    the test is the bound that must hold, so NaN meets no bound."""
+    if not (value > bound if op == ">" else value >= bound):
+        raise ValueError(f"{name} must be {op} {bound} (got {value})")
+
+
+def _surprise_scale(beta: float, sigma_m: float) -> float:
+    """The divisor beta * sigma_m of the surprise x, once beta and sigma_m
+    are > 0 and their product has not underflowed to 0."""
+    _require("beta", beta)
+    _require("sigma_m", sigma_m)
+    scale = beta * sigma_m
+    if scale == 0:
+        raise ValueError(f"beta * sigma_m underflows to 0 (beta = {beta}, sigma_m = {sigma_m})")
+    return scale
+
+
 class SingularDenominator(ValueError):
     """Raised when the stability denominator is at or below EPS_SINGULAR.
 
@@ -56,27 +74,19 @@ class ModelParams:
     s0: float = 100.0
 
     def __post_init__(self) -> None:
-        if not self.beta > 0:
-            raise ValueError(f"beta must be > 0 (got {self.beta})")
-        if not self.sigma_m > 0:
-            raise ValueError(f"sigma_m must be > 0 (got {self.sigma_m})")
-        if self.beta * self.sigma_m == 0:  # the surprise x divides by it
-            raise ValueError(f"beta * sigma_m underflows to 0 (beta = {self.beta}, "
-                             f"sigma_m = {self.sigma_m})")
-        if not self.n0 > 0:
-            raise ValueError(f"n0 must be > 0 (got {self.n0})")
-        if not self.gamma0 > 0:
-            raise ValueError(f"gamma0 must be > 0 (got {self.gamma0})")
-        if not self.s0 > 0:
-            raise ValueError(f"s0 must be > 0 (got {self.s0})")
+        for name in ("lam", "mu0"):  # unbounded, but numbers
+            value = getattr(self, name)
+            if value != value:
+                raise ValueError(f"{name} must be a number (got {value})")
+        _surprise_scale(self.beta, self.sigma_m)
+        _require("n0", self.n0)
+        _require("gamma0", self.gamma0)
+        _require("s0", self.s0)
         # eta = 0 disables position decay entirely; useful for frozen-exposure
         # studies, so only negative values are rejected.
-        if self.eta < 0:
-            raise ValueError(f"eta must be >= 0 (got {self.eta})")
-        if not self.xi > 0:
-            raise ValueError(f"xi must be > 0 (got {self.xi})")
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0 (got {self.k})")
+        _require("eta", self.eta, ">=")
+        _require("xi", self.xi)
+        _require("k", self.k, ">=")
 
     @property
     def gamma_exposure(self) -> float:
@@ -124,19 +134,13 @@ def relative_surprise(delta_s: float, s: float, beta: float, sigma_m: float) -> 
     Scaling by beta * sigma_m converts an absolute move into a deviation
     relative to the stock's typical volatility regime; always >= 0.
     """
-    if not s > 0:
-        raise ValueError(f"s must be > 0 (got {s})")
-    if not beta > 0:
-        raise ValueError(f"beta must be > 0 (got {beta})")
-    if not sigma_m > 0:
-        raise ValueError(f"sigma_m must be > 0 (got {sigma_m})")
-    return abs(delta_s / s) / (beta * sigma_m)
+    _require("s", s)
+    return abs(delta_s / s) / _surprise_scale(beta, sigma_m)
 
 
 def surprise_amplification(x: float, k: float = 2.0) -> float:
     """Hedging-intensity multiplier 1 + k*x; equals 1 at x = 0."""
-    if x < 0:
-        raise ValueError(f"x must be >= 0 (got {x})")
+    _require("x", x, ">=")
     return 1.0 + k * x
 
 
@@ -146,8 +150,7 @@ def stability_denominator(params: ModelParams, shock_ratio: float) -> float:
     Decreasing in exposure and impact; increasing in beta for a fixed
     shock ratio. D <= 0 marks the squeeze regime.
     """
-    if shock_ratio < 0:
-        raise ValueError(f"shock_ratio must be >= 0 (got {shock_ratio})")
+    _require("shock_ratio", shock_ratio, ">=")
     x = shock_ratio / (params.beta * params.sigma_m)
     return 1.0 - params.lam * params.gamma_exposure * surprise_amplification(x, params.k)
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .dynamics import Trajectory, _drive, initial_state
-from .model import ImpactSpec, ModelParams
+from .model import ImpactSpec, ModelParams, _require
 from .rng import Rng
 
 
@@ -33,10 +33,8 @@ class StochasticSpec:
     def __post_init__(self) -> None:
         if not abs(self.rho) < 1:
             raise ValueError(f"rho must satisfy |rho| < 1 (got {self.rho})")
-        if self.sigma_n < 0:
-            raise ValueError(f"sigma_n must be >= 0 (got {self.sigma_n})")
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be > 0 (got {self.kappa})")
+        _require("sigma_n", self.sigma_n, ">=")
+        _require("kappa", self.kappa)
         if not 0 <= self.seed < (1 << 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer (got {self.seed})")
 
@@ -51,16 +49,13 @@ class EventSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1 (got {self.horizon})")
-        if self.n_spikes < 0:
-            raise ValueError(f"n_spikes must be >= 0 (got {self.n_spikes})")
+        _require("horizon", self.horizon, ">=", 1)
+        _require("n_spikes", self.n_spikes, ">=")
         if self.n_spikes > self.horizon:
             raise ValueError(
                 f"n_spikes ({self.n_spikes}) must not exceed horizon ({self.horizon})"
             )
-        if self.max_fraction < 0:
-            raise ValueError(f"max_fraction must be >= 0 (got {self.max_fraction})")
+        _require("max_fraction", self.max_fraction, ">=")
         if not 0 <= self.seed < (1 << 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer (got {self.seed})")
 
@@ -81,8 +76,7 @@ def exposure_cap(n0: float, sigma_n: float, rho: float, kappa: float = 8.0) -> f
 
 def censor_exposure(n_bar: float, cap: float) -> float:
     """Clip effective exposure to [0, cap]: no short inventory, capped size."""
-    if not cap > 0:
-        raise ValueError(f"cap must be > 0 (got {cap})")
+    _require("cap", cap)
     return min(max(n_bar, 0.0), cap)
 
 

@@ -6,12 +6,13 @@ iteration of the affine map.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import writer_reference as ref
@@ -135,6 +136,44 @@ class TestStabilityGrid:
                          n_beta=3, n_g=4, shock_ratio=shock, lam=0.003, sigma_m=0.01)
         with pytest.raises(ValueError, match=r"beta \* sigma_m underflows to 0"):
             critical_exposure(0.003, 1e-200, 0.05, sigma_m=1e-200)
+
+    OVERFLOW = r"^lambda \* \(1 \+ k \* shock_ratio / \(beta_min \* sigma_m\)\) \* g_max is "
+
+    @pytest.mark.parametrize("changes, value", [
+        ({"beta_min": 1e-300, "sigma_m": 1e-10, "shock_ratio": 1.0}, "inf"),  # x is 1e310
+        ({"lam": -math.inf}, "-inf"),
+        ({"lam": math.inf, "g_max": 0.0}, "nan"),  # inf * 0
+        ({"k": 0.0, "beta_min": 1e-300, "sigma_m": 1e-10, "shock_ratio": 1.0}, "nan"),  # 0 * inf
+    ], ids=["x-overflows", "lambda-inf", "lambda-inf-at-g-0", "k-0-at-x-inf"])
+    def test_nonfinite_cells_rejected_naming_keys(self, changes, value):
+        spec = GridSpec(**{**dict(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
+                                  n_beta=3, n_g=4, shock_ratio=0.05, lam=0.003), **changes})
+        with pytest.raises(ValueError, match=self.OVERFLOW + value):
+            stability_grid(spec)
+
+    _finite = st.floats(min_value=0.0, allow_infinity=False)
+    _positive = _finite.filter(lambda x: x > 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(betas=st.tuples(_positive, _positive), gs=st.tuples(_finite, _finite),
+           shock=_finite, lam=st.floats(allow_nan=False), sigma_m=_positive, k=_finite)
+    def test_cells_finite_unless_rejected(self, betas, gs, shock, lam, sigma_m, k):
+        # the check at (beta_min, g_max) rejects a grid exactly when one of
+        # its cells, computed as the kernel does, is not finite
+        (beta_min, beta_max), (g_min, g_max) = sorted(betas), sorted(gs)
+        assume(beta_min * sigma_m > 0)
+        spec = GridSpec(beta_min=beta_min, beta_max=beta_max, g_min=g_min, g_max=g_max,
+                        n_beta=3, n_g=3, shock_ratio=shock, lam=lam, sigma_m=sigma_m, k=k)
+        cells = [1.0 - lam * (1.0 + k * (shock / (b * sigma_m))) * g
+                 for b in spec.betas() for g in spec.gs()]
+        try:
+            scan = stability_grid(spec)
+        except ValueError as exc:
+            assert re.match(self.OVERFLOW, str(exc))
+            assert not all(map(math.isfinite, cells))
+        else:
+            assert [v for row in scan.values for v in row] == cells
+            assert all(map(math.isfinite, cells))
 
     def test_cell_matches_scalar_op(self):
         spec = GridSpec(beta_min=0.5, beta_max=1.5, g_min=0.0, g_max=300.0,

@@ -276,6 +276,36 @@ gamma0 = 1.0
         assert not (tmp_path / "x").exists()
 
 
+    @pytest.mark.parametrize("subcommand, text, key", [
+        # once exited 0, writing a G* of nan and a row of nan
+        ("bifurcation-scan", GRID_CFG.replace("[run]", "k = nan\n[run]"), "[grid] k "),
+        ("static-response", SIM_CFG.replace("lambda = 0.05", "lambda = nan"), "[model] lam "),
+    ], ids=["grid-k", "model-lambda"])
+    def test_nan_config_value_is_2(self, tmp_path, cfg, capsys, subcommand, text, key):
+        rc = main([subcommand, "--config", str(cfg(text)), "--out", str(tmp_path / "x"),
+                   "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "config"
+        assert error["message"].startswith(key)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("subcommand", ["stability-map", "amplification-map"])
+    def test_overflowing_grid_names_its_keys(self, tmp_path, cfg, capsys, subcommand):
+        # the surprise x at beta_min is 1e310: the cells would be -inf
+        text = GRID_CFG.replace("beta_min = 0.2", "beta_min = 1e-300\nsigma_m = 1e-10").replace(
+            "shock_ratio = 0.05", "shock_ratio = 1.0")
+        rc = main([subcommand, "--config", str(cfg(text)), "--out", str(tmp_path / "x"),
+                   "--quiet"])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config"
+        for key in ("lambda", "k", "shock_ratio", "beta_min", "sigma_m", "g_max"):
+            assert key in error["message"]
+
+
 class TestManifest:
     def test_digests_match_files(self, tmp_path, cfg):
         main(["simulate-stochastic", "--config", str(cfg(SIM_CFG)),

@@ -236,6 +236,29 @@ class TestErrorMessages:
             parse_config(_full_with(section, key, value))
         assert str(info.value) == message
 
+    # the float keys whose check NaN used to slip past; the others already
+    # failed a "not x > 0" test
+    NAN = [
+        ("model", "lambda", "[model] lam must be a number (got nan)"),
+        ("model", "mu0", "[model] mu0 must be a number (got nan)"),
+        ("model", "eta", "[model] eta must be >= 0 (got nan)"),
+        ("model", "k", "[model] k must be >= 0 (got nan)"),
+        ("stochastic", "sigma_n", "[stochastic] sigma_n must be >= 0 (got nan)"),
+        ("events", "max_fraction", "[events] max_fraction must be >= 0 (got nan)"),
+        ("grid", "beta_max", "[grid] beta_max must be >= beta_min"),
+        ("grid", "g_min", "[grid] g_min must be >= 0 (got nan)"),
+        ("grid", "g_max", "[grid] g_max must be >= g_min"),
+        ("grid", "shock_ratio", "[grid] shock_ratio must be >= 0 (got nan)"),
+        ("grid", "lambda", "[grid] lam must be a number (got nan)"),
+        ("grid", "k", "[grid] k must be >= 0 (got nan)"),
+    ]
+
+    @pytest.mark.parametrize("section,key,message", NAN, ids=[f"{s}-{k}" for s, k, _ in NAN])
+    def test_nan_value(self, section, key, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(_full_with(section, key, "nan"))
+        assert str(info.value) == message
+
     def test_unknown_and_missing_keys(self):
         with pytest.raises(ConfigError) as info:
             parse_config(_full_with("model", "c", "1.0"))

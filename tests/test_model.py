@@ -5,6 +5,7 @@ never copied from the implementation under test.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -14,11 +15,20 @@ from hypothesis import strategies as st
 
 from gammafeedback import (
     EPS_SINGULAR,
+    EventSpec,
     ImpactSpec,
     ModelParams,
+    RunConfig,
     SingularDenominator,
+    StochasticSpec,
+    censor_exposure,
+    critical_exposure,
     hedging_impact,
+    position_decay,
     relative_surprise,
+    shock_decay,
+    simulate_one_shot,
+    simulate_recursive,
     stability_denominator,
     static_response,
     surprise_amplification,
@@ -58,6 +68,11 @@ class TestRelativeSurprise:
         args.update(kwargs)
         with pytest.raises(ValueError):
             relative_surprise(**args)
+
+    def test_underflowing_surprise_scale_rejected(self):
+        # both positive, but beta * sigma_m rounds to 0 and x divides by it
+        with pytest.raises(ValueError, match=r"beta \* sigma_m underflows to 0"):
+            relative_surprise(1.0, 100.0, 1e-200, 1e-200)
 
     @given(
         delta_s=st.floats(-1e6, 1e6),
@@ -270,3 +285,38 @@ class TestModelParams:
             ImpactSpec(kind="clamp", i_max=0.0)
         with pytest.raises(ValueError):
             ImpactSpec(kind="tanh", c=0.0)
+
+
+NAN = math.nan
+NAN_PARAMS = ModelParams(lam=0.003, beta=1.0, mu0=0.05, n0=100.0)
+
+# (function, arguments with one NaN, the bound it fails): every "must be >
+# B" and "must be >= B" check is a comparison that NaN fails. feedback_step's
+# start price is covered in test_dynamics.py, the config keys in test_config.py.
+NAN_CASES = [
+    (relative_surprise, (1.0, NAN, 1.0, 0.03), "s must be > 0"),
+    (relative_surprise, (1.0, 100.0, NAN, 0.03), "beta must be > 0"),
+    (relative_surprise, (1.0, 100.0, 1.0, NAN), "sigma_m must be > 0"),
+    (surprise_amplification, (NAN, 2.0), "x must be >= 0"),
+    (stability_denominator, (NAN_PARAMS, NAN), "shock_ratio must be >= 0"),
+    (critical_exposure, (NAN, 1.0, 0.05), "lam must be > 0"),
+    (critical_exposure, (0.003, NAN, 0.05), "beta must be > 0"),
+    (critical_exposure, (0.003, 1.0, 0.05, NAN), "sigma_m must be > 0"),
+    (critical_exposure, (0.003, 1.0, NAN), "x must be >= 0"),
+    (position_decay, (200.0, NAN), "m_cum must be >= 0"),
+    (shock_decay, (0.01, 100.0, NAN), "n0 must be > 0"),
+    (shock_decay, (0.01, NAN, 200.0), "n_t must be >= 0"),
+    (censor_exposure, (100.0, NAN), "cap must be > 0"),
+    (simulate_one_shot, (NAN_PARAMS, ImpactSpec.tanh(), NAN), "horizon must be >= 1"),
+    (simulate_recursive, (NAN_PARAMS, ImpactSpec.tanh(), NAN), "horizon must be >= 1"),
+    (RunConfig, {"horizon": NAN}, "horizon must be >= 1"),
+    (EventSpec, {"horizon": NAN}, "horizon must be >= 1"),
+    (StochasticSpec, {"sigma_n": NAN}, "sigma_n must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("function, args, bound", NAN_CASES,
+                         ids=[f"{f.__name__}-{bound.split()[0]}" for f, _, bound in NAN_CASES])
+def test_nan_meets_no_bound(function, args, bound):
+    with pytest.raises(ValueError, match=re.escape(f"{bound} (got nan)")):
+        function(**args) if isinstance(args, dict) else function(*args)
