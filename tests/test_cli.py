@@ -277,7 +277,7 @@ gamma0 = 1.0
 
 
     @pytest.mark.parametrize("subcommand, text, key", [
-        # once exited 0, writing a G* of nan and a row of nan
+        # a NaN that reached the computation would write a G* or a row of nan
         ("bifurcation-scan", GRID_CFG.replace("[run]", "k = nan\n[run]"), "[grid] k "),
         ("static-response", SIM_CFG.replace("lambda = 0.05", "lambda = nan"), "[model] lam "),
     ], ids=["grid-k", "model-lambda"])

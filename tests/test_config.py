@@ -236,8 +236,8 @@ class TestErrorMessages:
             parse_config(_full_with(section, key, value))
         assert str(info.value) == message
 
-    # the float keys whose check NaN used to slip past; the others already
-    # failed a "not x > 0" test
+    # NaN meets no bound, not even ">= 0" or "beta_max >= beta_min"; lambda
+    # and mu0 have no bound and reject it too
     NAN = [
         ("model", "lambda", "[model] lam must be a number (got nan)"),
         ("model", "mu0", "[model] mu0 must be a number (got nan)"),
