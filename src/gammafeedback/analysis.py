@@ -77,6 +77,10 @@ class GridSpec:
             raise ValueError("beta_max must be >= beta_min")
         if not self.g_max >= self.g_min:
             raise ValueError("g_max must be >= g_min")
+        for lo, hi in (("beta_min", "beta_max"), ("g_min", "g_max")):
+            low, high = getattr(self, lo), getattr(self, hi)
+            if not math.isfinite(high - low):  # the nodes would be nan or inf
+                raise ValueError(f"{hi} - {lo} must be finite ({lo} = {low}, {hi} = {high})")
         if self.n_beta < 2 or self.n_g < 2:
             raise ValueError("n_beta and n_g must be >= 2")
         _require("shock_ratio", self.shock_ratio, ">=")

@@ -22,6 +22,7 @@ from pathlib import Path
 from .config import ConfigError, parse_config
 from .dynamics import NumericalOverflow
 from .model import SingularDenominator
+from .rng import _check_seed
 from .runner import SUBCOMMANDS, apply_seed_override, run_subcommand
 
 EXIT_OK = 0
@@ -61,8 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(text)
         if args.seed is not None:
-            if not 0 <= args.seed < (1 << 64):
-                raise ConfigError(f"--seed must be a 64-bit unsigned integer (got {args.seed})")
+            _check_seed(args.seed, "--seed")
             config = apply_seed_override(config, args.seed)
         if args.svg:
             config.emit_svg = True

@@ -154,14 +154,19 @@ def _check_count(n: int) -> None:
         raise ValueError(f"n must be >= 0 (got {n})")
 
 
+def _check_seed(seed: int, name: str = "seed") -> None:
+    """Raise ValueError unless seed, called name, fits 64 unsigned bits."""
+    if not 0 <= seed < (1 << 64):
+        raise ValueError(f"{name} must be a 64-bit unsigned integer (got {seed})")
+
+
 class Rng:
     """Seeded xoshiro256** stream with Box-Muller normal draws."""
 
     __slots__ = ("seed", "_s0", "_s1", "_s2", "_s3", "_cached_normal")
 
     def __init__(self, seed: int):
-        if not 0 <= seed < (1 << 64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer (got {seed})")
+        _check_seed(seed)
         self.seed = seed
         state = seed
         state, self._s0 = splitmix64(state)

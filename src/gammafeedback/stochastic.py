@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 from .dynamics import Trajectory, _drive, initial_state
 from .model import ImpactSpec, ModelParams, _require
-from .rng import Rng
+from .rng import Rng, _check_seed
+
+
+def _check_rho(rho: float) -> None:
+    """Raise ValueError unless |rho| < 1, the AR(1) process's stationarity."""
+    if not abs(rho) < 1:
+        raise ValueError(f"rho must satisfy |rho| < 1 (got {rho})")
 
 
 @dataclass(frozen=True)
@@ -31,12 +37,10 @@ class StochasticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not abs(self.rho) < 1:
-            raise ValueError(f"rho must satisfy |rho| < 1 (got {self.rho})")
+        _check_rho(self.rho)
         _require("sigma_n", self.sigma_n, ">=")
         _require("kappa", self.kappa)
-        if not 0 <= self.seed < (1 << 64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer (got {self.seed})")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -56,27 +60,26 @@ class EventSpec:
                 f"n_spikes ({self.n_spikes}) must not exceed horizon ({self.horizon})"
             )
         _require("max_fraction", self.max_fraction, ">=")
-        if not 0 <= self.seed < (1 << 64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer (got {self.seed})")
+        _check_seed(self.seed)
 
 
 def ar1_step(nu: float, rho: float, sigma_n: float, n_t: float, epsilon: float) -> float:
     """One AR(1) update: rho * nu + sigma_n * n_t * epsilon."""
-    if not abs(rho) < 1:
-        raise ValueError(f"rho must satisfy |rho| < 1 (got {rho})")
+    _check_rho(rho)
     return rho * nu + sigma_n * n_t * epsilon
 
 
 def exposure_cap(n0: float, sigma_n: float, rho: float, kappa: float = 8.0) -> float:
     """Conservative upper bound n0 + kappa * sigma_n * n0 / sqrt(1 - rho^2)."""
-    if not abs(rho) < 1:
-        raise ValueError(f"rho must satisfy |rho| < 1 (got {rho})")
+    _check_rho(rho)
     return n0 + kappa * sigma_n * n0 / math.sqrt(1.0 - rho * rho)
 
 
 def censor_exposure(n_bar: float, cap: float) -> float:
     """Clip effective exposure to [0, cap]: no short inventory, capped size."""
     _require("cap", cap)
+    if n_bar != n_bar:  # max(nan, 0.0) is nan
+        raise ValueError(f"n_bar must be a number (got {n_bar})")
     return min(max(n_bar, 0.0), cap)
 
 

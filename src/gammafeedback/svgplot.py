@@ -3,17 +3,17 @@ Self-contained SVG rendering for grids, contours, and trajectories.
 
 No external renderer: documents are plain SVG 1.1 text with axes, tick
 labels, and a legend, deterministic for identical input (fixed float
-formatting, fixed palette). Heatmaps use a monotone color ramp: value v is
-mapped to t = (v - vmin) / (vmax - vmin) and linearly interpolated in RGB
-from deep blue (20, 42, 108) at t = 0 to light yellow (249, 240, 85) at
-t = 1; singular cells render gray.
+formatting, fixed palette). Heatmaps use a monotone color ramp of 257 stops,
+spaced evenly in t from deep blue (20, 42, 108) at t = 0 to light yellow
+(249, 240, 85) at t = 1, each channel interpolated linearly in RGB and
+rounded: value v is mapped to t = (v - vmin) / (vmax - vmin) and takes the
+nearest stop, so every channel is within 0.95 of the unrounded ramp at t.
+Singular cells render gray.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from bisect import bisect_right
 
 from .analysis import ContourSet, GridScan, linspace
 from .dynamics import Trajectory
@@ -30,6 +30,7 @@ PALETTE = (
 )
 RAMP_LOW = (20, 42, 108)
 RAMP_HIGH = (249, 240, 85)
+RAMP_STEPS = 256  # the ramp has RAMP_STEPS + 1 colour stops
 SINGULAR_COLOR = "#9e9e9e"
 
 
@@ -37,88 +38,30 @@ def _f(v: float) -> str:
     return f"{v:.2f}"
 
 
-_DOUBLE = struct.Struct("<d")
-_INT64 = struct.Struct("<q")
-
-
-def _order(v: float) -> int:
-    """The rank of a double among doubles: adjacent doubles differ by 1."""
-    bits = _INT64.unpack(_DOUBLE.pack(v))[0]
-    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
-
-
-def _from_order(k: int) -> float:
-    return _DOUBLE.unpack(_INT64.pack(k if k >= 0 else -k | -0x8000_0000_0000_0000))[0]
-
-
-def _ramp_cuts(vmin: float, vmax: float, span: float) -> tuple[list[float], list[str]]:
-    """The ramp over [vmin, vmax] as a step function of v.
-
-    Each channel ``round(lo + ((v - vmin) / span) * (hi - lo))`` is monotone
-    in v, so the colour changes only at the first double of each channel
-    step. Returns those doubles ascending, ``cuts``, and ``names``, where
-    ``names[bisect_right(cuts, v)]`` is the colour of v. Each step is found
-    from its analytic position by galloping and then bisecting over the
-    ranks of the doubles, so it is exact however few doubles the span holds.
-    """
-    bottom, top = _order(vmin), _order(vmax)
-    cuts = set()
-    for lo, hi in zip(RAMP_LOW, RAMP_HIGH):
-        d = hi - lo
-        sign = 1 if d > 0 else -1
-
-        def level(k):
-            """The channel at the double of rank k, negated if it falls with v."""
-            return sign * round(lo + ((_from_order(k) - vmin) / span) * d)
-
-        for m in range(level(bottom) + 1, level(top) + 1):
-            # the first double whose level reaches m: gallop from the analytic
-            # guess until level(below) < m <= level(above), then bisect
-            guess = vmin + (sign * (m - 0.5) - lo) / d * span
-            k = _order(min(max(guess, vmin), vmax))
-            if level(k) >= m:  # then k > bottom
-                above, below, step = k, k - 1, 2
-                while below > bottom and level(below) >= m:
-                    above, below, step = below, max(below - step, bottom), 2 * step
-            else:  # then k < top
-                below, above, step = k, k + 1, 2
-                while above < top and level(above) < m:
-                    below, above, step = above, min(above + step, top), 2 * step
-            while above - below > 1:
-                mid = (below + above) // 2
-                if level(mid) >= m:
-                    above = mid
-                else:
-                    below = mid
-            cuts.add(above)
-    cuts = [_from_order(k) for k in sorted(cuts)]
-    names = []
-    for v in [vmin, *cuts]:
-        t = (v - vmin) / span
-        r, g, b = (round(lo + t * (hi - lo)) for lo, hi in zip(RAMP_LOW, RAMP_HIGH))
-        names.append(f"#{r:02x}{g:02x}{b:02x}")
-    return cuts, names
-
-
 def _ramp_fills(values: list[list[float]], singular: list[list[bool]], vmin: float,
                 vmax: float) -> list[list[str]]:
-    """The fill of every cell: the ramp colour at t = (v - vmin) / span, or gray.
+    """The fill of every cell: the ramp stop nearest t = (v - vmin) / span, or gray.
 
-    Each channel is ``round(lo + t * (hi - lo))`` in doubles, rounded half
-    to even, with span = vmax - vmin (1 when that is 0). vmin and vmax are
-    the least and greatest of the non-singular cells, so t stays in [0, 1].
+    Stop i of the RAMP_STEPS + 1 has each channel ``round(lo + (i / RAMP_STEPS)
+    * (hi - lo))``; a cell takes stop ``round(t * RAMP_STEPS)``, rounded half to
+    even, with span = vmax - vmin (1 when that is 0). vmin and vmax are the
+    least and greatest of the non-singular cells, so t stays in [0, 1], the
+    product is exact and the stop index stays in 0..RAMP_STEPS.
     """
     span = (vmax - vmin) or 1.0
     if not math.isfinite(span):
         raise ValueError(f"the finite cells span {span}, beyond the largest double")
-    cuts, names = _ramp_cuts(vmin, vmax, span)
+    stops = []
+    for i in range(RAMP_STEPS + 1):
+        r, g, b = (round(lo + (i / RAMP_STEPS) * (hi - lo)) for lo, hi in zip(RAMP_LOW, RAMP_HIGH))
+        stops.append(f"#{r:02x}{g:02x}{b:02x}")
     fills = []
     for row, flags in zip(values, singular):
         if any(flags):
-            fills.append([SINGULAR_COLOR if s else names[bisect_right(cuts, v)]
+            fills.append([SINGULAR_COLOR if s else stops[round((v - vmin) / span * RAMP_STEPS)]
                           for v, s in zip(row, flags)])
         else:
-            fills.append([names[bisect_right(cuts, v)] for v in row])
+            fills.append([stops[round((v - vmin) / span * RAMP_STEPS)] for v in row])
     return fills
 
 

@@ -7,6 +7,7 @@ iteration of the affine map.
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -84,6 +85,29 @@ class TestGridSpec:
         base.update(kwargs)
         with pytest.raises(ValueError):
             GridSpec(**base)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"beta_max": math.inf}, "beta_max - beta_min must be finite (beta_min = 0.2, "
+                                 "beta_max = inf)"),
+        ({"beta_min": math.inf, "beta_max": math.inf},
+         "beta_max - beta_min must be finite (beta_min = inf, beta_max = inf)"),
+        ({"g_max": math.inf}, "g_max - g_min must be finite (g_min = 0.0, g_max = inf)"),
+        ({"g_min": 1e308, "g_max": math.inf},
+         "g_max - g_min must be finite (g_min = 1e+308, g_max = inf)"),
+    ])
+    def test_infinite_axis_span_rejected_naming_both_bounds(self, kwargs, message):
+        # linspace over an infinite span gives nan and inf nodes
+        base = dict(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
+                    n_beta=3, n_g=3, shock_ratio=0.05, lam=0.003)
+        with pytest.raises(ValueError) as info:
+            GridSpec(**{**base, **kwargs})
+        assert str(info.value) == message
+
+    def test_largest_finite_axis_span_accepted(self):
+        top = sys.float_info.max
+        spec = GridSpec(beta_min=1e-300, beta_max=top, g_min=0.0, g_max=top,
+                        n_beta=3, n_g=3, shock_ratio=0.05, lam=0.003)
+        assert all(map(math.isfinite, spec.betas() + spec.gs()))
 
 
 class TestGridScanValidation:

@@ -292,6 +292,27 @@ gamma0 = 1.0
         assert error["message"].startswith(key)
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("subcommand", ["stability-map", "amplification-map",
+                                            "bifurcation-scan"])
+    @pytest.mark.parametrize("bound, text", [
+        ("beta_max", GRID_CFG.replace("beta_max = 3.0", "beta_max = inf")),
+        ("g_max", GRID_CFG.replace("g_max = 300", "g_max = inf")),
+    ], ids=["beta-max-inf", "g-max-inf"])
+    def test_infinite_axis_names_its_bounds(self, tmp_path, cfg, capsys, subcommand, bound,
+                                            text):
+        # an infinite span would make nan and inf nodes; bifurcation-scan,
+        # which reads only the beta axis, rejects an infinite g_max too
+        rc = main([subcommand, "--config", str(cfg(text)), "--out", str(tmp_path / "x"),
+                   "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "config"
+        assert error["message"].startswith(f"[grid] {bound} - ")
+        assert bound in error["message"] and "inf" in error["message"]
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("subcommand", ["stability-map", "amplification-map"])
     def test_overflowing_grid_names_its_keys(self, tmp_path, cfg, capsys, subcommand):
         # the surprise x at beta_min is 1e310: the cells would be -inf

@@ -1,5 +1,7 @@
 """Config parsing, defaults, validation messages, and render round-trips."""
 
+import sys
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -289,6 +291,8 @@ def _floats(min_value=None, exclude_min=False, max_value=None, exclude_max=False
 
 POSITIVE = _floats(0.0, exclude_min=True)
 NON_NEGATIVE = _floats(0.0)
+FINITE_POSITIVE = _floats(0.0, exclude_min=True, max_value=sys.float_info.max)
+FINITE_NON_NEGATIVE = _floats(0.0, max_value=sys.float_info.max)
 # (beta, sigma_m) pairs whose product, the surprise scale, does not underflow to 0
 SCALES = st.tuples(POSITIVE, POSITIVE).filter(lambda pair: pair[0] * pair[1] > 0)
 SEEDS = st.integers(0, 2**64 - 1)
@@ -313,10 +317,11 @@ def run_configs(draw) -> RunConfig:
                            max_fraction=draw(NON_NEGATIVE), seed=draw(SEEDS))
     grid = None
     if draw(st.booleans()):
-        beta_min, beta_max = sorted(draw(st.tuples(POSITIVE, POSITIVE)))
+        # finite axis bounds: GridSpec rejects an axis whose span is not finite
+        beta_min, beta_max = sorted(draw(st.tuples(FINITE_POSITIVE, FINITE_POSITIVE)))
         sigma_m = draw(POSITIVE)
         assume(beta_min * sigma_m > 0)
-        g_min, g_max = sorted(draw(st.tuples(NON_NEGATIVE, NON_NEGATIVE)))
+        g_min, g_max = sorted(draw(st.tuples(FINITE_NON_NEGATIVE, FINITE_NON_NEGATIVE)))
         grid = GridSpec(beta_min=beta_min, beta_max=beta_max, g_min=g_min, g_max=g_max,
                         n_beta=draw(st.integers(2, 10**9)), n_g=draw(st.integers(2, 10**9)),
                         shock_ratio=draw(NON_NEGATIVE), lam=draw(_floats()),

@@ -283,7 +283,7 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'stability_grid.csv':
             '3b3934ca9c4432a6223e35a49920bb20851e8a1690aef244bc0163272d46ec3a',
         'stability_map.svg':
-            '56870af6d1735164dc6e7e28b608e52aa6664fef3ddbe0cf5cb4379402042151',
+            'd5a178b55b9e290e6829d734ebf32872ceb72ae3e878b1ec34a85026984d8def',
     }),
     'readme amplification-map': (0, {
         'amplification_contour.csv':
@@ -301,7 +301,7 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'amplification_grid.csv':
             '682d205f0bdea0a1957b05eabb21bc2f122f71bd9082dde0b49e2dec5fa3bbf0',
         'amplification_map.svg':
-            '01ca735a72503a72e6915b9b90a7591867755f5d029d7521dac4c58adc00dd59',
+            '4a1be668703d7c8cbf65f42b34278cbad56aae38f1b4297b527b101c443d31dc',
         'config.resolved.cfg':
             '6f2bab76fadc56a6888ade021b082e87da7ef73d83937309d99c43964b3c665c',
         'stability_contour.csv':
@@ -555,7 +555,7 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'stability_grid.csv':
             '6474fb76d33e6aad8d7d1e6e66ba5cecaba13bcb8510a92559a268c85d4225a3',
         'stability_map.svg':
-            '77cd6200e15d51324462c73bf3615c705c270a801383783f7ee10c0627a52dae',
+            '59b15db71b8d7fc9a17d6f1283e04702b20d91a513762ba650c929d60633ead3',
     }),
     'skew amplification-map': (0, {
         'amplification_contour.csv':
@@ -573,7 +573,7 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'amplification_grid.csv':
             '198ac16bead620ea49c7523fbeae84f47b69c6b62e7669db488ff19d0ebd5d21',
         'amplification_map.svg':
-            'd4d34c5aab3fe9b31d3f95e562b376fc764f2da76c99652dc394b96035cc951b',
+            '5a511d97cbf178674369578492eb17ed804411cdd1b5a653f00bcb629e48a840',
         'config.resolved.cfg':
             'f6448ccb95247354f61d34a12cb27a2c47efe79003c4bd86996500c75e977155',
         'stability_contour.csv':

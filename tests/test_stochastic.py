@@ -85,6 +85,11 @@ class TestCensorExposure:
         with pytest.raises(ValueError):
             censor_exposure(1.0, 0.0)
 
+    def test_rejects_nan_exposure(self):
+        # max(nan, 0.0) is nan, which lies in no interval [0, cap]
+        with pytest.raises(ValueError, match=r"^n_bar must be a number \(got nan\)$"):
+            censor_exposure(math.nan, 10.0)
+
 
 class TestSimulateStochastic:
     def test_degenerate_noise_collapses_to_deterministic(self):

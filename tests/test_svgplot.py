@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from gammafeedback import (
     stability_grid,
 )
 from gammafeedback.analysis import linspace
-from gammafeedback.svgplot import (SINGULAR_COLOR, _Frame, _from_order, _order, _pad_span,
-                                   _ramp_cuts, _ramp_fills, contour_svg, emit_svg,
-                                   heatmap_svg, line_chart_svg, timeseries_svg)
+from gammafeedback.svgplot import (RAMP_HIGH, RAMP_LOW, RAMP_STEPS, SINGULAR_COLOR, _Frame,
+                                   _pad_span, _ramp_fills, contour_svg, emit_svg, heatmap_svg,
+                                   line_chart_svg, timeseries_svg)
 
 PARAMS = ModelParams(lam=0.05, beta=1.0, mu0=0.025)
 TANH = ImpactSpec.tanh(1.0)
@@ -115,6 +116,20 @@ def test_heatmap_matches_scalar_reference(scan):
     assert heatmap_svg(scan, contours, title="t") == ref.heatmap_svg(scan, contours, title="t")
 
 
+_DOUBLE = struct.Struct("<d")
+_INT64 = struct.Struct("<q")
+
+
+def _order(v: float) -> int:
+    """The rank of a double among doubles: adjacent doubles differ by 1."""
+    bits = _INT64.unpack(_DOUBLE.pack(v))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _from_order(k: int) -> float:
+    return _DOUBLE.unpack(_INT64.pack(k if k >= 0 else -k | -0x8000_0000_0000_0000))[0]
+
+
 @st.composite
 def ramp_ranges(draw):
     """vmin <= vmax a few ulps apart, about 1e9 apart, near zero, or anywhere."""
@@ -129,37 +144,6 @@ def ramp_ranges(draw):
         return -draw(st.floats(0.0, 1e-300)), draw(st.floats(0.0, 1e-300))
     a, b = draw(st.floats(-1e300, 1e300)), draw(st.floats(-1e300, 1e300))
     return min(a, b), max(a, b)
-
-
-def _fills_match(values, singular, vmin, vmax):
-    want = ref.ramp_fills(values, singular, vmin, (vmax - vmin) or 1.0).tolist()
-    assert _ramp_fills(values, singular, vmin, vmax) == want
-
-
-@settings(max_examples=200, deadline=None)
-@given(ramp_ranges())
-@example((0.0, 1.0))
-@example((-5.0, 1.0))
-@example((-1.0, 1.0))  # the middle steps fall among the doubles next to 0.0
-@example((1.0, 1.0 + 2.0**-52))
-@example((0.0, 5e-324))
-@example((1e9, 2e9))
-@example((-1.5e308, 1.5e308))  # the span overflows: rejected
-def test_ramp_fills_exact_at_every_step(bounds):
-    # each colour step starts at its cut: the cut and the double below it
-    # take the numpy fills on either side of the step
-    vmin, vmax = bounds
-    span = (vmax - vmin) or 1.0
-    if not math.isfinite(span):
-        with pytest.raises(ValueError):
-            _ramp_fills([[vmin, vmax]], [[False, False]], vmin, vmax)
-        return
-    cuts, names = _ramp_cuts(vmin, vmax, span)
-    assert cuts == sorted(set(cuts)) and len(names) == len(cuts) + 1
-    row = [vmin, vmax, *cuts, *(math.nextafter(c, -math.inf) for c in cuts)]
-    assert all(vmin <= v <= vmax for v in row)
-    _fills_match([row], [[False] * len(row)], vmin, vmax)
-    assert len(set(_ramp_fills([row], [[False] * len(row)], vmin, vmax)[0])) == len(names)
 
 
 @st.composite
@@ -180,12 +164,68 @@ def ramp_fields(draw):
     return values, singular, vmin, vmax
 
 
+def _midpoint_field(vmin, vmax):
+    """One row from vmin to vmax: every midpoint between two ramp stops, where
+    the stop index is a tie before rounding, and the doubles either side of it."""
+    span = (vmax - vmin) or 1.0
+    row = [vmin, vmax]
+    for i in range(RAMP_STEPS):
+        mid = vmin + ((i + 0.5) / RAMP_STEPS) * span
+        row += [math.nextafter(mid, -math.inf), mid, math.nextafter(mid, math.inf)]
+    row = [min(max(v, vmin), vmax) for v in row]
+    return [row], [[False] * len(row)], vmin, vmax
+
+
+def _midpoint_examples(test):
+    for bounds in ((0.0, 1.0), (-5.0, 1.0), (-1.0, 1.0), (1.0, 1.0 + 2.0**-40),
+                   (0.0, 5e-324), (1e9, 2e9), (-1e300, 1e300)):
+        test = example(_midpoint_field(*bounds))(test)
+    return test
+
+
+# every channel's distance to the unrounded ramp at t: half a unit from rounding
+# the stop, plus the channel's slope (at most 229, red) times half a stop spacing
+RAMP_TOLERANCE = 0.5 + max(abs(hi - lo) for lo, hi in zip(RAMP_LOW, RAMP_HIGH)) / (2 * RAMP_STEPS)
+
+
 @settings(max_examples=200, deadline=None)
 @given(ramp_fields())
+@_midpoint_examples
+@example(([[-1.5e308, 1.5e308]], [[False, False]], -1.5e308, 1.5e308))  # span overflows
+def test_ramp_fills_stay_near_the_unrounded_ramp(field):
+    values, singular, vmin, vmax = field
+    assert RAMP_TOLERANCE < 1.0  # what bench/checks.py check_heatmap allows per channel
+    span = (vmax - vmin) or 1.0
+    if not math.isfinite(span):
+        with pytest.raises(ValueError):
+            _ramp_fills(values, singular, vmin, vmax)
+        return
+    fills = _ramp_fills(values, singular, vmin, vmax)
+    cells = sorted((v, fill) for row, flags, fill_row in zip(values, singular, fills)
+                   for v, s, fill in zip(row, flags, fill_row) if not s)
+    channels = [(int(fill[1:3], 16), int(fill[3:5], 16), int(fill[5:7], 16))
+                for _, fill in cells]
+    for (v, _), rgb in zip(cells, channels):
+        t = (v - vmin) / span
+        for c, lo, hi in zip(rgb, RAMP_LOW, RAMP_HIGH):
+            assert abs(c - (lo + t * (hi - lo))) <= RAMP_TOLERANCE
+    # red and green never fall, blue never rises, as v increases
+    for (r0, g0, b0), (r1, g1, b1) in zip(channels, channels[1:]):
+        assert r0 <= r1 and g0 <= g1 and b0 >= b1
+    if vmax > vmin:
+        assert fills[0][0] == "#142a6c" and fills[-1][-1] == "#f9f055"
+    assert all(fill == SINGULAR_COLOR for row, flags in zip(fills, singular)
+               for fill, s in zip(row, flags) if s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ramp_fields())
+@_midpoint_examples
 def test_ramp_fills_match_numpy_reference(field):
     values, singular, vmin, vmax = field
     if math.isfinite(vmax - vmin):
-        _fills_match(values, singular, vmin, vmax)
+        want = ref.ramp_fills(values, singular, vmin, (vmax - vmin) or 1.0).tolist()
+        assert _ramp_fills(values, singular, vmin, vmax) == want
 
 
 def _signed(smallest, largest):

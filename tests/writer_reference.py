@@ -4,8 +4,8 @@
 the CSV writers go through ``csv.writer`` one row at a time, and ``ticks``
 is ``np.linspace``. ``stability_values``, ``amplification_values``,
 ``ramp_fills`` and ``extract_contour`` are the numpy grids, heatmap fills
-and marching squares that ``gammafeedback`` computed before it stopped
-importing numpy. The tests require ``gammafeedback`` to produce exactly these
+and marching squares that ``gammafeedback`` computes in plain Python, written
+with numpy. The tests require ``gammafeedback`` to produce exactly these
 strings and values, bit for bit. The ``read_*_csv`` readers parse the written
 files back for the round-trip tests. ``grid_scans`` draws the scans the
 writers are compared on.
@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from gammafeedback import GridScan, GridSpec, SimState, amplification_grid, stability_grid
 from gammafeedback.model import EPS_SINGULAR
-from gammafeedback.svgplot import (RAMP_HIGH, RAMP_LOW, SINGULAR_COLOR, _axes, _document,
-                                   _f, _Frame, _polyline)
+from gammafeedback.svgplot import (RAMP_HIGH, RAMP_LOW, RAMP_STEPS, SINGULAR_COLOR, _axes,
+                                   _document, _f, _Frame, _polyline)
 
 
 def _fmt(value) -> str:
@@ -29,8 +29,9 @@ def _fmt(value) -> str:
 
 
 def ramp_color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    rgb = [round(lo + t * (hi - lo)) for lo, hi in zip(RAMP_LOW, RAMP_HIGH)]
+    """The colour of the ramp stop nearest t, stop i sitting at t = i / RAMP_STEPS."""
+    i = float(np.rint(min(max(t, 0.0), 1.0) * RAMP_STEPS))
+    rgb = [round(lo + (i / RAMP_STEPS) * (hi - lo)) for lo, hi in zip(RAMP_LOW, RAMP_HIGH)]
     return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
 
 
@@ -156,13 +157,14 @@ def amplification_values(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ramp_fills(values, singular, vmin: float, span: float) -> np.ndarray:
-    """Every cell's fill: the ramp colour by np.rint, or gray where singular."""
+    """Every cell's fill: the nearest ramp stop by np.rint, or gray where singular."""
     values = np.asarray(values, dtype=float)
     singular = np.asarray(singular, dtype=bool)
     with np.errstate(all="ignore"):
         t = (np.where(singular, vmin, values) - vmin) / span
+    stop = np.rint(t * RAMP_STEPS)
     lo, hi = np.array(RAMP_LOW), np.array(RAMP_HIGH)
-    rgb = np.rint(lo + t[..., None] * (hi - lo)).astype(np.int64)
+    rgb = np.rint(lo + (stop[..., None] / RAMP_STEPS) * (hi - lo)).astype(np.int64)
     codes = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
     distinct, index = np.unique(codes, return_inverse=True)
     palette = [f"#{c:06x}" for c in distinct.tolist()] + [SINGULAR_COLOR]
