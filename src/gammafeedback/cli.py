@@ -4,10 +4,12 @@ Command-line front door.
     gammafeedback <subcommand> --config run.cfg --out results/ [--seed N]
                   [--svg] [--quiet]
 
-Exit codes: 0 success, 2 configuration error, 3 numerical error (singular
-denominator, or at a named step a simulated price leaving (0, 1e12 * s0] or
-the position decay's m**xi overflowing a double),
-4 I/O error. Failures print a one-line JSON error record to stderr.
+Options may come before or after the subcommand. Exit codes: 0 success,
+2 configuration error (a bad argument or a non-UTF-8 config among them),
+3 numerical error (singular denominator, or at a named step a
+simulated price leaving (0, 1e12 * s0] or the position decay's m**xi
+overflowing a double), 4 I/O error. Every failure prints one JSON error
+line to stderr, and a failed run leaves no output directory behind.
 
 No subcommand imports numpy.
 """
@@ -31,19 +33,23 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """An argument error is a ConfigError, reported as one JSON line."""
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gammafeedback",
         description="Gamma-feedback stability maps and hedging-feedback simulations.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the run configuration")
-        p.add_argument("--out", default=None, help="output directory (one per run)")
-        p.add_argument("--seed", type=int, default=None, help="override all run seeds")
-        p.add_argument("--svg", action="store_true", help="also emit SVG plots")
-        p.add_argument("--quiet", action="store_true", help="suppress the summary line")
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("--config", required=True, help="path to the run configuration")
+    parser.add_argument("--out", default=None, help="output directory (one per run)")
+    parser.add_argument("--seed", type=int, default=None, help="override all run seeds")
+    parser.add_argument("--svg", action="store_true", help="also emit SVG plots")
+    parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
     return parser
 
 
@@ -53,13 +59,12 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    reading = ""  # prefixes an error raised while the config file is read
     try:
+        args = build_parser().parse_args(argv)
+        reading = "cannot read config: "
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        return _fail(EXIT_IO, "io", f"cannot read config: {exc}")
-
-    try:
+        reading = ""
         config = parse_config(text)
         if args.seed is not None:
             _check_seed(args.seed, "--seed")
@@ -73,13 +78,14 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("no output directory: pass --out or set [run] out")
         manifest = run_subcommand(args.subcommand, config, out_dir)
     # SingularDenominator is a ValueError, so it comes first; ValueError
-    # covers ConfigError and OSError covers FileExistsError
+    # covers ConfigError and UnicodeDecodeError, and OSError covers
+    # FileExistsError
     except (SingularDenominator, NumericalOverflow) as exc:
         return _fail(EXIT_NUMERICAL, "numerical", str(exc))
     except ValueError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
+        return _fail(EXIT_CONFIG, "config", reading + str(exc))
     except OSError as exc:
-        return _fail(EXIT_IO, "io", str(exc))
+        return _fail(EXIT_IO, "io", reading + str(exc))
 
     if not args.quiet:
         outputs = ", ".join(entry["path"] for entry in manifest["outputs"])

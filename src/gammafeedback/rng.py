@@ -209,6 +209,9 @@ class Rng:
         """Unbiased integer in [0, n) via rejection sampling."""
         if n <= 0:
             raise ValueError(f"n must be positive (got {n})")
+        if n > 1 << 64:
+            # the rejection limit below would be 0, so no draw could pass
+            raise ValueError(f"n must be at most 2**64 (got {n})")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             u = self.next_u64()

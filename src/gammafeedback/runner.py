@@ -1,11 +1,12 @@
 """
 Subcommand orchestration: compute, write artifacts, record the manifest.
 
-Each run owns a fresh output directory (an existing non-empty directory is
-refused, never overwritten), writes its CSV artifacts and an optional SVG,
-then a ``config.resolved.cfg`` with every default filled in and a
-``manifest.json`` with SHA-256 digests of all outputs. Re-running the
-resolved config reproduces the digests exactly.
+Each run owns a fresh output directory. An existing non-empty one is refused
+before anything is computed, never overwritten; the directory is made only
+once the compute has returned, so a failed run leaves none behind. A run
+writes its CSV artifacts and an optional SVG, then a ``config.resolved.cfg``
+with every default filled in and a ``manifest.json`` with SHA-256 digests of
+all outputs. Re-running the resolved config reproduces the digests exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import time
 from pathlib import Path
 
-from . import __version__, artifacts
+from . import __version__, artifacts, svgplot
 from .analysis import (amplification_grid, analyze_fixed_point, critical_exposure,
                        extract_contour, linearized_feedback, stability_grid)
 from .artifacts import contour_csv, curve_csv, grid_csv, trajectory_csv
@@ -24,12 +25,13 @@ from .dynamics import simulate_recursive
 from .model import stability_denominator, static_response
 from .rng import PRNG_ID
 from .stochastic import simulate_event_driven, simulate_stochastic
-from .svgplot import emit_svg, line_chart_svg
+from .svgplot import line_chart_svg
 
 # Each compute below returns (filename, content) pairs. It looks the library
 # functions up as module globals when it runs, so a wrapper installed on this
-# module's names sees every call; run_subcommand looks up
-# ``artifacts.sha256_hex`` on its module for the same reason.
+# module's names sees every call; the SVG renderers (``svgplot.heatmap_svg``
+# and the rest) and ``artifacts.sha256_hex`` are looked up on their modules
+# for the same reason.
 
 
 def _stability_map(config: RunConfig) -> list[tuple[str, str]]:
@@ -38,8 +40,8 @@ def _stability_map(config: RunConfig) -> list[tuple[str, str]]:
     files = [("stability_grid.csv", grid_csv(scan)),
              ("stability_contour.csv", contour_csv(contour))]
     if config.emit_svg:
-        svg = emit_svg(scan, contours=[(contour, "#000000", "6,4")],
-                       title="Stability denominator")
+        svg = svgplot.heatmap_svg(scan, contours=[(contour, "#000000", "6,4")],
+                                  title="Stability denominator")
         files.append(("stability_map.svg", svg))
     return files
 
@@ -53,8 +55,9 @@ def _amplification_map(config: RunConfig) -> list[tuple[str, str]]:
              ("amplification_contour.csv", contour_csv(amp2)),
              ("stability_contour.csv", contour_csv(d0))]
     if config.emit_svg:
-        svg = emit_svg(ascan, contours=[(amp2, "#cc0000", "8,3,2,3"), (d0, "#000000", "6,4")],
-                       title="Amplification")
+        svg = svgplot.heatmap_svg(ascan, contours=[(amp2, "#cc0000", "8,3,2,3"),
+                                                   (d0, "#000000", "6,4")],
+                                  title="Amplification")
         files.append(("amplification_map.svg", svg))
     return files
 
@@ -69,13 +72,13 @@ def _static_response(config: RunConfig) -> list[tuple[str, str]]:
     return [("static_response.csv", header + row)]
 
 
-def _trajectory(title: str, simulate):
-    """The compute of a path subcommand: one trajectory and its plot."""
+def _trajectory(simulate, chart):
+    """The compute of a path subcommand: one trajectory and its chart."""
     def compute(config: RunConfig) -> list[tuple[str, str]]:
         traj = simulate(config)
         files = [("trajectory.csv", trajectory_csv(traj))]
         if config.emit_svg:
-            files.append(("trajectory.svg", emit_svg(traj, title=title)))
+            files.append(("trajectory.svg", chart(traj)))
         return files
     return compute
 
@@ -112,14 +115,14 @@ _SUBCOMMANDS = {
     "amplification-map": (("grid",), False, _amplification_map),
     "static-response": (("model",), False, _static_response),
     "simulate": (("model", "impact"), True, _trajectory(
-        "Recursive feedback",
-        lambda c: simulate_recursive(c.model, c.impact, c.horizon))),
+        lambda c: simulate_recursive(c.model, c.impact, c.horizon),
+        lambda t: svgplot.timeseries_svg([t], title="Recursive feedback"))),
     "simulate-stochastic": (("model", "impact", "stochastic"), True, _trajectory(
-        "Stochastic exposure",
-        lambda c: simulate_stochastic(c.model, c.impact, c.stochastic, c.horizon))),
+        lambda c: simulate_stochastic(c.model, c.impact, c.stochastic, c.horizon),
+        lambda t: svgplot.timeseries_svg([t], title="Stochastic exposure"))),
     "simulate-events": (("model", "impact", "events"), True, _trajectory(
-        "Event-driven exposure",
-        lambda c: simulate_event_driven(c.model, c.impact, c.events, c.stochastic))),
+        lambda c: simulate_event_driven(c.model, c.impact, c.events, c.stochastic),
+        lambda t: svgplot.event_series_svg(t, title="Event-driven exposure"))),
     "bifurcation-scan": (("grid",), False, _bifurcation_scan),
     "fixed-point": (("model", "impact"), False, _fixed_point),
 }
@@ -157,7 +160,6 @@ def run_subcommand(name: str, config: RunConfig, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()):
         raise FileExistsError(f"output directory {out} is not empty; refusing to overwrite")
-    out.mkdir(parents=True, exist_ok=True)
 
     sections, _, compute = _SUBCOMMANDS[name]
     start = time.perf_counter()
@@ -165,6 +167,7 @@ def run_subcommand(name: str, config: RunConfig, out_dir: str | Path) -> dict:
     duration = time.perf_counter() - start
 
     resolved = render_config(config)
+    out.mkdir(parents=True, exist_ok=True)
     outputs = []
     # encoded once: the bytes digested are the bytes written, with "\n"
     # line ends on every platform

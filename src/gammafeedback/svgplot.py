@@ -299,22 +299,3 @@ def event_series_svg(traj: Trajectory, title: str = "") -> str:
 def line_chart_svg(xs, ys, title: str = "", xlabel: str = "x", ylabel: str = "y") -> str:
     """Single-series line chart for scalar curves (e.g. root-exposure scans)."""
     return _chart([(xs, ys)], [PALETTE[0]], title, xlabel, ylabel)
-
-
-def emit_svg(artifact, **kwargs) -> str:
-    """Render a GridScan, ContourSet, Trajectory, or trajectory list.
-
-    Event-driven trajectories get the stem-plus-line dual-axis layout;
-    keyword arguments pass through to the matching renderer.
-    """
-    if isinstance(artifact, GridScan):
-        return heatmap_svg(artifact, **kwargs)
-    if isinstance(artifact, ContourSet):
-        return contour_svg(artifact, **kwargs)
-    if isinstance(artifact, Trajectory):
-        if artifact.mode == "event_driven":
-            return event_series_svg(artifact, **kwargs)
-        return timeseries_svg([artifact], **kwargs)
-    if isinstance(artifact, (list, tuple)) and artifact:
-        return timeseries_svg(list(artifact), **kwargs)
-    raise TypeError(f"cannot render artifact of type {type(artifact).__name__}")

@@ -191,7 +191,7 @@ gamma0 = 1.0
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "numerical"
         assert error["message"].endswith(f"at step {step}")
-        assert not (tmp_path / "x" / "trajectory.csv").exists()
+        assert not (tmp_path / "x").exists()
 
     def test_position_decay_overflow_is_3(self, tmp_path, cfg, capsys):
         # m**xi overflows a double: Python raises where the product would be inf
@@ -255,6 +255,48 @@ gamma0 = 1.0
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == kind
+        if out == "fresh":
+            # the directory is made only once the compute has returned
+            assert not target.exists()
+
+    @pytest.mark.parametrize("argv, text", [
+        (["warp"], SIM_CFG),
+        (["simulate", "--config"], None),
+        (["simulate", "--seed", "abc"], SIM_CFG),
+        (["simulate", "--bogus"], SIM_CFG),
+        (["simulate"], b"\xff"),
+    ], ids=["unknown-subcommand", "missing-config", "seed-not-int", "unknown-flag",
+            "config-not-utf8"])
+    def test_front_door_errors_are_one_json_line(self, tmp_path, capsys, argv, text):
+        target = tmp_path / "out"
+        if text is not None:
+            path = tmp_path / "run.cfg"
+            if isinstance(text, bytes):
+                path.write_bytes(text)
+            else:
+                path.write_text(text)
+            argv = [*argv, "--config", str(path)]
+        rc = main([*argv, "--out", str(target), "--quiet"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "config"
+        assert not target.exists()
+
+    def test_options_may_precede_the_subcommand(self, tmp_path, cfg):
+        rc = main(["--config", str(cfg(SIM_CFG)), "--out", str(tmp_path / "out"), "--quiet",
+                   "simulate"])
+        assert rc == 0
+        assert (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name in SUBCOMMANDS:
+            assert name in out
 
     @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
     def test_underflowing_surprise_scale_is_2(self, tmp_path, cfg, capsys, subcommand):

@@ -252,6 +252,15 @@ class TestIntegers:
         with pytest.raises(ValueError):
             Rng(0).randbelow(0)
 
+    def test_randbelow_beyond_64_bits_raises(self):
+        # the rejection limit would be 0 and no draw could ever pass
+        with pytest.raises(ValueError, match=str(2**64 + 1)):
+            Rng(1).randbelow(2**64 + 1)
+
+    def test_randbelow_full_64_bits_is_the_raw_draw(self):
+        rng, raw = Rng(1), Rng(1)
+        assert [rng.randbelow(2**64) for _ in range(8)] == [raw.next_u64() for _ in range(8)]
+
     def test_sample_indices_distinct_and_deterministic(self):
         rng = Rng(11)
         picks = rng.sample_indices(500, 70)

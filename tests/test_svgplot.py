@@ -27,8 +27,8 @@ from gammafeedback import (
 )
 from gammafeedback.analysis import linspace
 from gammafeedback.svgplot import (RAMP_HIGH, RAMP_LOW, RAMP_STEPS, SINGULAR_COLOR, _Frame,
-                                   _pad_span, _ramp_fills, contour_svg, emit_svg, heatmap_svg,
-                                   line_chart_svg, timeseries_svg)
+                                   _pad_span, _ramp_fills, contour_svg, event_series_svg,
+                                   heatmap_svg, line_chart_svg, timeseries_svg)
 
 PARAMS = ModelParams(lam=0.05, beta=1.0, mu0=0.025)
 TANH = ImpactSpec.tanh(1.0)
@@ -38,7 +38,7 @@ SPEC = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
 
 def test_flat_trajectory_single_horizontal_polyline():
     flat = simulate_recursive(ModelParams(lam=0.05, beta=1.0, mu0=0.0), TANH, 20)
-    svg = emit_svg(flat)
+    svg = timeseries_svg([flat])
     assert svg.startswith("<svg ")
     assert svg.rstrip().endswith("</svg>")
     polys = [l for l in svg.splitlines() if l.startswith("<polyline")]
@@ -52,7 +52,7 @@ def test_legend_entries_follow_input_order():
     trajs = [simulate_one_shot(ModelParams(lam=0.05, beta=1.0, mu0=m), TANH, 30)
              for m in mus]
     labels = [f"mu0={m}" for m in mus]
-    svg = emit_svg(trajs, labels=labels)
+    svg = timeseries_svg(trajs, labels=labels)
     positions = [svg.index(f">{lbl}</text>") for lbl in labels]
     assert positions == sorted(positions)
     assert len([l for l in svg.splitlines() if l.startswith("<polyline")]) == 5
@@ -67,7 +67,7 @@ def test_heatmap_has_cells_and_contour_overlay():
     frame = _Frame((SPEC.beta_min, SPEC.beta_max), (SPEC.g_min, SPEC.g_max))
     nodes = [(i, j) for i in range(SPEC.n_beta) for j in range(SPEC.n_g)]
     for scan in (stability_grid(SPEC), amplification_grid(stability_grid(SPEC))):
-        svg = emit_svg(scan, contours=[(contour, "#000000", "6,4")])
+        svg = heatmap_svg(scan, contours=[(contour, "#000000", "6,4")])
         rects = RECT.findall(svg)
         cells = [r for r in rects if r[4] != "none"]
         assert len(rects) == len(cells) + 1  # the plot frame
@@ -275,14 +275,14 @@ def test_heatmap_marks_singular_cells():
 
     scan = amplification_grid(stability_grid(SPEC))
     assert any(map(any, scan.singular))
-    svg = emit_svg(scan)
+    svg = heatmap_svg(scan)
     assert "#9e9e9e" in svg
 
 
 def test_event_series_has_stems_and_dual_axis():
     events = EventSpec(horizon=120, n_spikes=15, seed=4)
     traj = simulate_event_driven(PARAMS, TANH, events)
-    svg = emit_svg(traj)
+    svg = event_series_svg(traj)
     stems = [l for l in svg.splitlines()
              if l.startswith("<line") and 'stroke="#1f77b4" stroke-width="1.2"' in l]
     assert len(stems) == 15
@@ -291,9 +291,9 @@ def test_event_series_has_stems_and_dual_axis():
 
 def test_deterministic_output():
     traj = simulate_recursive(PARAMS, TANH, 30)
-    assert emit_svg(traj) == emit_svg(traj)
+    assert timeseries_svg([traj]) == timeseries_svg([traj])
     scan = stability_grid(SPEC)
-    assert emit_svg(scan) == emit_svg(scan)
+    assert heatmap_svg(scan) == heatmap_svg(scan)
 
 
 def test_line_chart():
@@ -305,7 +305,7 @@ def test_line_chart():
 
 def test_contour_dispatch():
     contour = extract_contour(stability_grid(SPEC), 0.0)
-    svg = emit_svg(contour)
+    svg = contour_svg(contour)
     assert svg.count("<polyline") == len(contour.polylines)
 
 
@@ -324,7 +324,7 @@ def _two_contours():
 def _five_labelled_runs():
     trajs = [simulate_recursive(ModelParams(lam=0.05, beta=1.0, mu0=m, n0=200.0, gamma0=1.0),
                                 TANH, 200) for m in MUS]
-    return emit_svg(trajs, labels=[f"mu0={m}" for m in MUS], title="Recursive sweep")
+    return timeseries_svg(trajs, labels=[f"mu0={m}" for m in MUS], title="Recursive sweep")
 
 
 def _unequal_horizons():
@@ -338,7 +338,7 @@ def _unequal_horizons():
 # with a legend and with series of different lengths.
 PINNED_CHARTS = {
     "fig1a-d0-contour": (
-        lambda: emit_svg(extract_contour(stability_grid(FIG1A), 0.0)),
+        lambda: contour_svg(extract_contour(stability_grid(FIG1A), 0.0)),
         "0a63d89aa9c916c029b64210df3e34cc56338cff1ad458e5084c6a54ee54f3f5"),
     "two-contours": (_two_contours,
                      "0876a8225928e8812db45fd81ed650f53af602429f30603f55e4d959b36e2bc3"),
@@ -353,8 +353,3 @@ PINNED_CHARTS = {
 def test_chart_bytes_pinned(name):
     render, digest = PINNED_CHARTS[name]
     assert hashlib.sha256(render().encode("utf-8")).hexdigest() == digest
-
-
-def test_unknown_artifact_rejected():
-    with pytest.raises(TypeError):
-        emit_svg({"not": "an artifact"})
