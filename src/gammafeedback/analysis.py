@@ -18,7 +18,7 @@ Stability maps and fixed-point analysis of the hedging-feedback loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .model import (
@@ -117,7 +117,6 @@ class GridScan:
     """
 
     spec: GridSpec
-    field_name: str
     values: list[list[float]]
     singular: list[list[bool]]
 
@@ -144,8 +143,7 @@ class ContourSet:
     first vertex at the end.
     """
 
-    level: float
-    polylines: list = field(default_factory=list)
+    polylines: list
 
 
 class FixedPointClass(Enum):
@@ -162,8 +160,6 @@ class FixedPointReport:
     ``fixed_point`` is None when 1 - f is within EPS_SINGULAR of zero.
     """
 
-    a: float
-    f: float
     fixed_point: float | None
     classification: FixedPointClass
 
@@ -184,12 +180,7 @@ def stability_grid(spec: GridSpec) -> GridScan:
     for b in spec.betas():
         la = lam * (1.0 + k * (shock / (b * sigma_m)))
         values.append([1.0 - la * g for g in gs])
-    return GridScan(
-        spec=spec,
-        field_name="stability_denominator",
-        values=values,
-        singular=[[False] * spec.n_g for _ in range(spec.n_beta)],
-    )
+    return GridScan(spec, values, [[False] * spec.n_g for _ in range(spec.n_beta)])
 
 
 def amplification_grid(dscan: GridScan) -> GridScan:
@@ -198,12 +189,7 @@ def amplification_grid(dscan: GridScan) -> GridScan:
     d = dscan.values
     values = [[1.0 / v if v > EPS_SINGULAR else SINGULAR_VALUE for v in row] for row in d]
     singular = [[v <= EPS_SINGULAR for v in row] for row in d]
-    return GridScan(
-        spec=dscan.spec,
-        field_name="amplification",
-        values=values,
-        singular=singular,
-    )
+    return GridScan(dscan.spec, values, singular)
 
 
 # Marching squares: corner bits (c0..c3) of a crossed cell -> segments as
@@ -333,7 +319,7 @@ def extract_contour(scan: GridScan, level: float) -> ContourSet:
 
     betas = scan.spec.betas()
     gs = scan.spec.gs()
-    return ContourSet(level=level, polylines=[
+    return ContourSet([
         [_crossing_point(k, values, level, betas, gs) for k in chain] for chain in polylines
     ])
 
@@ -366,7 +352,7 @@ def analyze_fixed_point(a: float, f: float) -> FixedPointReport:
         cls = FixedPointClass.UNSTABLE
     one_minus = 1.0 - f
     fixed_point = a / one_minus if abs(one_minus) > EPS_SINGULAR else None
-    return FixedPointReport(a=a, f=f, fixed_point=fixed_point, classification=cls)
+    return FixedPointReport(fixed_point, cls)
 
 
 def linearized_feedback(params: ModelParams, impact: ImpactSpec) -> float:

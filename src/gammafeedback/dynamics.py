@@ -21,7 +21,7 @@ one-shot run is one step from a start whose observed change is the shock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .model import ImpactSpec, ModelParams, _impact_function, _require
@@ -30,8 +30,6 @@ from .model import ImpactSpec, ModelParams, _impact_function, _require
 # (linear) impact response climbs above it, and at or below zero a downward
 # shock (mu0 < 0) has wiped out the price and the surprise x is undefined.
 OVERFLOW_FACTOR = 1e12
-
-MODES = ("one_shot", "recursive", "stochastic", "event_driven")
 
 
 class NumericalOverflow(ArithmeticError):
@@ -54,17 +52,9 @@ class SimState(NamedTuple):
 
 @dataclass
 class Trajectory:
-    """An ordered simulation path plus everything needed to reproduce it."""
+    """An ordered simulation path: the start state and one state per step."""
 
-    params: ModelParams
-    impact: ImpactSpec
-    states: list[SimState] = field(default_factory=list)
-    seed: int | None = None
-    mode: str = "recursive"
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES} (got {self.mode!r})")
+    states: list[SimState]
 
     def __len__(self) -> int:
         return len(self.states)
@@ -161,8 +151,7 @@ def feedback_step(
 
 def simulate_recursive(params: ModelParams, impact: ImpactSpec, horizon: int) -> Trajectory:
     """Full recursive feedback run over ``horizon`` steps (T+1 states)."""
-    states = _drive(initial_state(params), params, impact, horizon)
-    return Trajectory(params=params, impact=impact, states=states, mode="recursive")
+    return Trajectory(_drive(initial_state(params), params, impact, horizon))
 
 
 def simulate_one_shot(params: ModelParams, impact: ImpactSpec, horizon: int) -> Trajectory:
@@ -178,4 +167,4 @@ def simulate_one_shot(params: ModelParams, impact: ImpactSpec, horizon: int) -> 
     _, s, ds, m, _, _, nu = jump
     states = [initial_state(params), SimState(1, s, ds, m, n0, 0.0, nu)]
     states += [SimState(t, s, 0.0, m, n0, 0.0, nu) for t in range(2, horizon + 1)]
-    return Trajectory(params=params, impact=impact, states=states, mode="one_shot")
+    return Trajectory(states)

@@ -141,7 +141,10 @@ def relative_surprise(delta_s: float, s: float, beta: float, sigma_m: float) -> 
 def surprise_amplification(x: float, k: float = 2.0) -> float:
     """Hedging-intensity multiplier 1 + k*x; equals 1 at x = 0."""
     _require("x", x, ">=")
-    return 1.0 + k * x
+    amp = 1.0 + k * x
+    if amp != amp:  # inf * 0
+        raise ValueError(f"1 + k * x is nan (k = {k}, x = {x})")
+    return amp
 
 
 def stability_denominator(params: ModelParams, shock_ratio: float) -> float:

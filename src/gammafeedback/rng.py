@@ -224,6 +224,8 @@ class Rng:
         Index i swaps with a uniform position in [i, population); the first
         k pool entries are returned in draw order.
         """
+        if k < 0:
+            raise ValueError(f"k must be >= 0 (got {k})")
         if k > population:
             raise ValueError(f"cannot sample {k} distinct indices from {population}")
         pool = list(range(population))

@@ -115,32 +115,27 @@ class TestGridScanValidation:
         spec = GridSpec(beta_min=0.5, beta_max=1.5, g_min=0.0, g_max=10.0,
                         n_beta=3, n_g=4, shock_ratio=0.05, lam=0.003)
         with pytest.raises(ValueError, match="shape"):
-            GridScan(spec=spec, field_name="stability_denominator",
-                     values=[[1.0] * 4] * 2, singular=[[False] * 4] * 2)
+            GridScan(spec=spec, values=[[1.0] * 4] * 2, singular=[[False] * 4] * 2)
         # the right number of rows, one of them short
         with pytest.raises(ValueError, match="shape"):
-            GridScan(spec=spec, field_name="stability_denominator",
-                     values=[[1.0] * 4, [1.0] * 3, [1.0] * 4],
+            GridScan(spec=spec, values=[[1.0] * 4, [1.0] * 3, [1.0] * 4],
                      singular=[[False] * 4] * 3)
         with pytest.raises(ValueError, match="shape"):
-            GridScan(spec=spec, field_name="stability_denominator",
-                     values=[[1.0] * 4] * 3, singular=[[False] * 4] * 2 + [[False] * 5])
+            GridScan(spec=spec, values=[[1.0] * 4] * 3,
+                     singular=[[False] * 4] * 2 + [[False] * 5])
 
     def test_unflagged_nonfinite_rejected(self):
         spec = GridSpec(beta_min=0.5, beta_max=1.5, g_min=0.0, g_max=10.0,
                         n_beta=2, n_g=2, shock_ratio=0.05, lam=0.003)
         values = [[1.0, math.inf], [1.0, 1.0]]
         with pytest.raises(ValueError, match="finite"):
-            GridScan(spec=spec, field_name="amplification",
-                     values=values, singular=[[False, False], [False, False]])
+            GridScan(spec=spec, values=values, singular=[[False, False], [False, False]])
         with pytest.raises(ValueError, match="finite"):
-            GridScan(spec=spec, field_name="amplification",
-                     values=values, singular=[[True, False], [False, False]])
+            GridScan(spec=spec, values=values, singular=[[True, False], [False, False]])
         # the same values are fine once the cell is flagged, nan too
         flags = [[False, True], [False, False]]
-        GridScan(spec=spec, field_name="amplification", values=values, singular=flags)
-        GridScan(spec=spec, field_name="amplification",
-                 values=[[1.0, math.nan], [1.0, 1.0]], singular=flags)
+        GridScan(spec=spec, values=values, singular=flags)
+        GridScan(spec=spec, values=[[1.0, math.nan], [1.0, 1.0]], singular=flags)
 
 
 class TestStabilityGrid:
@@ -269,8 +264,7 @@ class TestExtractContour:
         spec = GridSpec(beta_min=beta_min, beta_max=beta_max, g_min=g_min,
                         g_max=g_max, n_beta=len(values), n_g=len(values[0]),
                         shock_ratio=0.0, lam=0.003)
-        return GridScan(spec=spec, field_name="stability_denominator",
-                        values=[[float(v) for v in row] for row in values],
+        return GridScan(spec=spec, values=[[float(v) for v in row] for row in values],
                         singular=[[False] * len(row) for row in values])
 
     def test_vertical_midline(self):
@@ -401,7 +395,7 @@ def saddle_scans(draw) -> GridScan:
               for i in range(spec.n_beta)]
     singular = [[draw(st.integers(0, 9)) == 0 for _ in range(spec.n_g)]
                 for _ in range(spec.n_beta)]
-    return GridScan(spec=spec, field_name="saddles", values=values, singular=singular)
+    return GridScan(spec=spec, values=values, singular=singular)
 
 
 class TestMatchesNumpyReference:
@@ -446,8 +440,7 @@ class TestMatchesNumpyReference:
                   [-2.0, -2.0, 3.0, -0.5]]
         spec = GridSpec(beta_min=0.5, beta_max=1.5, g_min=10.0, g_max=40.0, n_beta=4, n_g=4,
                         shock_ratio=0.05, lam=0.003)
-        scan = GridScan(spec=spec, field_name="saddles", values=values,
-                        singular=[[False] * 4 for _ in range(4)])
+        scan = GridScan(spec=spec, values=values, singular=[[False] * 4 for _ in range(4)])
         contour = extract_contour(scan, 0.0)
         assert len(contour.polylines) >= 2
         assert _hex_lines(contour.polylines) == _hex_lines(ref.extract_contour(scan, 0.0))

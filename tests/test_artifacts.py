@@ -94,8 +94,8 @@ class TestContourCsv:
     @given(st.lists(st.lists(st.tuples(_number, _number), max_size=6), max_size=4))
     @example([[(-0.0, 0.0)], [], [(1, 2.5), (3, -0.0)]])
     def test_matches_scalar_reference(self, polylines):
-        contours = ContourSet(level=0.0, polylines=[[(float(b), float(g)) for b, g in p]
-                                                    for p in polylines])
+        contours = ContourSet(polylines=[[(float(b), float(g)) for b, g in p]
+                                         for p in polylines])
         assert contour_csv(contours) == ref.contour_csv(contours)
 
     def test_extracted_contours_match_scalar_reference(self):
@@ -123,8 +123,7 @@ class TestTrajectoryCsv:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 10**6), *[_number] * 6), max_size=8))
     def test_matches_scalar_reference(self, rows):
-        traj = Trajectory(params=PARAMS, impact=ImpactSpec.tanh(1.0),
-                          states=[SimState(*row) for row in rows])
+        traj = Trajectory(states=[SimState(*row) for row in rows])
         assert trajectory_csv(traj) == ref.trajectory_csv(traj)
 
     @pytest.mark.parametrize("horizon", [CHUNK - 1, CHUNK, 2 * CHUNK])

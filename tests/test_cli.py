@@ -368,6 +368,39 @@ gamma0 = 1.0
         for key in ("lambda", "k", "shock_ratio", "beta_min", "sigma_m", "g_max"):
             assert key in error["message"]
 
+    @pytest.mark.parametrize("subcommand, text", [
+        ("static-response", SIM_CFG.replace("mu0 = 0.025", "mu0 = 0").replace(
+            "[impact]", "k = inf\n[impact]")),
+        ("bifurcation-scan", GRID_CFG.replace("shock_ratio = 0.05", "shock_ratio = 0").replace(
+            "[run]", "k = inf\n[run]")),
+    ], ids=["static-response", "bifurcation-scan"])
+    def test_infinite_k_at_zero_shock_is_2(self, tmp_path, cfg, capsys, subcommand, text):
+        # 1 + k * x is inf * 0: it would write a row of nan
+        rc = main([subcommand, "--config", str(cfg(text)), "--out", str(tmp_path / "x"),
+                   "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "config"
+        assert error["message"] == "1 + k * x is nan (k = inf, x = 0.0)"
+        assert not (tmp_path / "x").exists()
+
+    def test_every_section_present_is_validated(self, tmp_path, cfg, capsys):
+        # stability-map requires only [grid], but it parses and checks the
+        # [stochastic] section it does not use
+        text = GRID_CFG + "\n[stochastic]\nrho = 0.5\n"
+        assert main(["stability-map", "--config", str(cfg(text)), "--out",
+                     str(tmp_path / "ok"), "--quiet"]) == 0
+        text = text.replace("rho = 0.5", "rho = 2")
+        rc = main(["stability-map", "--config", str(cfg(text)), "--out", str(tmp_path / "x"),
+                   "--quiet"])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "config",
+                         "message": "[stochastic] rho must satisfy |rho| < 1 (got 2.0)"}
+        assert not (tmp_path / "x").exists()
+
 
 class TestManifest:
     def test_digests_match_files(self, tmp_path, cfg):

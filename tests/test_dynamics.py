@@ -291,12 +291,6 @@ class TestFrozenParameterEquivalence:
 
 
 class TestTrajectory:
-    def test_mode_validation(self):
-        from gammafeedback import Trajectory
-
-        with pytest.raises(ValueError):
-            Trajectory(params=FIG4, impact=TANH, states=[], mode="warp")
-
     def test_column_accessor(self):
         traj = simulate_recursive(FIG4, TANH, 5)
         assert traj.column("s") == traj.prices

@@ -110,6 +110,21 @@ class TestSurpriseAmplification:
         with pytest.raises(ValueError):
             surprise_amplification(-0.1, 2.0)
 
+    def test_rejects_nan_product_naming_k_and_x(self):
+        # inf * 0 is nan; inf * x for x > 0 is a plain inf
+        for k, x in ((math.inf, 0.0), (0.0, math.inf)):
+            with pytest.raises(ValueError, match=re.escape(f"(k = {k}, x = {x})")):
+                surprise_amplification(x, k)
+        assert surprise_amplification(1e-300, math.inf) == math.inf
+
+    def test_closed_forms_reject_infinite_k_at_zero_shock(self):
+        p = ModelParams(lam=0.05, beta=1.0, mu0=0.0, n0=200.0, gamma0=1.0, k=math.inf)
+        for call in (lambda: stability_denominator(p, 0.0),
+                     lambda: static_response(p, 0.0, 100.0),
+                     lambda: critical_exposure(0.05, 1.0, 0.0, k=math.inf)):
+            with pytest.raises(ValueError, match=r"1 \+ k \* x is nan"):
+                call()
+
     @given(x1=st.floats(0, 1e6), x2=st.floats(0, 1e6), k=st.floats(1e-6, 100))
     @example(x1=0.0, x2=4.3e-101, k=1.0)
     @example(x1=0.0, x2=1.19e-122, k=1.0)

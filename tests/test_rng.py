@@ -275,3 +275,8 @@ class TestIntegers:
     def test_sample_indices_validation(self):
         with pytest.raises(ValueError):
             Rng(0).sample_indices(5, 6)
+
+    def test_sample_indices_negative_k_rejected(self):
+        with pytest.raises(ValueError, match=r"k must be >= 0 \(got -1\)"):
+            Rng(1).sample_indices(5, -1)
+        assert Rng(1).sample_indices(5, 0) == []

@@ -148,11 +148,6 @@ class TestSimulateStochastic:
         assert abs(nu.std() - target) / target < 0.05
         assert abs(nu.mean()) < 3 * target / math.sqrt(20_000 * 0.1 / 1.9)
 
-    def test_mode_and_seed_recorded(self):
-        traj = simulate_stochastic(FIG6, TANH, StochasticSpec(seed=5), 10)
-        assert traj.mode == "stochastic"
-        assert traj.seed == 5
-
 
 class TestGenerateEventSpikes:
     def test_empty(self):

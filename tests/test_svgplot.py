@@ -93,7 +93,7 @@ def _edge_scan(values, singular=None):
                     n_beta=3, n_g=4, shock_ratio=0.05, lam=0.003)
     values = [[float(v) for v in values[i:i + 4]] for i in range(0, 12, 4)]
     singular = [[False] * 4 for _ in range(3)] if singular is None else singular
-    return GridScan(spec=spec, field_name="edge", values=values, singular=singular)
+    return GridScan(spec=spec, values=values, singular=singular)
 
 
 @settings(max_examples=200, deadline=None)
@@ -317,7 +317,7 @@ MUS = (0.005, 0.01, 0.015, 0.02, 0.025)
 def _two_contours():
     scan = stability_grid(FIG1A)
     lines = [extract_contour(scan, 0.5).polylines[0], extract_contour(scan, 0.0).polylines[0]]
-    return contour_svg(ContourSet(level=0.0, polylines=lines), title="D = 1/2 and D = 0",
+    return contour_svg(ContourSet(polylines=lines), title="D = 1/2 and D = 0",
                        xlabel="b", ylabel="exposure")
 
 

@@ -333,7 +333,7 @@ def arbitrary_scans(draw) -> GridScan:
     junk = st.sampled_from([math.nan, math.inf, -math.inf, 0.0])
     values = [[draw(junk) if s else v for v, s in zip(row, row_flags)]
               for row, row_flags in zip(values, singular)]
-    return GridScan(spec=spec, field_name="arbitrary", values=values, singular=singular)
+    return GridScan(spec=spec, values=values, singular=singular)
 
 
 def grid_scans():
