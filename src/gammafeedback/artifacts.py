@@ -46,14 +46,13 @@ _STATES_PER_CHUNK = 1024
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    states = traj.states
+    columns = traj._cols.values()
     chunks = ["t,S,dS,m_cum,N,mu,nu\n"]
-    for start in range(0, len(states), _STATES_PER_CHUNK):
-        # float(): a start state may carry the caller's int n0 and s0
+    for start in range(0, len(traj), _STATES_PER_CHUNK):
+        stop = start + _STATES_PER_CHUNK
         chunks.append("".join([
-            f"{t},{float(s)!r},{float(ds)!r},{float(m)!r},{float(n)!r},{float(mu)!r},"
-            f"{float(nu)!r}\n"
-            for t, s, ds, m, n, mu, nu in states[start:start + _STATES_PER_CHUNK]
+            f"{t},{s!r},{ds!r},{m!r},{n!r},{mu!r},{nu!r}\n"
+            for t, s, ds, m, n, mu, nu in zip(*[col[start:stop] for col in columns])
         ]))
     return "".join(chunks)
 

@@ -21,7 +21,8 @@ one-shot run is one step from a start whose observed change is the shock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from collections.abc import Iterable, MutableSequence
 from typing import Callable, NamedTuple
 
 from .model import ImpactSpec, ModelParams, _impact_function, _require
@@ -50,22 +51,80 @@ class SimState(NamedTuple):
     nu_t: float = 0.0
 
 
-@dataclass
-class Trajectory:
-    """An ordered simulation path: the start state and one state per step."""
+# The array typecode of each SimState field, in field order.
+_TYPECODES = "qdddddd"
 
-    states: list[SimState]
+
+class Trajectory:
+    """An ordered simulation path: the start state and one state per step,
+    stored as one array per SimState field (``t`` as 64-bit integers, the
+    others as doubles). The package's writers read these columns directly."""
+
+    def __init__(self, states: Iterable[SimState]) -> None:
+        columns = list(zip(*(SimState(*st) for st in states))) or [()] * len(_TYPECODES)
+        self._cols = dict(zip(SimState._fields, map(array, _TYPECODES, columns)))
+
+    @classmethod
+    def _from_columns(cls, columns: Iterable[array]) -> Trajectory:
+        """The trajectory that holds ``columns``, one per field in field order."""
+        traj = cls.__new__(cls)
+        traj._cols = dict(zip(SimState._fields, columns))
+        return traj
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self._cols["t"])
+
+    def __eq__(self, other: object) -> bool:
+        return self._cols == other._cols if isinstance(other, Trajectory) else NotImplemented
+
+    @property
+    def states(self) -> MutableSequence[SimState]:
+        """A live view: each read builds a SimState, each write changes the columns."""
+        return _States(self._cols)
 
     def column(self, name: str) -> list[float]:
         """One state field across all steps, e.g. column('s')."""
-        return [getattr(st, name) for st in self.states]
+        return self._cols[name].tolist()
 
     @property
     def prices(self) -> list[float]:
         return self.column("s")
+
+
+class _States(MutableSequence):
+    """The states of a Trajectory, read from and written to its columns."""
+
+    def __init__(self, cols: dict[str, array]) -> None:
+        self._cols = cols
+
+    def __len__(self) -> int:
+        return len(self._cols["t"])
+
+    def __getitem__(self, i):
+        values = [c[i] for c in self._cols.values()]
+        return list(map(SimState, *values)) if isinstance(i, slice) else SimState._make(values)
+
+    def __iter__(self):
+        return map(SimState, *self._cols.values())
+
+    def _row(self, state: SimState) -> list:
+        """``state`` as the columns store it, converted before any column changes."""
+        return [array(c.typecode, [v])[0] for c, v in zip(self._cols.values(), SimState(*state))]
+
+    def __setitem__(self, i: int, state: SimState) -> None:
+        for c, v in zip(self._cols.values(), self._row(state)):
+            c[i] = v
+
+    def __delitem__(self, i: int | slice) -> None:
+        for c in self._cols.values():
+            del c[i]
+
+    def insert(self, i: int, state: SimState) -> None:
+        for c, v in zip(self._cols.values(), self._row(state)):
+            c.insert(i, v)
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, (list, _States)) else NotImplemented
 
 
 def position_decay(n0: float, m_cum: float, eta: float = 2.0, xi: float = 5.0) -> float:
@@ -93,18 +152,19 @@ def initial_state(params: ModelParams, nu0: float = 0.0) -> SimState:
 
 
 def _drive(start: SimState, params: ModelParams, impact: ImpactSpec, horizon: int,
-           exposure: Callable | None = None) -> list[SimState]:
-    """``start`` and the ``horizon`` states after it; ``exposure`` is the hook
-    ``(t, n_t, nu_t) -> (n_eff, nu_next)`` of the module docstring."""
+           exposure: Callable | None = None) -> list[array]:
+    """``start`` and the ``horizon`` states after it, one array per SimState
+    field; ``exposure`` is the hook ``(t, n_t, nu_t) -> (n_eff, nu_next)`` of
+    the module docstring."""
     _require("horizon", horizon, ">=", 1)
     lam, gamma0, k, n0, mu0 = params.lam, params.gamma0, params.k, params.n0, params.mu0
     eta, xi, scale = params.eta, params.xi, params.beta * params.sigma_m
     top = OVERFLOW_FACTOR * params.s0
     respond = _impact_function(impact)
-    t, s, ds, m, n, mu, nu = start
-    states = [start]
-    append = states.append
-    for t in range(t, t + horizon):
+    t0, s, ds, m, n, mu, nu = start
+    columns = [array("q", range(t0, t0 + horizon + 1)), *(array("d", [v]) for v in start[1:])]
+    add_s, add_ds, add_m, add_n, add_mu, add_nu = (col.append for col in columns[1:])
+    for t in range(t0, t0 + horizon):
         if exposure is None:
             n_eff, nu = n, 0.0
         else:
@@ -125,8 +185,13 @@ def _drive(start: SimState, params: ModelParams, impact: ImpactSpec, horizon: in
                 f"position decay m**xi overflowed (m = {m!r}, xi = {xi!r}) at step {t + 1}"
             ) from None
         mu = mu0 * n / n0
-        append(SimState(t + 1, s, ds, m, n, mu, nu))
-    return states
+        add_s(s)
+        add_ds(ds)
+        add_m(m)
+        add_n(n)
+        add_mu(mu)
+        add_nu(nu)
+    return columns
 
 
 def feedback_step(
@@ -145,13 +210,14 @@ def feedback_step(
     """
     _require("s", state.s)
     n_eff = exposure_override
-    return _drive(state, params, impact, 1,
-                  lambda t, n_t, nu_t: (n_t if n_eff is None else n_eff, nu_next))[1]
+    columns = _drive(state, params, impact, 1,
+                     lambda t, n_t, nu_t: (n_t if n_eff is None else n_eff, nu_next))
+    return SimState._make([col[1] for col in columns])
 
 
 def simulate_recursive(params: ModelParams, impact: ImpactSpec, horizon: int) -> Trajectory:
     """Full recursive feedback run over ``horizon`` steps (T+1 states)."""
-    return Trajectory(_drive(initial_state(params), params, impact, horizon))
+    return Trajectory._from_columns(_drive(initial_state(params), params, impact, horizon))
 
 
 def simulate_one_shot(params: ModelParams, impact: ImpactSpec, horizon: int) -> Trajectory:
@@ -163,8 +229,15 @@ def simulate_one_shot(params: ModelParams, impact: ImpactSpec, horizon: int) -> 
     """
     _require("horizon", horizon, ">=", 1)
     s0, n0, mu0 = params.s0, params.n0, params.mu0
-    jump = _drive(SimState(0, s0, mu0 * s0, 0.0, n0, mu0), params, impact, 1)[1]
-    _, s, ds, m, _, _, nu = jump
-    states = [initial_state(params), SimState(1, s, ds, m, n0, 0.0, nu)]
-    states += [SimState(t, s, 0.0, m, n0, 0.0, nu) for t in range(2, horizon + 1)]
-    return Trajectory(states)
+    jump = _drive(SimState(0, s0, mu0 * s0, 0.0, n0, mu0), params, impact, 1)
+    _, s, ds, m, _, _, nu = (col[1] for col in jump)
+    flat = horizon - 1  # the states after the jump
+    return Trajectory._from_columns(map(array, _TYPECODES, (
+        range(horizon + 1),
+        [s0, s] + [s] * flat,
+        [0.0, ds] + [0.0] * flat,
+        [0.0] + [m] * horizon,
+        [n0] * (horizon + 1),
+        [mu0] + [0.0] * horizon,
+        [0.0] + [nu] * horizon,
+    )))

@@ -65,8 +65,9 @@ def _amplification_map(config: RunConfig) -> list[tuple[str, str]]:
 def _static_response(config: RunConfig) -> list[tuple[str, str]]:
     model = config.model
     shock = model.mu0
-    d = stability_denominator(model, shock)
-    ds = static_response(model, shock, model.s0)
+    # the surprise x is |dS/S|, so D sees the size of the shock, ds its sign
+    d = stability_denominator(model, abs(shock))
+    ds = static_response(model, shock, model.s0, x_shock_ratio=abs(shock))
     header = "shock_ratio,s0,stability_denominator,ds,amplification\n"
     row = f"{shock!r},{model.s0!r},{d!r},{ds!r},{1.0 / d!r}\n"
     return [("static_response.csv", header + row)]
@@ -85,6 +86,8 @@ def _trajectory(simulate, chart):
 
 def _bifurcation_scan(config: RunConfig) -> list[tuple[str, str]]:
     grid = config.grid
+    if not grid.lam > 0:  # at lambda <= 0, D = 1 - lambda * G * (1 + k*x) never reaches 0
+        raise ConfigError(f"[grid] lambda must be > 0 (got {grid.lam})")
     betas = grid.betas()
     roots = [critical_exposure(grid.lam, b, grid.shock_ratio, grid.sigma_m, grid.k)
              for b in betas]

@@ -102,7 +102,8 @@ def simulate_stochastic(
         nu = rho * nu_t + sigma_n * n_t * normal()
         return min(max(n_t + nu, 0.0), cap), nu
 
-    return Trajectory(_drive(initial_state(params), params, impact, horizon, exposure))
+    start = initial_state(params)
+    return Trajectory._from_columns(_drive(start, params, impact, horizon, exposure))
 
 
 def generate_event_spikes(spec: EventSpec, n0: float) -> dict[int, float]:
@@ -139,4 +140,4 @@ def simulate_event_driven(
         return min(max(n_t + nu_t, 0.0), cap), spike(t + 1, 0.0)
 
     start = initial_state(params, nu0=spike(0, 0.0))
-    return Trajectory(_drive(start, params, impact, events.horizon, exposure))
+    return Trajectory._from_columns(_drive(start, params, impact, events.horizon, exposure))

@@ -142,6 +142,24 @@ class TestSubcommands:
         assert "classification" in (tmp_path / "fp" / "fixed_point.csv").read_text()
 
 
+    def test_downward_shock_static_response(self, tmp_path, cfg):
+        # D sees the size of the shock |mu0|, and ds keeps its sign
+        soft = SIM_CFG.replace("lambda = 0.05", "lambda = 0.001")
+        rows = {}
+        for mu0 in ("0.02", "-0.02"):
+            rc = main(["static-response", "--config",
+                       str(cfg(soft.replace("mu0 = 0.025", f"mu0 = {mu0}"))),
+                       "--out", str(tmp_path / mu0), "--quiet"])
+            assert rc == 0
+            text = (tmp_path / mu0 / "static_response.csv").read_text()
+            rows[mu0] = dict(zip(*(line.split(",") for line in text.splitlines())))
+        up, down = rows["0.02"], rows["-0.02"]
+        assert down["shock_ratio"] == "-0.02"
+        assert down["stability_denominator"] == up["stability_denominator"]
+        assert down["amplification"] == up["amplification"]
+        assert float(down["ds"]) == -float(up["ds"]) < 0
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, cfg):
         bad = SIM_CFG.replace("beta = 1.0", "beta = -1")
@@ -384,6 +402,19 @@ gamma0 = 1.0
         error = json.loads(err)
         assert error["error"] == "config"
         assert error["message"] == "1 + k * x is nan (k = inf, x = 0.0)"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("lam", ["-1", "0"])
+    def test_bifurcation_scan_needs_positive_lambda(self, tmp_path, cfg, capsys, lam):
+        # at lambda <= 0 D never reaches 0, so there is no critical exposure
+        text = GRID_CFG.replace("lambda = 0.003", f"lambda = {lam}")
+        rc = main(["bifurcation-scan", "--config", str(cfg(text)), "--out",
+                   str(tmp_path / "x"), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "config",
+                                   "message": f"[grid] lambda must be > 0 (got {float(lam)})"}
         assert not (tmp_path / "x").exists()
 
     def test_every_section_present_is_validated(self, tmp_path, cfg, capsys):

@@ -6,7 +6,9 @@ scalar reference step (the recursion written out through the public
 helpers) that every mode must match state for state.
 """
 
+import copy
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -23,6 +25,7 @@ from gammafeedback import (
     Rng,
     SimState,
     StochasticSpec,
+    Trajectory,
     ar1_step,
     censor_exposure,
     exposure_cap,
@@ -295,6 +298,83 @@ class TestTrajectory:
         traj = simulate_recursive(FIG4, TANH, 5)
         assert traj.column("s") == traj.prices
         assert traj.column("nu_t") == [0.0] * 6
+
+    def test_states_view_reads(self):
+        traj = simulate_recursive(FIG4, TANH, 5)
+        states = traj.states
+        assert len(states) == 6 == len(traj)
+        assert states[-1] == states[5] and states[-1].s == traj.prices[-1]
+        assert all(type(st) is SimState for st in states)
+        assert list(states) == [states[i] for i in range(6)] == [states[0], *states[1:]]
+        assert [st.t for st in states] == list(range(6))
+
+    def test_states_view_writes_through(self):
+        traj = simulate_recursive(FIG4, TANH, 5)
+        st = traj.states[3]
+        traj.states[3] = st._replace(s=st.s * 2.0, nu_t=0.5)
+        assert traj.column("s")[3] == st.s * 2.0 and traj.column("nu_t")[3] == 0.5
+        assert traj.states[3] == st._replace(s=st.s * 2.0, nu_t=0.5)
+        last = traj.states[-1]
+        del traj.states[-1]
+        assert len(traj) == 5
+        assert all(len(traj.column(name)) == 5 for name in SimState._fields)
+        traj.states.insert(0, last)
+        assert traj.states[0] == last and len(traj.column("mu_t")) == 6
+
+    def test_a_rejected_write_changes_no_column(self):
+        traj = simulate_recursive(FIG4, TANH, 5)
+        st = traj.states[2]
+        with pytest.raises(TypeError):
+            traj.states[2] = st._replace(mu_t="0.5")
+        with pytest.raises(TypeError):
+            traj.states.insert(2, st._replace(t=2.5))
+        with pytest.raises(IndexError):
+            traj.states[6] = st
+        assert traj == simulate_recursive(FIG4, TANH, 5)
+        # a six-field tuple takes SimState's default nu_t
+        traj.states.insert(6, tuple(st)[:6])
+        assert traj.states[6] == st._replace(nu_t=0.0) and len(traj.column("nu_t")) == 7
+
+    def test_deep_copy_is_independent(self):
+        traj = simulate_recursive(FIG4, TANH, 5)
+        twin = copy.deepcopy(traj)
+        assert twin == traj and twin.states == traj.states
+        twin.states[1] = twin.states[1]._replace(ds_obs=-1.0)
+        del twin.states[-1]
+        assert traj == simulate_recursive(FIG4, TANH, 5) and len(traj) == 6
+        assert twin != traj
+
+    def test_view_equals_a_list_of_the_same_states(self):
+        traj = simulate_recursive(FIG4, TANH, 5)
+        states = [SimState(*row) for row in zip(*map(traj.column, SimState._fields))]
+        assert traj.states == states and states == traj.states
+        assert traj.states != states[:-1] and traj.states != tuple(states)
+        assert Trajectory(states) == traj and Trajectory(states=states).states == traj.states
+        with pytest.raises(TypeError):
+            hash(traj)
+
+    def test_int_start_values_read_back_as_floats(self):
+        traj = Trajectory([SimState(0, 100, 0, 0, 200, 1, 0)])
+        (state,) = traj.states
+        assert type(state.t) is int
+        assert all(type(v) is float for v in state[1:])
+        assert state == SimState(0, 100.0, 0.0, 0.0, 200.0, 1.0, 0.0)
+        assert len(Trajectory([])) == 0
+        # a six-field tuple takes SimState's default nu_t, as the view's writes do
+        short = Trajectory([(0, 100.0, 0.0, 0.0, 200.0, 1.0),
+                            SimState(1, 99.0, -1.0, 0.01, 200.0, 1.0, 0.5)])
+        assert short.column("nu_t") == [0.0, 0.5]
+
+    def test_at_most_64_bytes_per_state(self):
+        # one int64 and six doubles are 56 B, plus the arrays' spare capacity
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = simulate_recursive(FIG4, TANH, 10_000)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept / len(traj) <= 64
 
 
 # ---------------------------------------------------------------- reference
