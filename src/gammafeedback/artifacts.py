@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 
 from .analysis import ContourSet, GridScan
-from .dynamics import Trajectory
+from .dynamics import SimState, Trajectory
 
 
 def grid_csv(scan: GridScan) -> str:
@@ -46,7 +46,7 @@ _STATES_PER_CHUNK = 1024
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    columns = traj._cols.values()
+    columns = traj.arrays(*SimState._fields)
     chunks = ["t,S,dS,m_cum,N,mu,nu\n"]
     for start in range(0, len(traj), _STATES_PER_CHUNK):
         stop = start + _STATES_PER_CHUNK

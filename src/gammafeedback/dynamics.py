@@ -58,18 +58,21 @@ _TYPECODES = "qdddddd"
 class Trajectory:
     """An ordered simulation path: the start state and one state per step,
     stored as one array per SimState field (``t`` as 64-bit integers, the
-    others as doubles). The package's writers read these columns directly."""
+    others as doubles)."""
 
     def __init__(self, states: Iterable[SimState]) -> None:
-        columns = list(zip(*(SimState(*st) for st in states))) or [()] * len(_TYPECODES)
-        self._cols = dict(zip(SimState._fields, map(array, _TYPECODES, columns)))
+        self._cols = dict(zip(SimState._fields, map(array, _TYPECODES)))
+        self.states.extend(states)
 
     @classmethod
     def _from_columns(cls, columns: Iterable[array]) -> Trajectory:
         """The trajectory that holds ``columns``, one per field in field order."""
-        traj = cls.__new__(cls)
+        traj = cls(())
         traj._cols = dict(zip(SimState._fields, columns))
         return traj
+
+    def __repr__(self) -> str:
+        return f"Trajectory(states={self.states!r})"
 
     def __len__(self) -> int:
         return len(self._cols["t"])
@@ -85,6 +88,11 @@ class Trajectory:
     def column(self, name: str) -> list[float]:
         """One state field across all steps, e.g. column('s')."""
         return self._cols[name].tolist()
+
+    def arrays(self, *names: str) -> tuple[array, ...]:
+        """The stored columns ``names`` themselves, not copies; the package's
+        writers read these."""
+        return tuple(self._cols[name] for name in names)
 
     @property
     def prices(self) -> list[float]:
@@ -125,6 +133,9 @@ class _States(MutableSequence):
 
     def __eq__(self, other: object) -> bool:
         return list(self) == list(other) if isinstance(other, (list, _States)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def position_decay(n0: float, m_cum: float, eta: float = 2.0, xi: float = 5.0) -> float:
@@ -210,9 +221,8 @@ def feedback_step(
     """
     _require("s", state.s)
     n_eff = exposure_override
-    columns = _drive(state, params, impact, 1,
-                     lambda t, n_t, nu_t: (n_t if n_eff is None else n_eff, nu_next))
-    return SimState._make([col[1] for col in columns])
+    return SimState._make(col[1] for col in _drive(
+        state, params, impact, 1, lambda t, n_t, nu_t: (n_t if n_eff is None else n_eff, nu_next)))
 
 
 def simulate_recursive(params: ModelParams, impact: ImpactSpec, horizon: int) -> Trajectory:

@@ -14,6 +14,7 @@ Singular cells render gray.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 from .analysis import ContourSet, GridScan, linspace
 from .dynamics import Trajectory
@@ -160,7 +161,7 @@ def _document(body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>", ""])
 
 
-def _polyline(points: list[tuple[float, float]], color: str, width: float = 1.5,
+def _polyline(points: Iterable[tuple[float, float]], color: str, width: float = 1.5,
               dasharray: str | None = None) -> str:
     coords = " ".join(f"{_f(px)},{_f(py)}" for px, py in points)
     dash = f' stroke-dasharray="{dasharray}"' if dasharray else ""
@@ -168,16 +169,6 @@ def _polyline(points: list[tuple[float, float]], color: str, width: float = 1.5,
         f'<polyline points="{coords}" fill="none" stroke="{color}" '
         f'stroke-width="{width}"{dash}/>'
     )
-
-
-def _series_line(frame: _Frame, xs, ys, color: str) -> str:
-    """``_polyline([(frame.x(x), frame.y(y)) for x, y in zip(xs, ys)], color)``,
-    with the frame's arithmetic inlined, in the same order, and no point list."""
-    px0, x0, dx, sx = frame.px0, frame.x0, frame.x1 - frame.x0, frame.px1 - frame.px0
-    py0, y0, dy, sy = frame.py0, frame.y0, frame.y1 - frame.y0, frame.py1 - frame.py0
-    coords = " ".join([f"{px0 + (x - x0) / dx * sx:.2f},{py0 + (y - y0) / dy * sy:.2f}"
-                       for x, y in zip(xs, ys)])
-    return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
 
 def heatmap_svg(
@@ -237,7 +228,8 @@ def _chart(series, colors, title, xlabel, ylabel, labels=None) -> str:
     frame = _Frame((float(min(min(xs) for xs, _ in series)),
                     float(max(max(xs) for xs, _ in series))),
                    (min(min(ys) for _, ys in series), max(max(ys) for _, ys in series)))
-    body = [_series_line(frame, xs, ys, color) for (xs, ys), color in zip(series, colors)]
+    body = [_polyline(((frame.x(x), frame.y(y)) for x, y in zip(xs, ys)), color)
+            for (xs, ys), color in zip(series, colors)]
     body.extend(_axes(frame, xlabel, ylabel, title))
     body.extend(_legend(list(zip(labels, colors)) if labels else [], frame))
     return _document(body)
@@ -254,7 +246,7 @@ def timeseries_svg(
     if not trajectories:
         raise ValueError("no trajectories to plot")
     colors = [PALETTE[idx % len(PALETTE)] for idx in range(len(trajectories))]
-    series = [(range(len(traj)), traj._cols["s"]) for traj in trajectories]
+    series = [(range(len(traj)), traj.arrays("s")[0]) for traj in trajectories]
     return _chart(series, colors, title, xlabel, ylabel, labels)
 
 
@@ -273,7 +265,7 @@ def contour_svg(
 
 def event_series_svg(traj: Trajectory, title: str = "") -> str:
     """Price line on the left axis, exposure spikes as stems on the right."""
-    prices, nus = traj._cols["s"], traj._cols["nu_t"]
+    prices, nus = traj.arrays("s", "nu_t")
     frame = _Frame((0.0, float(len(prices) - 1)), (min(prices), max(prices)),
                    right_margin=RIGHT_AXIS_MARGIN)
     nu_max = max(max(nus), 1e-12)
@@ -289,7 +281,7 @@ def event_series_svg(traj: Trajectory, title: str = "") -> str:
                 f'<line x1="{_f(px)}" y1="{_f(base)}" x2="{_f(px)}" '
                 f'y2="{_f(nu_frame.y(nu))}" stroke="{stem_color}" stroke-width="1.2"/>'
             )
-    body.append(_series_line(frame, range(len(prices)), prices, PALETTE[3]))
+    body.append(_polyline(((frame.x(t), frame.y(v)) for t, v in enumerate(prices)), PALETTE[3]))
     body.extend(_axes(frame, "t", "S", title))
     for nv in linspace(0.0, nu_frame.y1, TICKS):
         py = nu_frame.y(nv)

@@ -365,6 +365,17 @@ class TestTrajectory:
                             SimState(1, 99.0, -1.0, 0.01, 200.0, 1.0, 0.5)])
         assert short.column("nu_t") == [0.0, 0.5]
 
+    def test_repr_and_stored_arrays(self):
+        traj = simulate_recursive(FIG4, TANH, 2)
+        assert repr(traj.states) == repr(list(traj.states))
+        assert repr(traj) == f"Trajectory(states={list(traj.states)!r})"
+        s, nu = traj.arrays("s", "nu_t")
+        assert s.tolist() == traj.prices and nu.tolist() == [0.0] * 3
+        traj.states[1] = traj.states[1]._replace(nu_t=0.5)
+        assert nu[1] == 0.5  # the stored column, not a copy
+        with pytest.raises(AttributeError):
+            traj.states = []
+
     def test_at_most_64_bytes_per_state(self):
         # one int64 and six doubles are 56 B, plus the arrays' spare capacity
         tracemalloc.start()

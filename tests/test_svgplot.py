@@ -18,8 +18,6 @@ from gammafeedback import (
     GridSpec,
     ImpactSpec,
     ModelParams,
-    SimState,
-    Trajectory,
     amplification_grid,
     extract_contour,
     simulate_event_driven,
@@ -28,10 +26,9 @@ from gammafeedback import (
     stability_grid,
 )
 from gammafeedback.analysis import linspace
-from gammafeedback.svgplot import (RAMP_HIGH, RAMP_LOW, RAMP_STEPS, RIGHT_AXIS_MARGIN,
-                                   SINGULAR_COLOR, _Frame, _pad_span, _ramp_fills, contour_svg,
-                                   event_series_svg, heatmap_svg, line_chart_svg,
-                                   timeseries_svg)
+from gammafeedback.svgplot import (RAMP_HIGH, RAMP_LOW, RAMP_STEPS, SINGULAR_COLOR, _Frame,
+                                   _pad_span, _ramp_fills, contour_svg, event_series_svg,
+                                   heatmap_svg, line_chart_svg, timeseries_svg)
 
 PARAMS = ModelParams(lam=0.05, beta=1.0, mu0=0.025)
 TANH = ImpactSpec.tanh(1.0)
@@ -263,30 +260,6 @@ def test_ticks_match_linspace(span, n):
     with np.errstate(over="ignore", invalid="ignore"):
         expected = ref.ticks(lo, hi, n)
     assert [v.hex() for v in linspace(lo, hi, n)] == [float(v).hex() for v in expected]
-
-
-price_series = st.one_of(
-    st.lists(st.floats(-2e12, 2e12), min_size=1, max_size=300),
-    st.lists(st.floats(1e12 - 1e5, 1e12 + 1e5), min_size=1, max_size=300),
-    # a constant series: the frame pads its zero span
-    st.builds(lambda v, n: [v] * n, st.floats(-2e12, 2e12), st.integers(1, 300)),
-)
-
-
-@given(price_series)
-@example([-0.0])
-@example([-0.0, 0.0, -0.0])
-@example([1e12, 1e12 + 0.5, 1e12 - 0.5])
-@settings(max_examples=150, deadline=None)
-def test_series_points_match_per_point_reference(prices):
-    # the series charts inline the frame's arithmetic; each point must
-    # format exactly as frame.x and frame.y, then _f, would make it
-    traj = Trajectory([SimState(t, s, 0.0, 0.0, 1.0, 0.0, 0.0) for t, s in enumerate(prices)])
-    ts, xlim, ylim = range(len(prices)), (0.0, float(len(prices) - 1)), (min(prices), max(prices))
-    for svg, frame in ((timeseries_svg([traj]), _Frame(xlim, ylim)),
-                       (event_series_svg(traj), _Frame(xlim, ylim, RIGHT_AXIS_MARGIN))):
-        assert re.findall(r'<polyline points="([^"]*)"', svg) == [
-            ref.series_points(frame, ts, prices)]
 
 
 def test_heatmap_rejects_a_span_beyond_doubles():

@@ -1,7 +1,6 @@
 """Reference implementations: the code the fast writers and the pure-Python maps replace.
 
 ``heatmap_svg`` formats every coordinate and colours every cell on its own,
-``series_points`` maps and formats every point of a series chart on its own,
 the CSV writers go through ``csv.writer`` one row at a time, and ``ticks``
 is ``np.linspace``. ``stability_values``, ``amplification_values``,
 ``ramp_fills`` and ``extract_contour`` are the numpy grids, heatmap fills
@@ -74,12 +73,6 @@ def heatmap_svg(scan, contours=(), title="", xlabel="beta", ylabel="G") -> str:
             body.append(_polyline(pts, color, width=1.8, dasharray=dasharray))
     body.extend(_axes(frame, xlabel, ylabel, title))
     return _document(body)
-
-
-def series_points(frame, xs, ys) -> str:
-    """The ``points`` of a series polyline: each point through ``frame.x`` and
-    ``frame.y``, then formatted on its own."""
-    return " ".join(f"{_f(frame.x(x))},{_f(frame.y(y))}" for x, y in zip(xs, ys))
 
 
 def grid_csv(scan) -> str:
