@@ -2,7 +2,8 @@
 CSV artifact schemas and the content digest.
 
 All numbers serialize with their shortest round-trip representation, so a
-written file parses back to bit-identical doubles. Schemas:
+written file parses back to bit-identical doubles. Each writer returns a
+list of chunks; ``"".join`` them for the text. Schemas:
 
 - grid:       ``beta,G,value,singular`` row-major over (beta, G) nodes
 - contour:    ``polyline_id,beta,G``
@@ -20,7 +21,7 @@ from .analysis import ContourSet, GridScan
 from .dynamics import SimState, Trajectory
 
 
-def grid_csv(scan: GridScan) -> str:
+def grid_csv(scan: GridScan) -> list[str]:
     gs = [repr(g) for g in scan.spec.gs()]
     rows = ["beta,G,value,singular\n"]  # then one string per beta row
     for beta, row_values, row_flags in zip(scan.spec.betas(), scan.values, scan.singular):
@@ -30,14 +31,14 @@ def grid_csv(scan: GridScan) -> str:
                                  in zip(gs, row_values, row_flags)]))
         else:
             rows.append("".join([f"{b},{g},{v!r},0\n" for g, v in zip(gs, row_values)]))
-    return "".join(rows)
+    return rows
 
 
-def contour_csv(contours: ContourSet) -> str:
+def contour_csv(contours: ContourSet) -> list[str]:
     rows = ["polyline_id,beta,G\n"]  # then one string per polyline
     for pid, line in enumerate(contours.polylines):
         rows.append("".join([f"{pid},{b!r},{g!r}\n" for b, g in line]))
-    return "".join(rows)
+    return rows
 
 
 # Long trajectories are formatted this many states at a time, so that the
@@ -45,7 +46,7 @@ def contour_csv(contours: ContourSet) -> str:
 _STATES_PER_CHUNK = 1024
 
 
-def trajectory_csv(traj: Trajectory) -> str:
+def trajectory_csv(traj: Trajectory) -> list[str]:
     columns = traj.arrays(*SimState._fields)
     chunks = ["t,S,dS,m_cum,N,mu,nu\n"]
     for start in range(0, len(traj), _STATES_PER_CHUNK):
@@ -54,16 +55,18 @@ def trajectory_csv(traj: Trajectory) -> str:
             f"{t},{s!r},{ds!r},{m!r},{n!r},{mu!r},{nu!r}\n"
             for t, s, ds, m, n, mu, nu in zip(*[col[start:stop] for col in columns])
         ]))
-    return "".join(chunks)
+    return chunks
 
 
-def curve_csv(betas, values, value_name: str = "g_star") -> str:
-    return f"beta,{value_name}\n" + "".join([f"{float(b)!r},{float(v)!r}\n"
-                                              for b, v in zip(betas, values)])
+def curve_csv(betas, values, value_name: str = "g_star") -> list[str]:
+    return [f"beta,{value_name}\n", "".join([f"{float(b)!r},{float(v)!r}\n"
+                                             for b, v in zip(betas, values)])]
 
 
-def sha256_hex(data: bytes | str) -> str:
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    return hashlib.sha256(data).hexdigest()
+def sha256_hex(data) -> str:
+    """The digest of a str (as UTF-8), bytes, or an iterable of either in order."""
+    digest = hashlib.sha256()
+    for chunk in (data,) if isinstance(data, (bytes, str)) else data:
+        digest.update(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+    return digest.hexdigest()
 

@@ -9,7 +9,7 @@ Options may come before or after the subcommand. Exit codes: 0 success,
 3 numerical error (singular denominator, or at a named step a
 simulated price leaving (0, 1e12 * s0] or the position decay's m**xi
 overflowing a double), 4 I/O error. Every failure prints one JSON error
-line to stderr, and a failed run leaves no output directory behind.
+line to stderr, and a failed run removes what it wrote.
 
 No subcommand imports numpy.
 """

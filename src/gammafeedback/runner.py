@@ -2,11 +2,12 @@
 Subcommand orchestration: compute, write artifacts, record the manifest.
 
 Each run owns a fresh output directory. An existing non-empty one is refused
-before anything is computed, never overwritten; the directory is made only
-once the compute has returned, so a failed run leaves none behind. A run
-writes its CSV artifacts and an optional SVG, then a ``config.resolved.cfg``
-with every default filled in and a ``manifest.json`` with SHA-256 digests of
-all outputs. Re-running the resolved config reproduces the digests exactly.
+before anything is computed, never overwritten. A run streams its CSV
+artifacts and an optional SVG to their files one at a time, then writes a
+``config.resolved.cfg`` with every default filled in and a ``manifest.json``
+with SHA-256 digests of all outputs. A failed run removes what it wrote: its
+files and the directories it made. Re-running the resolved config
+reproduces the digests exactly.
 """
 
 from __future__ import annotations
@@ -27,42 +28,39 @@ from .rng import PRNG_ID
 from .stochastic import simulate_event_driven, simulate_stochastic
 from .svgplot import line_chart_svg
 
-# Each compute below returns (filename, content) pairs. It looks the library
+# Each compute below yields (filename, chunks) pairs, one output at a time, so
+# the runner writes each before the next is built. It looks the library
 # functions up as module globals when it runs, so a wrapper installed on this
 # module's names sees every call; the SVG renderers (``svgplot.heatmap_svg``
 # and the rest) and ``artifacts.sha256_hex`` are looked up on their modules
 # for the same reason.
 
 
-def _stability_map(config: RunConfig) -> list[tuple[str, str]]:
+def _stability_map(config: RunConfig):
     scan = stability_grid(config.grid)
     contour = extract_contour(scan, 0.0)
-    files = [("stability_grid.csv", grid_csv(scan)),
-             ("stability_contour.csv", contour_csv(contour))]
+    yield "stability_grid.csv", grid_csv(scan)
+    yield "stability_contour.csv", contour_csv(contour)
     if config.emit_svg:
-        svg = svgplot.heatmap_svg(scan, contours=[(contour, "#000000", "6,4")],
-                                  title="Stability denominator")
-        files.append(("stability_map.svg", svg))
-    return files
+        yield "stability_map.svg", svgplot.heatmap_svg(
+            scan, contours=[(contour, "#000000", "6,4")], title="Stability denominator")
 
 
-def _amplification_map(config: RunConfig) -> list[tuple[str, str]]:
+def _amplification_map(config: RunConfig):
     dscan = stability_grid(config.grid)
     ascan = amplification_grid(dscan)
     amp2 = extract_contour(ascan, 2.0)
     d0 = extract_contour(dscan, 0.0)
-    files = [("amplification_grid.csv", grid_csv(ascan)),
-             ("amplification_contour.csv", contour_csv(amp2)),
-             ("stability_contour.csv", contour_csv(d0))]
+    yield "amplification_grid.csv", grid_csv(ascan)
+    yield "amplification_contour.csv", contour_csv(amp2)
+    yield "stability_contour.csv", contour_csv(d0)
     if config.emit_svg:
-        svg = svgplot.heatmap_svg(ascan, contours=[(amp2, "#cc0000", "8,3,2,3"),
-                                                   (d0, "#000000", "6,4")],
-                                  title="Amplification")
-        files.append(("amplification_map.svg", svg))
-    return files
+        yield "amplification_map.svg", svgplot.heatmap_svg(
+            ascan, contours=[(amp2, "#cc0000", "8,3,2,3"), (d0, "#000000", "6,4")],
+            title="Amplification")
 
 
-def _static_response(config: RunConfig) -> list[tuple[str, str]]:
+def _static_response(config: RunConfig):
     model = config.model
     shock = model.mu0
     # the surprise x is |dS/S|, so D sees the size of the shock, ds its sign
@@ -70,35 +68,33 @@ def _static_response(config: RunConfig) -> list[tuple[str, str]]:
     ds = static_response(model, shock, model.s0, x_shock_ratio=abs(shock))
     header = "shock_ratio,s0,stability_denominator,ds,amplification\n"
     row = f"{shock!r},{model.s0!r},{d!r},{ds!r},{1.0 / d!r}\n"
-    return [("static_response.csv", header + row)]
+    yield "static_response.csv", [header, row]
 
 
 def _trajectory(simulate, chart):
     """The compute of a path subcommand: one trajectory and its chart."""
-    def compute(config: RunConfig) -> list[tuple[str, str]]:
+    def compute(config: RunConfig):
         traj = simulate(config)
-        files = [("trajectory.csv", trajectory_csv(traj))]
+        yield "trajectory.csv", trajectory_csv(traj)
         if config.emit_svg:
-            files.append(("trajectory.svg", chart(traj)))
-        return files
+            yield "trajectory.svg", chart(traj)
     return compute
 
 
-def _bifurcation_scan(config: RunConfig) -> list[tuple[str, str]]:
+def _bifurcation_scan(config: RunConfig):
     grid = config.grid
     if not grid.lam > 0:  # at lambda <= 0, D = 1 - lambda * G * (1 + k*x) never reaches 0
         raise ConfigError(f"[grid] lambda must be > 0 (got {grid.lam})")
     betas = grid.betas()
     roots = [critical_exposure(grid.lam, b, grid.shock_ratio, grid.sigma_m, grid.k)
              for b in betas]
-    files = [("bifurcation.csv", curve_csv(betas, roots))]
+    yield "bifurcation.csv", curve_csv(betas, roots)
     if config.emit_svg:
-        svg = line_chart_svg(betas, roots, title="Critical exposure", xlabel="beta", ylabel="G*")
-        files.append(("bifurcation.svg", svg))
-    return files
+        yield "bifurcation.svg", line_chart_svg(betas, roots, title="Critical exposure",
+                                                xlabel="beta", ylabel="G*")
 
 
-def _fixed_point(config: RunConfig) -> list[tuple[str, str]]:
+def _fixed_point(config: RunConfig):
     model = config.model
     a = model.mu0 * model.s0
     f = linearized_feedback(model, config.impact)
@@ -109,7 +105,7 @@ def _fixed_point(config: RunConfig) -> list[tuple[str, str]]:
         f"{a!r},{f!r},{0.0 if fp is None else fp!r},"
         f"{int(fp is None)},{report.classification.value}\n"
     )
-    return [("fixed_point.csv", header + row)]
+    yield "fixed_point.csv", [header, row]
 
 
 # name -> (required sections, needs [run] horizon, compute)
@@ -156,6 +152,14 @@ def apply_seed_override(config: RunConfig, seed: int) -> RunConfig:
     return out
 
 
+def _encoded(file, chunks: list[str]):
+    """Each chunk encoded once, written, then digested: "\n" ends lines everywhere."""
+    for chunk in chunks:
+        data = chunk.encode("utf-8")
+        file.write(data)
+        yield data
+
+
 def run_subcommand(name: str, config: RunConfig, out_dir: str | Path) -> dict:
     """Execute a subcommand, write all artifacts plus ``manifest.json``, and
     return the manifest that file holds."""
@@ -165,28 +169,43 @@ def run_subcommand(name: str, config: RunConfig, out_dir: str | Path) -> dict:
         raise FileExistsError(f"output directory {out} is not empty; refusing to overwrite")
 
     sections, _, compute = _SUBCOMMANDS[name]
-    start = time.perf_counter()
-    files = compute(config)
-    duration = time.perf_counter() - start
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    written = []  # removed, with the directories in made, if the run fails
 
-    resolved = render_config(config)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    # encoded once: the bytes digested are the bytes written, with "\n"
-    # line ends on every platform
-    for filename, content in [*files, ("config.resolved.cfg", resolved)]:
-        data = content.encode("utf-8")
-        (out / filename).write_bytes(data)
-        outputs.append({"path": filename, "sha256": artifacts.sha256_hex(data)})
-    manifest = {
-        "tool": "gammafeedback",
-        "version": __version__,
-        "subcommand": name,
-        "seeds": {s: getattr(config, s).seed for s in sections if s in _SEEDED},
-        "prng": PRNG_ID,
-        "duration_seconds": duration,
-        "outputs": outputs,
-        "config": resolved,
-    }
-    (out / "manifest.json").write_bytes(json.dumps(manifest, indent=2).encode("utf-8"))
+    def write(filename: str, chunks: list[str]) -> dict:
+        written.append(out / filename)
+        with open(written[-1], "wb") as file:
+            return {"path": filename, "sha256": artifacts.sha256_hex(_encoded(file, chunks))}
+
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        # duration_seconds sums the compute's steps and leaves out the writes
+        outputs, duration, steps = [], 0.0, compute(config)
+        start = time.perf_counter()
+        for filename, chunks in steps:
+            duration += time.perf_counter() - start
+            outputs.append(write(filename, chunks))
+            del chunks  # freed before the next output is built
+            start = time.perf_counter()
+        duration += time.perf_counter() - start
+        resolved = render_config(config)
+        outputs.append(write("config.resolved.cfg", [resolved]))
+        manifest = {
+            "tool": "gammafeedback",
+            "version": __version__,
+            "subcommand": name,
+            "seeds": {s: getattr(config, s).seed for s in sections if s in _SEEDED},
+            "prng": PRNG_ID,
+            "duration_seconds": duration,
+            "outputs": outputs,
+            "config": resolved,
+        }
+        written.append(out / "manifest.json")
+        written[-1].write_bytes(json.dumps(manifest, indent=2).encode("utf-8"))
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for directory in made:
+            directory.rmdir()
+        raise
     return manifest

@@ -1,14 +1,14 @@
 """
 Self-contained SVG rendering for grids, contours, and trajectories.
 
-No external renderer: documents are plain SVG 1.1 text with axes, tick
-labels, and a legend, deterministic for identical input (fixed float
-formatting, fixed palette). Heatmaps use a monotone color ramp of 257 stops,
-spaced evenly in t from deep blue (20, 42, 108) at t = 0 to light yellow
-(249, 240, 85) at t = 1, each channel interpolated linearly in RGB and
-rounded: value v is mapped to t = (v - vmin) / (vmax - vmin) and takes the
-nearest stop, so every channel is within 0.95 of the unrounded ramp at t.
-Singular cells render gray.
+No external renderer: documents are plain SVG 1.1 text, returned as lists of
+chunks, with axes, tick labels, and a legend, deterministic for identical
+input (fixed float formatting, fixed palette). Heatmaps use a monotone color
+ramp of 257 stops, spaced evenly in t from deep blue (20, 42, 108) at t = 0
+to light yellow (249, 240, 85) at t = 1, each channel interpolated linearly
+in RGB and rounded: value v is mapped to t = (v - vmin) / (vmax - vmin) and
+takes the nearest stop, so every channel is within 0.95 of the unrounded
+ramp at t. Singular cells render gray.
 """
 
 from __future__ import annotations
@@ -153,12 +153,13 @@ def _legend(entries: list[tuple[str, str]], frame: _Frame) -> list[str]:
     return parts
 
 
-def _document(body: list[str]) -> str:
+def _document(body: list[str]) -> list[str]:
+    """The head, then each part after its own "\n" chunk (none is copied), then the end."""
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
-    return "\n".join([head, *body, "</svg>", ""])
+    return [head, *[chunk for part in body for chunk in ("\n", part)], "\n</svg>\n"]
 
 
 def _polyline(points: Iterable[tuple[float, float]], color: str, width: float = 1.5,
@@ -177,7 +178,7 @@ def heatmap_svg(
     title: str = "",
     xlabel: str = "beta",
     ylabel: str = "G",
-) -> str:
+) -> list[str]:
     """Grid heatmap with optional (ContourSet, color, dasharray) overlays."""
     spec = scan.spec
     betas, gs = spec.betas(), spec.gs()
@@ -220,7 +221,7 @@ def heatmap_svg(
     return _document(body)
 
 
-def _chart(series, colors, title, xlabel, ylabel, labels=None) -> str:
+def _chart(series, colors, title, xlabel, ylabel, labels=None) -> list[str]:
     """Lines through the (xs, ys) ``series`` on one frame that spans all
     their points, each in its colour, then the axes and, given labels, a
     legend of (label, colour) in series order."""
@@ -241,7 +242,7 @@ def timeseries_svg(
     title: str = "",
     xlabel: str = "t",
     ylabel: str = "S",
-) -> str:
+) -> list[str]:
     """Multi-line price chart; legend entries follow the input order."""
     if not trajectories:
         raise ValueError("no trajectories to plot")
@@ -255,7 +256,7 @@ def contour_svg(
     title: str = "",
     xlabel: str = "beta",
     ylabel: str = "G",
-) -> str:
+) -> list[str]:
     """Standalone polyline plot of a contour set."""
     if not contours.polylines:
         raise ValueError("contour set is empty")
@@ -263,7 +264,7 @@ def contour_svg(
     return _chart(series, [PALETTE[0]] * len(series), title, xlabel, ylabel)
 
 
-def event_series_svg(traj: Trajectory, title: str = "") -> str:
+def event_series_svg(traj: Trajectory, title: str = "") -> list[str]:
     """Price line on the left axis, exposure spikes as stems on the right."""
     prices, nus = traj.arrays("s", "nu_t")
     frame = _Frame((0.0, float(len(prices) - 1)), (min(prices), max(prices)),
@@ -295,6 +296,6 @@ def event_series_svg(traj: Trajectory, title: str = "") -> str:
     return _document(body)
 
 
-def line_chart_svg(xs, ys, title: str = "", xlabel: str = "x", ylabel: str = "y") -> str:
+def line_chart_svg(xs, ys, title: str = "", xlabel: str = "x", ylabel: str = "y") -> list[str]:
     """Single-series line chart for scalar curves (e.g. root-exposure scans)."""
     return _chart([(xs, ys)], [PALETTE[0]], title, xlabel, ylabel)

@@ -352,7 +352,7 @@ def test_criterion_9_end_to_end_desk_scale(tmp_path):
     # five-trajectory recursive sweep plus its figure
     mus = (0.005, 0.01, 0.015, 0.02, 0.025)
     trajs = [simulate_recursive(params(0.05, 1.0, mu0=m), TANH, 200) for m in mus]
-    svg = timeseries_svg(trajs, labels=[f"mu0={m}" for m in mus])
+    svg = "".join(timeseries_svg(trajs, labels=[f"mu0={m}" for m in mus]))
 
     # stochastic run
     simulate_stochastic(params(0.05, 1.0, mu0=0.025), TANH,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from gammafeedback import parse_config
+from gammafeedback import parse_config, svgplot
 from gammafeedback.artifacts import sha256_hex
 from gammafeedback.cli import main
 from gammafeedback.runner import SUBCOMMANDS, run_subcommand
@@ -247,7 +247,8 @@ gamma0 = 1.0
         # a ConfigError from the parser, and one from the run (missing section)
         ("simulate", SIM_CFG.replace("beta = 1.0", "beta = -1"), "fresh", 2, "config"),
         ("simulate", GRID_CFG, "fresh", 2, "config"),
-        # a plain ValueError from the run: critical_exposure rejects lambda = 0
+        # a ConfigError from the run: runner._bifurcation_scan rejects
+        # lambda <= 0 before any critical exposure is sought
         ("bifurcation-scan", GRID_CFG.replace("lambda = 0.003", "lambda = 0"), "fresh", 2,
          "config"),
         # SingularDenominator: D = -0.3
@@ -274,7 +275,7 @@ gamma0 = 1.0
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == kind
         if out == "fresh":
-            # the directory is made only once the compute has returned
+            # a failed run removes the directory it made
             assert not target.exists()
 
     @pytest.mark.parametrize("argv, text", [
@@ -431,6 +432,77 @@ gamma0 = 1.0
         assert error == {"error": "config",
                          "message": "[stochastic] rho must satisfy |rho| < 1 (got 2.0)"}
         assert not (tmp_path / "x").exists()
+
+
+class TestFailedRunRemovesWhatItWrote:
+    """Each output is on disk as soon as it is built, so a run that fails
+    later removes its files and the directories it made, and only those."""
+
+    @staticmethod
+    def _target(tmp_path, layout):
+        out = tmp_path / ("a/b/c" if layout == "nested" else "out")
+        if layout == "existing-empty":
+            out.mkdir()
+        return out
+
+    @staticmethod
+    def _left(layout):
+        """What the failed run must leave in tmp_path: the config, and the
+        directory only if it was there before."""
+        return ["out", "run.cfg"] if layout == "existing-empty" else ["run.cfg"]
+
+    @pytest.mark.parametrize("layout", ["fresh", "nested", "existing-empty"])
+    @pytest.mark.parametrize("error, code, kind", [
+        (ValueError("the finite cells span inf, beyond the largest double"), 2, "config"),
+        (OSError(28, "No space left on device"), 4, "io"),
+    ], ids=["value-error", "os-error"])
+    def test_heatmap_failure_after_the_grid_csvs(self, tmp_path, cfg, capsys, monkeypatch,
+                                                 layout, error, code, kind):
+        out = self._target(tmp_path, layout)
+        on_disk = []
+
+        def failing_heatmap(*args, **kwargs):
+            on_disk.extend(sorted(path.name for path in out.iterdir()))
+            raise error
+
+        monkeypatch.setattr(svgplot, "heatmap_svg", failing_heatmap)
+        rc = main(["stability-map", "--config", str(cfg(GRID_CFG)), "--out", str(out),
+                   "--svg", "--quiet"])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == kind
+        assert on_disk == ["stability_contour.csv", "stability_grid.csv"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == self._left(layout)
+        if layout == "existing-empty":
+            assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("layout", ["fresh", "nested", "existing-empty"])
+    def test_overflow_before_any_file(self, tmp_path, cfg, capsys, layout):
+        # NumericalOverflow: the position decay's m**xi overflows at step 1
+        out = self._target(tmp_path, layout)
+        runaway = SIM_CFG.replace("mu0 = 0.025", "mu0 = 1e9\nxi = 40")
+        rc = main(["simulate", "--config", str(cfg(runaway)), "--out", str(out), "--svg",
+                   "--quiet"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "numerical"
+        assert sorted(path.name for path in tmp_path.iterdir()) == self._left(layout)
+        if layout == "existing-empty":
+            assert list(out.iterdir()) == []
+
+    def test_out_below_a_file(self, tmp_path, cfg, capsys):
+        # the directory cannot be made: one io error, and the file is untouched
+        (tmp_path / "afile").write_text("a file")
+        out = tmp_path / "afile" / "sub"
+        rc = main(["simulate", "--config", str(cfg(SIM_CFG)), "--out", str(out), "--quiet"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "io" and str(out) in error["message"]
+        assert (tmp_path / "afile").read_text() == "a file"
 
 
 class TestManifest:

@@ -38,7 +38,7 @@ SPEC = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
 
 def test_flat_trajectory_single_horizontal_polyline():
     flat = simulate_recursive(ModelParams(lam=0.05, beta=1.0, mu0=0.0), TANH, 20)
-    svg = timeseries_svg([flat])
+    svg = "".join(timeseries_svg([flat]))
     assert svg.startswith("<svg ")
     assert svg.rstrip().endswith("</svg>")
     polys = [l for l in svg.splitlines() if l.startswith("<polyline")]
@@ -52,7 +52,7 @@ def test_legend_entries_follow_input_order():
     trajs = [simulate_one_shot(ModelParams(lam=0.05, beta=1.0, mu0=m), TANH, 30)
              for m in mus]
     labels = [f"mu0={m}" for m in mus]
-    svg = timeseries_svg(trajs, labels=labels)
+    svg = "".join(timeseries_svg(trajs, labels=labels))
     positions = [svg.index(f">{lbl}</text>") for lbl in labels]
     assert positions == sorted(positions)
     assert len([l for l in svg.splitlines() if l.startswith("<polyline")]) == 5
@@ -67,7 +67,7 @@ def test_heatmap_has_cells_and_contour_overlay():
     frame = _Frame((SPEC.beta_min, SPEC.beta_max), (SPEC.g_min, SPEC.g_max))
     nodes = [(i, j) for i in range(SPEC.n_beta) for j in range(SPEC.n_g)]
     for scan in (stability_grid(SPEC), amplification_grid(stability_grid(SPEC))):
-        svg = heatmap_svg(scan, contours=[(contour, "#000000", "6,4")])
+        svg = "".join(heatmap_svg(scan, contours=[(contour, "#000000", "6,4")]))
         rects = RECT.findall(svg)
         cells = [r for r in rects if r[4] != "none"]
         assert len(rects) == len(cells) + 1  # the plot frame
@@ -113,7 +113,8 @@ def _edge_scan(values, singular=None):
 @example(_edge_scan([-5e8 + k * 1e8 for k in range(12)]))  # a span of 1.1e9
 def test_heatmap_matches_scalar_reference(scan):
     contours = [(extract_contour(scan, 0.0), "#000000", "6,4")]
-    assert heatmap_svg(scan, contours, title="t") == ref.heatmap_svg(scan, contours, title="t")
+    svg = "".join(heatmap_svg(scan, contours, title="t"))
+    assert svg == ref.heatmap_svg(scan, contours, title="t")
 
 
 _DOUBLE = struct.Struct("<d")
@@ -275,14 +276,14 @@ def test_heatmap_marks_singular_cells():
 
     scan = amplification_grid(stability_grid(SPEC))
     assert any(map(any, scan.singular))
-    svg = heatmap_svg(scan)
+    svg = "".join(heatmap_svg(scan))
     assert "#9e9e9e" in svg
 
 
 def test_event_series_has_stems_and_dual_axis():
     events = EventSpec(horizon=120, n_spikes=15, seed=4)
     traj = simulate_event_driven(PARAMS, TANH, events)
-    svg = event_series_svg(traj)
+    svg = "".join(event_series_svg(traj))
     stems = [l for l in svg.splitlines()
              if l.startswith("<line") and 'stroke="#1f77b4" stroke-width="1.2"' in l]
     assert len(stems) == 15
@@ -297,15 +298,15 @@ def test_deterministic_output():
 
 
 def test_line_chart():
-    svg = line_chart_svg([0.5, 1.0, 2.0], [100.0, 77.0, 60.0],
-                         xlabel="beta", ylabel="G*")
+    svg = "".join(line_chart_svg([0.5, 1.0, 2.0], [100.0, 77.0, 60.0],
+                                 xlabel="beta", ylabel="G*"))
     assert svg.count("<polyline") == 1
     assert ">beta</text>" in svg
 
 
 def test_contour_dispatch():
     contour = extract_contour(stability_grid(SPEC), 0.0)
-    svg = contour_svg(contour)
+    svg = "".join(contour_svg(contour))
     assert svg.count("<polyline") == len(contour.polylines)
 
 
@@ -352,4 +353,4 @@ PINNED_CHARTS = {
 @pytest.mark.parametrize("name", PINNED_CHARTS)
 def test_chart_bytes_pinned(name):
     render, digest = PINNED_CHARTS[name]
-    assert hashlib.sha256(render().encode("utf-8")).hexdigest() == digest
+    assert hashlib.sha256("".join(render()).encode("utf-8")).hexdigest() == digest

@@ -72,7 +72,7 @@ def heatmap_svg(scan, contours=(), title="", xlabel="beta", ylabel="G") -> str:
             pts = [(frame.x(b), frame.y(g)) for b, g in line]
             body.append(_polyline(pts, color, width=1.8, dasharray=dasharray))
     body.extend(_axes(frame, xlabel, ylabel, title))
-    return _document(body)
+    return "".join(_document(body))
 
 
 def grid_csv(scan) -> str:
