@@ -24,8 +24,6 @@ from .dynamics import (
     SimState,
     Trajectory,
     feedback_step,
-    position_decay,
-    shock_decay,
     simulate_one_shot,
     simulate_recursive,
 )
@@ -44,8 +42,6 @@ from .rng import Rng
 from .stochastic import (
     EventSpec,
     StochasticSpec,
-    ar1_step,
-    censor_exposure,
     exposure_cap,
     generate_event_spikes,
     simulate_event_driven,
@@ -73,8 +69,6 @@ __all__ = [
     "Trajectory",
     "amplification_grid",
     "analyze_fixed_point",
-    "ar1_step",
-    "censor_exposure",
     "critical_exposure",
     "exposure_cap",
     "extract_contour",
@@ -83,10 +77,8 @@ __all__ = [
     "hedging_impact",
     "linearized_feedback",
     "parse_config",
-    "position_decay",
     "relative_surprise",
     "render_config",
-    "shock_decay",
     "simulate_event_driven",
     "simulate_one_shot",
     "simulate_recursive",

@@ -138,26 +138,6 @@ class _States(MutableSequence):
         return repr(list(self))
 
 
-def position_decay(n0: float, m_cum: float, eta: float = 2.0, xi: float = 5.0) -> float:
-    """Active position n0 / (1 + eta * m_cum^xi); decreasing in movement.
-
-    Raises OverflowError, as Python's float power does, when m_cum**xi
-    overflows a double (m_cum = 1e100 with xi = 5, say). Once the power is
-    finite, a product eta * m_cum**xi beyond the largest double is inf and
-    the position is 0.0. The step driver turns the error into
-    NumericalOverflow naming the step.
-    """
-    _require("m_cum", m_cum, ">=")
-    return n0 / (1.0 + eta * m_cum**xi)
-
-
-def shock_decay(mu0: float, n_t: float, n0: float) -> float:
-    """Shock rate proportional to remaining exposure: mu0 * n_t / n0."""
-    _require("n0", n0)
-    _require("n_t", n_t, ">=")
-    return mu0 * n_t / n0
-
-
 def initial_state(params: ModelParams, nu0: float = 0.0) -> SimState:
     return SimState(0, params.s0, 0.0, 0.0, params.n0, params.mu0, nu0)
 

@@ -63,24 +63,10 @@ class EventSpec:
         _check_seed(self.seed)
 
 
-def ar1_step(nu: float, rho: float, sigma_n: float, n_t: float, epsilon: float) -> float:
-    """One AR(1) update: rho * nu + sigma_n * n_t * epsilon."""
-    _check_rho(rho)
-    return rho * nu + sigma_n * n_t * epsilon
-
-
 def exposure_cap(n0: float, sigma_n: float, rho: float, kappa: float = 8.0) -> float:
     """Conservative upper bound n0 + kappa * sigma_n * n0 / sqrt(1 - rho^2)."""
     _check_rho(rho)
     return n0 + kappa * sigma_n * n0 / math.sqrt(1.0 - rho * rho)
-
-
-def censor_exposure(n_bar: float, cap: float) -> float:
-    """Clip effective exposure to [0, cap]: no short inventory, capped size."""
-    _require("cap", cap)
-    if n_bar != n_bar:  # max(nan, 0.0) is nan
-        raise ValueError(f"n_bar must be a number (got {n_bar})")
-    return min(max(n_bar, 0.0), cap)
 
 
 def simulate_stochastic(
@@ -110,11 +96,14 @@ def generate_event_spikes(spec: EventSpec, n0: float) -> dict[int, float]:
     """Seeded spike schedule: step index -> exposure increment.
 
     Indices are drawn without replacement from [0, horizon); magnitudes
-    are uniform on [0, max_fraction * n0], assigned in draw order.
+    are uniform on [0, max_fraction * n0], assigned in draw order; a bound
+    that is not finite raises ValueError.
     """
+    bound = spec.max_fraction * n0
+    if not math.isfinite(bound):
+        raise ValueError(f"max_fraction * n0 must be finite (got {spec.max_fraction} * {n0})")
     rng = Rng(spec.seed)
     indices = rng.sample_indices(spec.horizon, spec.n_spikes)
-    bound = spec.max_fraction * n0
     schedule = {idx: rng.uniform() * bound for idx in indices}
     return dict(sorted(schedule.items()))
 

@@ -225,6 +225,21 @@ gamma0 = 1.0
         assert "m**xi overflowed" in error["message"]
         assert error["message"].endswith("at step 1")
 
+    @pytest.mark.parametrize("max_fraction, n0", [("inf", "200"), ("1e307", "100")])
+    def test_infinite_spike_bound_is_2(self, tmp_path, cfg, capsys, max_fraction, n0):
+        # max_fraction * n0 beyond the largest double would draw inf spikes
+        unbounded = (EVENTS_CFG.replace("n0 = 200", f"n0 = {n0}")
+                     .replace("n_spikes = 20", f"n_spikes = 20\nmax_fraction = {max_fraction}"))
+        rc = main(["simulate-events", "--config", str(cfg(unbounded)),
+                   "--out", str(tmp_path / "x"), "--svg", "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "config"
+        assert "max_fraction * n0 must be finite" in error["message"]
+        assert not (tmp_path / "x").exists()
+
     def test_unreadable_config_is_4(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "missing.cfg"),
                    "--out", str(tmp_path / "x"), "--quiet"])

@@ -1,12 +1,13 @@
 """Simulation engines: decay laws, single steps, full runs of all four modes.
 
 Oracles: Fraction arithmetic for the decay formulas, mpmath for saturation
-values, brute-force affine iteration for the frozen-exposure regime, and a
-scalar reference step (the recursion written out through the public
-helpers) that every mode must match state for state.
+values, brute-force affine iteration for the frozen-exposure regime, and the
+reference step of ``step_reference`` (the recursion written out one formula
+at a time) that every mode must match state for state.
 """
 
 import copy
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -22,25 +23,17 @@ from gammafeedback import (
     ImpactSpec,
     ModelParams,
     NumericalOverflow,
-    Rng,
     SimState,
     StochasticSpec,
     Trajectory,
-    ar1_step,
-    censor_exposure,
-    exposure_cap,
     feedback_step,
-    generate_event_spikes,
-    position_decay,
-    relative_surprise,
-    shock_decay,
     simulate_event_driven,
     simulate_one_shot,
     simulate_recursive,
     simulate_stochastic,
-    surprise_amplification,
 )
-from gammafeedback.dynamics import OVERFLOW_FACTOR
+from step_reference import (outcome, position_decay, reference_step, replay_events,
+                            replay_one_shot, replay_recursive, replay_stochastic)
 
 REL = 1e-9
 
@@ -56,53 +49,78 @@ def frozen_params(feedback, mu0=0.0, k=0.0):
 
 
 class TestPositionDecay:
+    """The driver's decay N = n0 / (1 + eta * m^xi), read from its n_t column."""
+
     def test_no_movement(self):
-        assert position_decay(200.0, 0.0, 2.0, 5.0) == 200.0
+        traj = simulate_recursive(ModelParams(lam=0.05, beta=1.0, mu0=0.0), TANH, 20)
+        assert traj.column("m_cum") == [0.0] * 21
+        assert traj.column("n_t") == [200.0] * 21
 
     def test_derived_values(self):
+        # a shock of mu0 * s0 moves m to mu0 at step 1
+        one = simulate_recursive(ModelParams(lam=0.05, beta=1.0, mu0=1.0), TANH, 1)
         oracle = Fraction(200) / (1 + 2 * Fraction(1) ** 5)  # 200/3
-        assert position_decay(200.0, 1.0, 2.0, 5.0) == pytest.approx(float(oracle), rel=REL)
+        assert one.states[1].m_cum == 1.0
+        assert one.states[1].n_t == pytest.approx(float(oracle), rel=REL)
         assert round(float(oracle), 6) == 66.666667
+        half = simulate_recursive(ModelParams(lam=0.05, beta=1.0, mu0=0.5), TANH, 1)
         oracle = Fraction(200) / (1 + 2 * Fraction(1, 2) ** 5)  # 3200/17
-        assert position_decay(200.0, 0.5, 2.0, 5.0) == pytest.approx(float(oracle), rel=REL)
+        assert half.states[1].m_cum == 0.5
+        assert half.states[1].n_t == pytest.approx(float(oracle), rel=REL)
         assert round(float(oracle), 6) == 188.235294
 
-    def test_rejects_negative_movement(self):
-        with pytest.raises(ValueError):
-            position_decay(200.0, -0.1)
-
     def test_strictly_decreasing_and_positive(self):
-        ms = np.linspace(0.0, 10.0, 50)
-        ns = [position_decay(200.0, m, 2.0, 5.0) for m in ms]
-        assert all(a > b for a, b in zip(ns, ns[1:]))
-        assert all(n > 0 for n in ns)
+        traj = simulate_recursive(FIG4, TANH, 50)
+        m, n = traj.column("m_cum"), traj.column("n_t")
+        assert all(a < b for a, b in zip(m, m[1:]))
+        assert all(a > b for a, b in zip(n, n[1:]))
+        assert all(x > 0 for x in n)
 
     def test_eta_zero_disables_decay(self):
-        assert position_decay(200.0, 7.0, 0.0, 5.0) == 200.0
+        p = ModelParams(lam=0.05, beta=1.0, mu0=0.025, eta=0.0)
+        traj = simulate_recursive(p, TANH, 50)
+        assert traj.states[-1].m_cum > 7.0
+        assert traj.column("n_t") == [200.0] * 51
+        assert traj.column("mu_t") == [0.025] * 51
 
     def test_power_overflow_raises(self):
-        # m**xi beyond the largest double raises, as float ** does
-        with pytest.raises(OverflowError):
-            position_decay(200.0, 1e100, 2.0, 5.0)
-        with pytest.raises(OverflowError):
-            position_decay(200.0, 1e62, 0.0, 5.0)  # even with the decay switched off
-        # a finite power whose product with eta overflows gives no position
-        assert position_decay(200.0, 1e61, 1e10, 5.0) == 0.0
+        # m_1 = 2 and 2**1100 is beyond the largest double: float ** raises,
+        # and the driver names the step
+        with pytest.raises(NumericalOverflow, match=r"m\*\*xi overflowed .* at step 1$"):
+            simulate_recursive(ModelParams(lam=0.05, beta=1.0, mu0=2.0, xi=1100.0), TANH, 5)
+        # 2**1000 is finite but eta times it is inf: the position and the
+        # shock are gone from step 1 on, without an error
+        p = ModelParams(lam=0.05, beta=1.0, mu0=2.0, eta=1e10, xi=1000.0)
+        traj = simulate_recursive(p, TANH, 5)
+        assert traj.column("n_t") == [200.0] + [0.0] * 5
+        assert traj.column("mu_t") == [2.0] + [0.0] * 5
 
 
 class TestShockDecay:
+    """The driver's shock decay mu = mu0 * N / n0, read from its mu_t column."""
+
     def test_undecayed(self):
-        assert shock_decay(0.025, 200.0, 200.0) == 0.025
+        traj = simulate_recursive(FIG4, TANH, 1)
+        assert traj.states[0].mu_t == 0.025
+        frozen = simulate_recursive(dataclasses.replace(FIG4, eta=0.0), TANH, 10)
+        assert frozen.column("mu_t") == [0.025] * 11
 
     def test_half_exposure_half_shock(self):
-        assert shock_decay(0.025, 100.0, 200.0) == 0.0125
+        # m_1 = 1 and eta = 1 halve the position, and with it the shock
+        p = ModelParams(lam=0.05, beta=1.0, mu0=1.0, eta=1.0)
+        step = simulate_recursive(p, TANH, 1).states[1]
+        assert (step.n_t, step.mu_t) == (100.0, 0.5)
 
     def test_fully_decayed(self):
-        assert shock_decay(0.025, 0.0, 200.0) == 0.0
+        p = ModelParams(lam=0.05, beta=1.0, mu0=2.0, eta=1e10, xi=1000.0)
+        step = simulate_recursive(p, TANH, 1).states[1]
+        assert (step.n_t, step.mu_t) == (0.0, 0.0)
 
     def test_rejects_nonpositive_n0(self):
-        with pytest.raises(ValueError):
-            shock_decay(0.025, 100.0, 0.0)
+        # the decay divides by n0, which ModelParams holds > 0
+        for n0 in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=r"^n0 must be > 0"):
+                ModelParams(lam=0.05, beta=1.0, mu0=0.025, n0=n0)
 
 
 class TestFeedbackStep:
@@ -391,99 +409,13 @@ class TestTrajectory:
 # ---------------------------------------------------------------- reference
 
 
-def reference_impact(y, impact):
-    """The dealer response, one branch per kind."""
-    if impact.kind == "linear":
-        return y
-    if impact.kind == "clamp":
-        return min(impact.i_max, max(-impact.i_max, y))
-    return math.tanh(impact.c * y)
-
-
-def reference_step(state, params, impact, exposure_override=None, nu_next=0.0):
-    """One step of the recursion, each formula through its public helper."""
-    x = relative_surprise(state.ds_obs, state.s, params.beta, params.sigma_m)
-    n_eff = state.n_t if exposure_override is None else exposure_override
-    gain = reference_impact(
-        params.lam * n_eff * params.gamma0 * surprise_amplification(x, params.k),
-        impact,
-    )
-    ds = state.mu_t * state.s + gain * state.ds_obs
-    s = state.s + ds
-    if not abs(s) <= OVERFLOW_FACTOR * params.s0:
-        raise NumericalOverflow(f"price {s!r} at step {state.t + 1}")
-    m_cum = state.m_cum + abs(ds / state.s)
-    n_t = position_decay(params.n0, m_cum, params.eta, params.xi)
-    mu_t = shock_decay(params.mu0, n_t, params.n0)
-    return SimState(state.t + 1, s, ds, m_cum, n_t, mu_t, nu_next)
-
-
-def start_state(p, nu0=0.0):
-    return SimState(0, p.s0, 0.0, 0.0, p.n0, p.mu0, nu0)
-
-
-def replay_recursive(p, impact, horizon):
-    states = [start_state(p)]
-    for _ in range(horizon):
-        states.append(reference_step(states[-1], p, impact))
-    return states
-
-
-def replay_one_shot(p, impact, horizon):
-    """A single round of hedging on the shock-induced move, then flat."""
-    shock = p.mu0 * p.s0
-    x = relative_surprise(shock, p.s0, p.beta, p.sigma_m)
-    gain = reference_impact(
-        p.lam * p.n0 * p.gamma0 * surprise_amplification(x, p.k), impact
-    )
-    ds1 = shock + gain * shock
-    s1 = p.s0 + ds1
-    if not 0 < s1 <= OVERFLOW_FACTOR * p.s0:
-        raise NumericalOverflow(f"price {s1!r} at step 1")
-    m_cum = abs(ds1 / p.s0)
-    states = [start_state(p), SimState(1, s1, ds1, m_cum, p.n0, 0.0)]
-    states += [SimState(t, s1, 0.0, m_cum, p.n0, 0.0) for t in range(2, horizon + 1)]
-    return states
-
-
-def replay_stochastic(p, impact, stoch, horizon):
-    rng = Rng(stoch.seed)
-    cap = exposure_cap(p.n0, stoch.sigma_n, stoch.rho, stoch.kappa)
-    states = [start_state(p)]
-    for _ in range(horizon):
-        state = states[-1]
-        nu = ar1_step(state.nu_t, stoch.rho, stoch.sigma_n, state.n_t, rng.normal())
-        n_bar = censor_exposure(state.n_t + nu, cap)
-        states.append(reference_step(state, p, impact, n_bar, nu))
-    return states
-
-
-def replay_events(p, impact, events, stoch):
-    cap = exposure_cap(p.n0, stoch.sigma_n, stoch.rho, stoch.kappa)
-    schedule = generate_event_spikes(events, p.n0)
-    states = [start_state(p, schedule.get(0, 0.0))]
-    for t in range(events.horizon):
-        state = states[-1]
-        n_bar = censor_exposure(state.n_t + state.nu_t, cap)
-        states.append(reference_step(state, p, impact, n_bar, schedule.get(t + 1, 0.0)))
-    return states
-
-
-def outcome(run):
-    """The states of a run, or the step at which it overflowed."""
-    try:
-        return run()
-    except NumericalOverflow as exc:
-        return "overflow at step " + str(exc).rsplit(" ", 1)[1]
-
-
 def floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
 models = st.builds(
     ModelParams,
-    lam=floats(0.0, 0.1), beta=floats(0.05, 3.0), mu0=floats(0.0, 0.1),
+    lam=floats(0.0, 0.1), beta=floats(0.05, 3.0), mu0=floats(-1.5, 0.1),
     n0=floats(0.5, 500.0), gamma0=floats(0.05, 2.0), sigma_m=floats(0.005, 0.1),
     k=floats(0.0, 5.0), eta=floats(0.0, 5.0), xi=floats(0.5, 8.0), s0=floats(0.5, 1000.0),
 )

@@ -21,12 +21,9 @@ from gammafeedback import (
     RunConfig,
     SingularDenominator,
     StochasticSpec,
-    censor_exposure,
     critical_exposure,
     hedging_impact,
-    position_decay,
     relative_surprise,
-    shock_decay,
     simulate_one_shot,
     simulate_recursive,
     stability_denominator,
@@ -318,10 +315,6 @@ NAN_CASES = [
     (critical_exposure, (0.003, NAN, 0.05), "beta must be > 0"),
     (critical_exposure, (0.003, 1.0, 0.05, NAN), "sigma_m must be > 0"),
     (critical_exposure, (0.003, 1.0, NAN), "x must be >= 0"),
-    (position_decay, (200.0, NAN), "m_cum must be >= 0"),
-    (shock_decay, (0.01, 100.0, NAN), "n0 must be > 0"),
-    (shock_decay, (0.01, NAN, 200.0), "n_t must be >= 0"),
-    (censor_exposure, (100.0, NAN), "cap must be > 0"),
     (simulate_one_shot, (NAN_PARAMS, ImpactSpec.tanh(), NAN), "horizon must be >= 1"),
     (simulate_recursive, (NAN_PARAMS, ImpactSpec.tanh(), NAN), "horizon must be >= 1"),
     (RunConfig, {"horizon": NAN}, "horizon must be >= 1"),

@@ -13,8 +13,6 @@ from gammafeedback import (
     ModelParams,
     Rng,
     StochasticSpec,
-    ar1_step,
-    censor_exposure,
     exposure_cap,
     feedback_step,
     generate_event_spikes,
@@ -22,6 +20,7 @@ from gammafeedback import (
     simulate_recursive,
     simulate_stochastic,
 )
+from step_reference import censor_exposure, position_decay
 
 REL = 1e-9
 
@@ -33,19 +32,33 @@ SOFT_TANH = ImpactSpec.tanh(0.03)
 
 
 class TestAr1Step:
+    """The driver's AR(1) update nu' = rho * nu + sigma_n * n_t * eps, read
+    from the nu_t column of simulate_stochastic."""
+
     def test_pure_decay(self):
-        assert ar1_step(10.0, 0.9, 0.2, 100.0, 0.0) == pytest.approx(9.0, rel=REL)
+        # eta * m**xi is inf from step 1, so n_t = 0 and the noise input
+        # vanishes: nu decays geometrically from its first draw
+        p = ModelParams(lam=0.05, beta=1.0, mu0=2.0, eta=1e10, xi=1000.0)
+        traj = simulate_stochastic(p, TANH, StochasticSpec(seed=5), 50)
+        nu = traj.column("nu_t")
+        assert traj.column("n_t")[1:] == [0.0] * 50 and nu[1] != 0.0
+        assert all(b == 0.9 * a for a, b in zip(nu[1:], nu[2:]))
 
     def test_derived_value(self):
-        # oracle: 0.9*10 + 0.2*100*1 = 29
-        assert ar1_step(10.0, 0.9, 0.2, 100.0, 1.0) == pytest.approx(29.0, rel=REL)
+        # the first step scales the seed's first normal by sigma_n * n0
+        eps = Rng(8).normal()
+        traj = simulate_stochastic(FIG6, TANH, StochasticSpec(seed=8), 1)
+        assert traj.states[1].nu_t == pytest.approx(0.2 * 200.0 * eps, rel=REL)
+        assert traj.states[1].nu_t != 0.0
 
     def test_rest_state(self):
-        assert ar1_step(0.0, 0.9, 0.2, 100.0, 0.0) == 0.0
+        traj = simulate_stochastic(FIG6, TANH, StochasticSpec(sigma_n=0.0, seed=8), 50)
+        assert traj.column("nu_t") == [0.0] * 51
 
     def test_rejects_nonstationary_rho(self):
-        with pytest.raises(ValueError):
-            ar1_step(0.0, 1.0, 0.2, 100.0, 0.0)
+        for rho in (1.0, -1.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"^rho must satisfy \|rho\| < 1"):
+                StochasticSpec(rho=rho)
 
 
 class TestExposureCap:
@@ -71,24 +84,46 @@ class TestExposureCap:
 
 
 class TestCensorExposure:
+    """The AR(1) hook feeds n_t + nu clipped to [0, cap] to the gain: each
+    step of a run equals feedback_step at that clipped exposure."""
+
+    # frozen position, unsaturated gain and a low cap: the exposure leaves
+    # [0, cap] on both sides
+    P = ModelParams(lam=0.03, beta=1.0, mu0=0.025, n0=200.0, gamma0=1.0, eta=0.0)
+    STOCH = StochasticSpec(rho=0.9, sigma_n=0.5, kappa=0.5, seed=3)
+
+    def steps(self, keep):
+        """The (state, next state, exposure) of each step whose raw exposure
+        n_t + nu passes ``keep(raw, cap)``."""
+        cap = exposure_cap(self.P.n0, self.STOCH.sigma_n, self.STOCH.rho, self.STOCH.kappa)
+        states = simulate_stochastic(self.P, SOFT_TANH, self.STOCH, 300).states
+        pairs = zip(states, states[1:])
+        found = [(a, b, a.n_t + b.nu_t) for a, b in pairs if keep(a.n_t + b.nu_t, cap)]
+        assert len(found) > 10
+        return found, cap
+
     def test_floor(self):
-        assert censor_exposure(-5.0, 900.0) == 0.0
+        found, _ = self.steps(lambda raw, cap: raw < 0)
+        for state, nxt, raw in found:
+            assert feedback_step(state, self.P, SOFT_TANH, 0.0, nxt.nu_t) == nxt
+            assert feedback_step(state, self.P, SOFT_TANH, raw, nxt.nu_t) != nxt
 
     def test_cap(self):
-        cap = exposure_cap(200.0, 0.2, 0.9, 8.0)
-        assert censor_exposure(1200.0, cap) == cap
+        found, cap = self.steps(lambda raw, cap: raw > cap)
+        for state, nxt, raw in found:
+            assert feedback_step(state, self.P, SOFT_TANH, cap, nxt.nu_t) == nxt
+            assert feedback_step(state, self.P, SOFT_TANH, raw, nxt.nu_t) != nxt
 
     def test_interior_unchanged(self):
-        assert censor_exposure(150.0, 900.0) == 150.0
+        found, _ = self.steps(lambda raw, cap: 0 <= raw <= cap)
+        for state, nxt, raw in found:
+            assert feedback_step(state, self.P, SOFT_TANH, raw, nxt.nu_t) == nxt
 
     def test_rejects_nonpositive_cap(self):
-        with pytest.raises(ValueError):
-            censor_exposure(1.0, 0.0)
-
-    def test_rejects_nan_exposure(self):
-        # max(nan, 0.0) is nan, which lies in no interval [0, cap]
-        with pytest.raises(ValueError, match=r"^n_bar must be a number \(got nan\)$"):
-            censor_exposure(math.nan, 10.0)
+        # kappa > 0 keeps the cap at or above n0 > 0
+        for kappa in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=r"^kappa must be > 0"):
+                StochasticSpec(kappa=kappa)
 
 
 class TestSimulateStochastic:
@@ -120,18 +155,8 @@ class TestSimulateStochastic:
         traj = simulate_stochastic(FIG6, TANH, StochasticSpec(seed=5), 10)
         assert traj.states[0].nu_t == 0.0
 
-    def test_censoring_bounds_hold(self):
-        stoch = StochasticSpec(seed=222)
-        cap = exposure_cap(FIG6.n0, stoch.sigma_n, stoch.rho, stoch.kappa)
-        traj = simulate_stochastic(FIG6, TANH, stoch, 300)
-        for prev, cur in zip(traj.states, traj.states[1:]):
-            n_bar = censor_exposure(prev.n_t + cur.nu_t, cap)
-            assert 0.0 <= n_bar <= cap
-
     def test_deterministic_position_decay_unchanged(self):
         # the deterministic n_t column obeys the decay law regardless of noise
-        from gammafeedback import position_decay
-
         traj = simulate_stochastic(FIG6, TANH, StochasticSpec(seed=13), 100)
         for st in traj.states:
             assert st.n_t == pytest.approx(
@@ -165,6 +190,13 @@ class TestGenerateEventSpikes:
     def test_deterministic(self):
         spec = EventSpec(horizon=500, n_spikes=70, seed=9)
         assert generate_event_spikes(spec, 200.0) == generate_event_spikes(spec, 200.0)
+
+    def test_rejects_a_bound_that_is_not_finite(self):
+        for max_fraction, n0 in ((math.inf, 200.0), (1e307, 100.0), (0.3, math.inf)):
+            spec = EventSpec(horizon=50, n_spikes=5, max_fraction=max_fraction, seed=1)
+            with pytest.raises(ValueError, match=r"^max_fraction \* n0 must be finite"):
+                generate_event_spikes(spec, n0)
+        assert max(generate_event_spikes(EventSpec(50, 5, 1e300, 1), 100.0).values()) < math.inf
 
     def test_spike_count_validation(self):
         with pytest.raises(ValueError):
