@@ -18,6 +18,7 @@ Stability maps and fixed-point analysis of the hedging-feedback loop.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,6 +38,11 @@ CLASSIFY_TOL = 1e-9
 # Value stored in grid cells flagged singular (keeps CSV round-trips and
 # comparisons well-defined; consumers must check the flag, not the value).
 SINGULAR_VALUE = 0.0
+
+# The byte of each singular flag. 0 and 1 equal False and True and hash
+# alike, so they find the same bytes; any other flag reads 2, which
+# GridScan refuses.
+_FLAGS = {False: 0, True: 1}
 
 
 def linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -111,16 +117,23 @@ class GridSpec:
 class GridScan:
     """A scalar field sampled on a GridSpec.
 
-    ``values`` is n_beta rows of n_g floats, one row per beta node;
-    ``singular`` holds one bool per cell and flags cells where the field is
-    undefined (their stored value is SINGULAR_VALUE).
+    ``values`` is n_beta rows of n_g doubles, one ``array('d')`` per beta
+    node; ``singular`` is n_beta ``bytes`` rows of one 0/1 flag per cell and
+    flags cells where the field is undefined (their stored value is
+    SINGULAR_VALUE). Any row sequences are accepted and stored that way.
     """
 
     spec: GridSpec
-    values: list[list[float]]
-    singular: list[list[bool]]
+    values: list[array]
+    singular: list[bytes]
 
     def __post_init__(self) -> None:
+        self.values = [row if isinstance(row, array) and row.typecode == "d"
+                       else array("d", row) for row in self.values]
+        self.singular = [row if type(row) is bytes else bytes([_FLAGS.get(s, 2) for s in row])
+                         for row in self.singular]
+        if any(row.translate(None, b"\0\1") for row in self.singular):
+            raise ValueError("singular flags must be bools, 0 or 1")
         expected = (self.spec.n_beta, self.spec.n_g)
         for name, rows in (("values", self.values), ("singular", self.singular)):
             if len(rows) != expected[0] or any(len(row) != expected[1] for row in rows):
@@ -179,16 +192,17 @@ def stability_grid(spec: GridSpec) -> GridScan:
     values = []
     for b in spec.betas():
         la = lam * (1.0 + k * (shock / (b * sigma_m)))
-        values.append([1.0 - la * g for g in gs])
-    return GridScan(spec, values, [[False] * spec.n_g for _ in range(spec.n_beta)])
+        values.append(array("d", [1.0 - la * g for g in gs]))
+    return GridScan(spec, values, [bytes(spec.n_g)] * spec.n_beta)  # one shared zero row
 
 
 def amplification_grid(dscan: GridScan) -> GridScan:
     """Evaluate 1/D on the grid of a ``stability_grid`` scan of D; cells
     with D <= EPS_SINGULAR are flagged."""
     d = dscan.values
-    values = [[1.0 / v if v > EPS_SINGULAR else SINGULAR_VALUE for v in row] for row in d]
-    singular = [[v <= EPS_SINGULAR for v in row] for row in d]
+    values = [array("d", [1.0 / v if v > EPS_SINGULAR else SINGULAR_VALUE for v in row])
+              for row in d]
+    singular = [bytes([v <= EPS_SINGULAR for v in row]) for row in d]
     return GridScan(dscan.spec, values, singular)
 
 

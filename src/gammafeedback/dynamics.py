@@ -200,6 +200,7 @@ def feedback_step(
     returned state.
     """
     _require("s", state.s)
+    _require("m_cum", state.m_cum, ">=")
     n_eff = exposure_override
     return SimState._make(col[1] for col in _drive(
         state, params, impact, 1, lambda t, n_t, nu_t: (n_t if n_eff is None else n_eff, nu_next)))

@@ -51,6 +51,7 @@ def _amplification_map(config: RunConfig):
     ascan = amplification_grid(dscan)
     amp2 = extract_contour(ascan, 2.0)
     d0 = extract_contour(dscan, 0.0)
+    del dscan  # only its contour is drawn: freed before the first output is built
     yield "amplification_grid.csv", grid_csv(ascan)
     yield "amplification_contour.csv", contour_csv(amp2)
     yield "stability_contour.csv", contour_csv(d0)

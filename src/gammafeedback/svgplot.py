@@ -39,9 +39,9 @@ def _f(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _ramp_fills(values: list[list[float]], singular: list[list[bool]], vmin: float,
-                vmax: float) -> list[list[str]]:
-    """The fill of every cell: the ramp stop nearest t = (v - vmin) / span, or gray.
+def _ramp_fills(values, singular, vmin: float, vmax: float) -> Iterable[list[str]]:
+    """The fills of each row of cells, one row at a time: the ramp stop nearest
+    t = (v - vmin) / span, or gray.
 
     Stop i of the RAMP_STEPS + 1 has each channel ``round(lo + (i / RAMP_STEPS)
     * (hi - lo))``; a cell takes stop ``round(t * RAMP_STEPS)``, rounded half to
@@ -56,14 +56,13 @@ def _ramp_fills(values: list[list[float]], singular: list[list[bool]], vmin: flo
     for i in range(RAMP_STEPS + 1):
         r, g, b = (round(lo + (i / RAMP_STEPS) * (hi - lo)) for lo, hi in zip(RAMP_LOW, RAMP_HIGH))
         stops.append(f"#{r:02x}{g:02x}{b:02x}")
-    fills = []
-    for row, flags in zip(values, singular):
+
+    def row_fills(row, flags):
         if any(flags):
-            fills.append([SINGULAR_COLOR if s else stops[round((v - vmin) / span * RAMP_STEPS)]
-                          for v, s in zip(row, flags)])
-        else:
-            fills.append([stops[round((v - vmin) / span * RAMP_STEPS)] for v in row])
-    return fills
+            return [SINGULAR_COLOR if s else stops[round((v - vmin) / span * RAMP_STEPS)]
+                    for v, s in zip(row, flags)]
+        return [stops[round((v - vmin) / span * RAMP_STEPS)] for v in row]
+    return map(row_fills, values, singular)
 
 
 class _Frame:

@@ -8,6 +8,8 @@ iteration of the affine map.
 import math
 import re
 import sys
+import tracemalloc
+from array import array
 from fractions import Fraction
 
 import mpmath
@@ -137,14 +139,53 @@ class TestGridScanValidation:
         GridScan(spec=spec, values=values, singular=flags)
         GridScan(spec=spec, values=[[1.0, math.nan], [1.0, 1.0]], singular=flags)
 
+    @pytest.mark.parametrize("flag", [2, 0.5, -1, math.nan, None])
+    def test_flag_that_is_not_0_or_1_rejected(self, flag):
+        # a flag of 2 made grid_csv raise IndexError at '01'[flag], one of 0.5 TypeError
+        spec = GridSpec(beta_min=0.5, beta_max=1.5, g_min=0.0, g_max=10.0,
+                        n_beta=2, n_g=2, shock_ratio=0.05, lam=0.003)
+        values = [[1.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(ValueError, match="^singular flags"):
+            GridScan(spec=spec, values=values, singular=[[0, flag], [0, 0]])
+        with pytest.raises(ValueError, match="^singular flags"):
+            GridScan(spec=spec, values=values, singular=[b"\x00\x02", b"\x00\x00"])
+
+    def test_rows_stored_as_doubles_and_flag_bytes(self):
+        spec = GridSpec(beta_min=0.5, beta_max=1.5, g_min=0.0, g_max=10.0,
+                        n_beta=2, n_g=3, shock_ratio=0.05, lam=0.003)
+        stored = array("d", [1.0, 2.0, 3.0])
+        scan = GridScan(spec=spec, values=[stored, (4, 5, 6.5)],
+                        singular=[b"\x00\x01\x00", [True, False, 1]])
+        assert all(type(row) is array and row.typecode == "d" for row in scan.values)
+        assert scan.values[0] is stored  # a stored row is kept, not copied
+        assert scan.values[1].tolist() == [4.0, 5.0, 6.5]
+        assert scan.singular == [b"\x00\x01\x00", b"\x01\x00\x01"]
+        d = stability_grid(spec)
+        assert d.singular == [bytes(3)] * 2 and d.singular[0] is d.singular[1]
+
 
 class TestStabilityGrid:
     def test_degenerate_zero_exposure_column(self):
         spec = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=0.0,
                         n_beta=5, n_g=2, shock_ratio=0.05, lam=0.003)
         scan = stability_grid(spec)
-        assert scan.values == [[1.0, 1.0]] * 5
-        assert scan.singular == [[False, False]] * 5
+        assert [list(r) for r in scan.values] == [[1.0, 1.0]] * 5
+        assert [list(r) for r in scan.singular] == [[False, False]] * 5
+
+    def test_at_most_10_bytes_per_cell(self):
+        # a double per cell is 8 B, plus one array header per row and the
+        # zero flag row that every row shares
+        spec = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
+                        n_beta=300, n_g=300, shock_ratio=0.05, lam=0.003)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scan = stability_grid(spec)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(scan.values) * len(scan.values[0]) == 300 * 300
+        assert kept / (300 * 300) <= 10
 
     def test_underflowing_surprise_scale_rejected(self):
         # beta_min * sigma_m rounds to 0, so the first row's x would divide by
@@ -411,11 +452,11 @@ class TestMatchesNumpyReference:
     def test_grids(self, spec):
         scan = stability_grid(spec)
         assert _hex_rows(scan.values) == _hex_rows(ref.stability_values(spec).tolist())
-        assert scan.singular == [[False] * spec.n_g] * spec.n_beta
+        assert [list(r) for r in scan.singular] == [[False] * spec.n_g] * spec.n_beta
         values, singular = ref.amplification_values(spec)
         scan = amplification_grid(scan)
         assert _hex_rows(scan.values) == _hex_rows(values.tolist())
-        assert scan.singular == singular.tolist()
+        assert [list(r) for r in scan.singular] == singular.tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(ref.grid_scans(), saddle_scans()),

@@ -214,12 +214,17 @@ class TestStreamedOutputs:
             assert sha256_hex(chunk.encode("utf-8") for chunk in chunks) == want, filename
 
     # The peak Python heap of one run. Holding each output whole, once as a
-    # str and again as its bytes, peaked at 23.2 and 7.8 MiB; streamed, the
-    # runs peak at 12.9 and 4.9 MiB.
+    # str and again as its bytes, the amplification map and simulate peaked
+    # at 23.2 and 7.8 MiB; streamed, at 12.9 and 4.9 MiB. With grid cells as
+    # boxed floats in lists, the D scan kept until the heatmap and every
+    # cell's fill built at once, the amplification and stability maps peaked
+    # at 12.9 and 10.6 MiB; with rows of doubles and flag bytes, at 7.3 and
+    # 7.1 MiB.
     @pytest.mark.parametrize("subcommand, text, bound_mib", [
-        ("amplification-map", _BIG_GRID, 18.0),
+        ("amplification-map", _BIG_GRID, 10.0),
+        ("stability-map", _BIG_GRID, 10.0),
         ("simulate", _LONG_RUN, 6.4),
-    ], ids=["amplification-map-300x300-svg", "simulate-3e4-svg"])
+    ], ids=["amplification-map-300x300-svg", "stability-map-300x300-svg", "simulate-3e4-svg"])
     def test_run_peak_memory(self, tmp_path, subcommand, text, bound_mib):
         config = parse_config(text)
         tracemalloc.start()

@@ -502,3 +502,12 @@ class TestNonPositivePrice:
         for s in (0.0, -5.0, math.nan):
             with pytest.raises(ValueError, match="s must be > 0"):
                 feedback_step(SimState(0, s, 0.0, 0.0, 200.0, 0.01), FIG4, TANH)
+
+
+@pytest.mark.parametrize("xi, m_cum", [(5.5, -5.0), (5.0, -0.87), (5.0, math.nan)])
+def test_feedback_step_rejects_a_negative_m_cum(xi, m_cum):
+    # m^xi of a negative m is complex at xi = 5.5, and at xi = 5 it lifts the
+    # decayed position N = n0 / (1 + eta * m^xi) above n0
+    p = dataclasses.replace(FIG4, xi=xi)
+    with pytest.raises(ValueError, match=r"^m_cum must be >= 0"):
+        feedback_step(SimState(0, p.s0, 0.0, m_cum, p.n0, p.mu0), p, TANH)

@@ -201,7 +201,7 @@ def test_ramp_fills_stay_near_the_unrounded_ramp(field):
         with pytest.raises(ValueError):
             _ramp_fills(values, singular, vmin, vmax)
         return
-    fills = _ramp_fills(values, singular, vmin, vmax)
+    fills = list(_ramp_fills(values, singular, vmin, vmax))
     cells = sorted((v, fill) for row, flags, fill_row in zip(values, singular, fills)
                    for v, s, fill in zip(row, flags, fill_row) if not s)
     channels = [(int(fill[1:3], 16), int(fill[3:5], 16), int(fill[5:7], 16))
@@ -226,7 +226,7 @@ def test_ramp_fills_match_numpy_reference(field):
     values, singular, vmin, vmax = field
     if math.isfinite(vmax - vmin):
         want = ref.ramp_fills(values, singular, vmin, (vmax - vmin) or 1.0).tolist()
-        assert _ramp_fills(values, singular, vmin, vmax) == want
+        assert list(_ramp_fills(values, singular, vmin, vmax)) == want
 
 
 def _signed(smallest, largest):

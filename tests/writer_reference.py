@@ -28,6 +28,12 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _grids(scan) -> tuple[np.ndarray, np.ndarray]:
+    """A scan's values and singular flags as 2-D arrays, each row read as a list."""
+    return (np.array([list(row) for row in scan.values], dtype=float),
+            np.array([list(row) for row in scan.singular], dtype=bool))
+
+
 def ramp_color(t: float) -> str:
     """The colour of the ramp stop nearest t, stop i sitting at t = i / RAMP_STEPS."""
     i = float(np.rint(min(max(t, 0.0), 1.0) * RAMP_STEPS))
@@ -42,8 +48,7 @@ def ticks(lo: float, hi: float, n: int = 6) -> list[float]:
 def heatmap_svg(scan, contours=(), title="", xlabel="beta", ylabel="G") -> str:
     spec = scan.spec
     betas, gs = spec.betas(), spec.gs()
-    values = np.asarray(scan.values, dtype=float)
-    singular = np.asarray(scan.singular, dtype=bool)
+    values, singular = _grids(scan)
     frame = _Frame((spec.beta_min, spec.beta_max), (spec.g_min, spec.g_max))
     finite = values[~singular]
     vmin = float(finite.min()) if finite.size else 0.0
@@ -78,8 +83,7 @@ def heatmap_svg(scan, contours=(), title="", xlabel="beta", ylabel="G") -> str:
 def grid_csv(scan) -> str:
     betas = scan.spec.betas()
     gs = scan.spec.gs()
-    values = np.asarray(scan.values, dtype=float)
-    singular = np.asarray(scan.singular, dtype=bool)
+    values, singular = _grids(scan)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["beta", "G", "value", "singular"])
@@ -193,8 +197,7 @@ def _edge_key(edge: int, i: int, j: int) -> tuple[str, int, int]:
 def extract_contour(scan, level: float) -> list[np.ndarray]:
     """Marching-squares polylines over whole-array case indices, each an
     (m, 2) array of [beta, G] vertices."""
-    values = np.asarray(scan.values, dtype=float)
-    singular = np.asarray(scan.singular, dtype=bool)
+    values, singular = _grids(scan)
     with np.errstate(all="ignore"):
         f = values - level
     usable = np.isfinite(values) & ~singular
