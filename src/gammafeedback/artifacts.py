@@ -3,7 +3,9 @@ CSV artifact schemas and the content digest.
 
 All numbers serialize with their shortest round-trip representation, so a
 written file parses back to bit-identical doubles. Each writer returns a
-list of chunks; ``"".join`` them for the text. Schemas:
+one-shot iterator of chunks and formats each chunk only when it is asked
+for the next one, so no output is held whole; ``"".join`` it once for the
+text. Schemas:
 
 - grid:       ``beta,G,value,singular`` row-major over (beta, G) nodes
 - contour:    ``polyline_id,beta,G``
@@ -16,29 +18,28 @@ list of chunks; ``"".join`` them for the text. Schemas:
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 
 from .analysis import ContourSet, GridScan
 from .dynamics import SimState, Trajectory
 
 
-def grid_csv(scan: GridScan) -> list[str]:
+def grid_csv(scan: GridScan) -> Iterator[str]:
     gs = [repr(g) for g in scan.spec.gs()]
-    rows = ["beta,G,value,singular\n"]  # then one string per beta row
+    yield "beta,G,value,singular\n"  # then one chunk per beta row
     for beta, row_values, row_flags in zip(scan.spec.betas(), scan.values, scan.singular):
         b = repr(beta)
         if any(row_flags):
-            rows.append("".join([f"{b},{g},{v!r},{'01'[flag]}\n" for g, v, flag
-                                 in zip(gs, row_values, row_flags)]))
+            yield "".join([f"{b},{g},{v!r},{'01'[flag]}\n" for g, v, flag
+                           in zip(gs, row_values, row_flags)])
         else:
-            rows.append("".join([f"{b},{g},{v!r},0\n" for g, v in zip(gs, row_values)]))
-    return rows
+            yield "".join([f"{b},{g},{v!r},0\n" for g, v in zip(gs, row_values)])
 
 
-def contour_csv(contours: ContourSet) -> list[str]:
-    rows = ["polyline_id,beta,G\n"]  # then one string per polyline
+def contour_csv(contours: ContourSet) -> Iterator[str]:
+    yield "polyline_id,beta,G\n"  # then one chunk per polyline
     for pid, line in enumerate(contours.polylines):
-        rows.append("".join([f"{pid},{b!r},{g!r}\n" for b, g in line]))
-    return rows
+        yield "".join([f"{pid},{b!r},{g!r}\n" for b, g in line])
 
 
 # Long trajectories are formatted this many states at a time, so that the
@@ -46,21 +47,20 @@ def contour_csv(contours: ContourSet) -> list[str]:
 _STATES_PER_CHUNK = 1024
 
 
-def trajectory_csv(traj: Trajectory) -> list[str]:
+def trajectory_csv(traj: Trajectory) -> Iterator[str]:
     columns = traj.arrays(*SimState._fields)
-    chunks = ["t,S,dS,m_cum,N,mu,nu\n"]
+    yield "t,S,dS,m_cum,N,mu,nu\n"
     for start in range(0, len(traj), _STATES_PER_CHUNK):
         stop = start + _STATES_PER_CHUNK
-        chunks.append("".join([
+        yield "".join([
             f"{t},{s!r},{ds!r},{m!r},{n!r},{mu!r},{nu!r}\n"
             for t, s, ds, m, n, mu, nu in zip(*[col[start:stop] for col in columns])
-        ]))
-    return chunks
+        ])
 
 
-def curve_csv(betas, values, value_name: str = "g_star") -> list[str]:
-    return [f"beta,{value_name}\n", "".join([f"{float(b)!r},{float(v)!r}\n"
-                                             for b, v in zip(betas, values)])]
+def curve_csv(betas, values, value_name: str = "g_star") -> Iterator[str]:
+    yield f"beta,{value_name}\n"
+    yield "".join([f"{float(b)!r},{float(v)!r}\n" for b, v in zip(betas, values)])
 
 
 def sha256_hex(data) -> str:

@@ -3,11 +3,13 @@ Subcommand orchestration: compute, write artifacts, record the manifest.
 
 Each run owns a fresh output directory. An existing non-empty one is refused
 before anything is computed, never overwritten. A run streams its CSV
-artifacts and an optional SVG to their files one at a time, then writes a
+artifacts and an optional SVG to their files one at a time, each written
+and digested chunk by chunk as its writer formats it. It then writes a
 ``config.resolved.cfg`` with every default filled in and a ``manifest.json``
-with SHA-256 digests of all outputs. A failed run removes what it wrote: its
-files and the directories it made. Re-running the resolved config
-reproduces the digests exactly.
+with SHA-256 digests of all outputs and ``duration_seconds``, the wall time
+to compute, format, write and digest them. A failed run removes what it
+wrote: its files and the directories it made. Re-running the resolved
+config reproduces the digests exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__, artifacts, svgplot
@@ -29,11 +32,13 @@ from .stochastic import simulate_event_driven, simulate_stochastic
 from .svgplot import line_chart_svg
 
 # Each compute below yields (filename, chunks) pairs, one output at a time, so
-# the runner writes each before the next is built. It looks the library
-# functions up as module globals when it runs, so a wrapper installed on this
-# module's names sees every call; the SVG renderers (``svgplot.heatmap_svg``
-# and the rest) and ``artifacts.sha256_hex`` are looked up on their modules
-# for the same reason.
+# the runner writes each before the next is built; chunks is a one-shot
+# iterator that formats each chunk only when the runner asks for it. The
+# runner looks the library functions up as module globals when it runs, so a
+# wrapper installed on this module's names sees every call (but not the
+# formatting, which runs as the runner iterates); the SVG renderers
+# (``svgplot.heatmap_svg`` and the rest) and ``artifacts.sha256_hex`` are
+# looked up on their modules for the same reason.
 
 
 def _stability_map(config: RunConfig):
@@ -69,7 +74,7 @@ def _static_response(config: RunConfig):
     ds = static_response(model, shock, model.s0, x_shock_ratio=abs(shock))
     header = "shock_ratio,s0,stability_denominator,ds,amplification\n"
     row = f"{shock!r},{model.s0!r},{d!r},{ds!r},{1.0 / d!r}\n"
-    yield "static_response.csv", [header, row]
+    yield "static_response.csv", iter((header, row))
 
 
 def _trajectory(simulate, chart):
@@ -106,7 +111,7 @@ def _fixed_point(config: RunConfig):
         f"{a!r},{f!r},{0.0 if fp is None else fp!r},"
         f"{int(fp is None)},{report.classification.value}\n"
     )
-    yield "fixed_point.csv", [header, row]
+    yield "fixed_point.csv", iter((header, row))
 
 
 # name -> (required sections, needs [run] horizon, compute)
@@ -153,7 +158,7 @@ def apply_seed_override(config: RunConfig, seed: int) -> RunConfig:
     return out
 
 
-def _encoded(file, chunks: list[str]):
+def _encoded(file, chunks: Iterable[str]):
     """Each chunk encoded once, written, then digested: "\n" ends lines everywhere."""
     for chunk in chunks:
         data = chunk.encode("utf-8")
@@ -173,22 +178,17 @@ def run_subcommand(name: str, config: RunConfig, out_dir: str | Path) -> dict:
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     written = []  # removed, with the directories in made, if the run fails
 
-    def write(filename: str, chunks: list[str]) -> dict:
+    def write(filename: str, chunks: Iterable[str]) -> dict:
         written.append(out / filename)
         with open(written[-1], "wb") as file:
             return {"path": filename, "sha256": artifacts.sha256_hex(_encoded(file, chunks))}
 
     try:
         out.mkdir(parents=True, exist_ok=True)
-        # duration_seconds sums the compute's steps and leaves out the writes
-        outputs, duration, steps = [], 0.0, compute(config)
-        start = time.perf_counter()
-        for filename, chunks in steps:
-            duration += time.perf_counter() - start
+        outputs, start = [], time.perf_counter()
+        for filename, chunks in compute(config):
             outputs.append(write(filename, chunks))
-            del chunks  # freed before the next output is built
-            start = time.perf_counter()
-        duration += time.perf_counter() - start
+        duration = time.perf_counter() - start
         resolved = render_config(config)
         outputs.append(write("config.resolved.cfg", [resolved]))
         manifest = {

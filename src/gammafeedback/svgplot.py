@@ -1,20 +1,25 @@
 """
 Self-contained SVG rendering for grids, contours, and trajectories.
 
-No external renderer: documents are plain SVG 1.1 text, returned as lists of
-chunks, with axes, tick labels, and a legend, deterministic for identical
-input (fixed float formatting, fixed palette). Heatmaps use a monotone color
-ramp of 257 stops, spaced evenly in t from deep blue (20, 42, 108) at t = 0
-to light yellow (249, 240, 85) at t = 1, each channel interpolated linearly
-in RGB and rounded: value v is mapped to t = (v - vmin) / (vmax - vmin) and
-takes the nearest stop, so every channel is within 0.95 of the unrounded
-ramp at t. Singular cells render gray.
+No external renderer: documents are plain SVG 1.1 text, returned as one-shot
+iterators of chunks, with axes, tick labels, and a legend, deterministic for
+identical input (fixed float formatting, fixed palette). Heatmaps use a
+monotone color ramp of 257 stops, spaced evenly in t from deep blue
+(20, 42, 108) at t = 0 to light yellow (249, 240, 85) at t = 1, each channel
+interpolated linearly in RGB and rounded: value v is mapped to
+t = (v - vmin) / (vmax - vmin) and takes the nearest stop, so every channel
+is within 0.95 of the unrounded ramp at t. Singular cells render gray.
+
+A renderer checks its input and sets up its frame when it is called; it
+formats each chunk (a row of heatmap cells, a block of polyline points)
+only when asked for the next one, so no document is held whole.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import islice
 
 from .analysis import ContourSet, GridScan, linspace
 from .dynamics import Trajectory
@@ -152,23 +157,32 @@ def _legend(entries: list[tuple[str, str]], frame: _Frame) -> list[str]:
     return parts
 
 
-def _document(body: list[str]) -> list[str]:
-    """The head, then each part after its own "\n" chunk (none is copied), then the end."""
-    head = (
+def _document(body: Iterable[str | Iterable[str]]) -> Iterator[str]:
+    """The head, then each part after its own "\n" chunk (none is copied), then the end.
+    A part is a string, or an iterable of the chunks of one element."""
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
-    return [head, *[chunk for part in body for chunk in ("\n", part)], "\n</svg>\n"]
+    for part in body:
+        yield "\n"
+        yield from (part,) if isinstance(part, str) else part
+    yield "\n</svg>\n"
+
+
+# Long polylines are formatted this many points at a time.
+_POINTS_PER_CHUNK = 1024
 
 
 def _polyline(points: Iterable[tuple[float, float]], color: str, width: float = 1.5,
-              dasharray: str | None = None) -> str:
-    coords = " ".join(f"{_f(px)},{_f(py)}" for px, py in points)
+              dasharray: str | None = None) -> Iterator[str]:
+    """The element's chunks, its points formatted _POINTS_PER_CHUNK at a time."""
+    coords = (f"{_f(px)},{_f(py)}" for px, py in points)
+    yield '<polyline points="' + " ".join(islice(coords, _POINTS_PER_CHUNK))
+    while block := " ".join(islice(coords, _POINTS_PER_CHUNK)):
+        yield " " + block
     dash = f' stroke-dasharray="{dasharray}"' if dasharray else ""
-    return (
-        f'<polyline points="{coords}" fill="none" stroke="{color}" '
-        f'stroke-width="{width}"{dash}/>'
-    )
+    yield f'" fill="none" stroke="{color}" stroke-width="{width}"{dash}/>'
 
 
 def heatmap_svg(
@@ -177,7 +191,7 @@ def heatmap_svg(
     title: str = "",
     xlabel: str = "beta",
     ylabel: str = "G",
-) -> list[str]:
+) -> Iterator[str]:
     """Grid heatmap with optional (ContourSet, color, dasharray) overlays."""
     spec = scan.spec
     betas, gs = spec.betas(), spec.gs()
@@ -203,24 +217,24 @@ def heatmap_svg(
         heights.append(_f(py - py1))
     fills = _ramp_fills(scan.values, scan.singular, vmin, vmax)
 
-    body = []  # one string per beta row
-    for b, row in zip(betas, fills):
-        px = frame.x(max(b - half_b, frame.x0))
-        px1 = frame.x(min(b + half_b, frame.x1))
-        x, width = _f(px), _f(px1 - px)
-        body.append("\n".join([
-            f'<rect x="{x}" y="{y}" width="{width}" height="{h}" fill="{fill}"/>'
-            for y, h, fill in zip(ys, heights, row)
-        ]))
-    for contour, color, dasharray in contours:
-        for line in contour.polylines:
-            pts = [(frame.x(b), frame.y(g)) for b, g in line]
-            body.append(_polyline(pts, color, width=1.8, dasharray=dasharray))
-    body.extend(_axes(frame, xlabel, ylabel, title))
-    return _document(body)
+    def body():  # one part per beta row, then the overlays and the axes
+        for b, row in zip(betas, fills):
+            px = frame.x(max(b - half_b, frame.x0))
+            px1 = frame.x(min(b + half_b, frame.x1))
+            x, width = _f(px), _f(px1 - px)
+            yield "\n".join([
+                f'<rect x="{x}" y="{y}" width="{width}" height="{h}" fill="{fill}"/>'
+                for y, h, fill in zip(ys, heights, row)
+            ])
+        for contour, color, dasharray in contours:
+            for line in contour.polylines:
+                pts = [(frame.x(b), frame.y(g)) for b, g in line]
+                yield _polyline(pts, color, width=1.8, dasharray=dasharray)
+        yield from _axes(frame, xlabel, ylabel, title)
+    return _document(body())
 
 
-def _chart(series, colors, title, xlabel, ylabel, labels=None) -> list[str]:
+def _chart(series, colors, title, xlabel, ylabel, labels=None) -> Iterator[str]:
     """Lines through the (xs, ys) ``series`` on one frame that spans all
     their points, each in its colour, then the axes and, given labels, a
     legend of (label, colour) in series order."""
@@ -241,7 +255,7 @@ def timeseries_svg(
     title: str = "",
     xlabel: str = "t",
     ylabel: str = "S",
-) -> list[str]:
+) -> Iterator[str]:
     """Multi-line price chart; legend entries follow the input order."""
     if not trajectories:
         raise ValueError("no trajectories to plot")
@@ -255,7 +269,7 @@ def contour_svg(
     title: str = "",
     xlabel: str = "beta",
     ylabel: str = "G",
-) -> list[str]:
+) -> Iterator[str]:
     """Standalone polyline plot of a contour set."""
     if not contours.polylines:
         raise ValueError("contour set is empty")
@@ -263,7 +277,7 @@ def contour_svg(
     return _chart(series, [PALETTE[0]] * len(series), title, xlabel, ylabel)
 
 
-def event_series_svg(traj: Trajectory, title: str = "") -> list[str]:
+def event_series_svg(traj: Trajectory, title: str = "") -> Iterator[str]:
     """Price line on the left axis, exposure spikes as stems on the right."""
     prices, nus = traj.arrays("s", "nu_t")
     frame = _Frame((0.0, float(len(prices) - 1)), (min(prices), max(prices)),
@@ -271,30 +285,30 @@ def event_series_svg(traj: Trajectory, title: str = "") -> list[str]:
     nu_max = max(max(nus), 1e-12)
     nu_frame = _Frame((0.0, float(len(prices) - 1)), (0.0, nu_max),
                       right_margin=RIGHT_AXIS_MARGIN)
-    body = []
     base = nu_frame.y(0.0)
     stem_color = PALETTE[0]
-    for t, nu in enumerate(nus):
-        if nu > 0:
-            px = frame.x(t)
-            body.append(
-                f'<line x1="{_f(px)}" y1="{_f(base)}" x2="{_f(px)}" '
-                f'y2="{_f(nu_frame.y(nu))}" stroke="{stem_color}" stroke-width="1.2"/>'
-            )
-    body.append(_polyline(((frame.x(t), frame.y(v)) for t, v in enumerate(prices)), PALETTE[3]))
-    body.extend(_axes(frame, "t", "S", title))
-    for nv in linspace(0.0, nu_frame.y1, TICKS):
-        py = nu_frame.y(nv)
-        body.append(_tick(frame.px1, py, frame.px1 + 5, py, frame.px1 + 8, py + 4, "start", nv))
-    body.append(
-        f'<text x="{_f(WIDTH - 14)}" y="{_f((frame.py0 + frame.py1) / 2)}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(90 {_f(WIDTH - 14)} {_f((frame.py0 + frame.py1) / 2)})">nu</text>'
-    )
-    body.extend(_legend([("S", PALETTE[3]), ("nu", stem_color)], frame))
-    return _document(body)
+
+    def body():  # the stems, the price line, then both axes and the legend
+        for t, nu in enumerate(nus):
+            if nu > 0:
+                px = frame.x(t)
+                yield (f'<line x1="{_f(px)}" y1="{_f(base)}" x2="{_f(px)}" '
+                       f'y2="{_f(nu_frame.y(nu))}" stroke="{stem_color}" stroke-width="1.2"/>')
+        yield _polyline(((frame.x(t), frame.y(v)) for t, v in enumerate(prices)), PALETTE[3])
+        yield from _axes(frame, "t", "S", title)
+        for nv in linspace(0.0, nu_frame.y1, TICKS):
+            py = nu_frame.y(nv)
+            yield _tick(frame.px1, py, frame.px1 + 5, py, frame.px1 + 8, py + 4, "start", nv)
+        yield (
+            f'<text x="{_f(WIDTH - 14)}" y="{_f((frame.py0 + frame.py1) / 2)}" font-size="13" '
+            f'text-anchor="middle" font-family="sans-serif" '
+            f'transform="rotate(90 {_f(WIDTH - 14)} {_f((frame.py0 + frame.py1) / 2)})">nu</text>'
+        )
+        yield from _legend([("S", PALETTE[3]), ("nu", stem_color)], frame)
+    return _document(body())
 
 
-def line_chart_svg(xs, ys, title: str = "", xlabel: str = "x", ylabel: str = "y") -> list[str]:
+def line_chart_svg(xs, ys, title: str = "", xlabel: str = "x",
+                   ylabel: str = "y") -> Iterator[str]:
     """Single-series line chart for scalar curves (e.g. root-exposure scans)."""
     return _chart([(xs, ys)], [PALETTE[0]], title, xlabel, ylabel)

@@ -492,6 +492,58 @@ class TestFailedRunRemovesWhatItWrote:
         if layout == "existing-empty":
             assert list(out.iterdir()) == []
 
+    @staticmethod
+    def _fills_failing_after_two_rows(monkeypatch, error, out, on_disk):
+        """Patch the heatmap's fills to yield two rows, note what is in out,
+        then raise error: the writers format as the runner writes, so this
+        fails in the middle of the heatmap's stream."""
+        ramp_fills = svgplot._ramp_fills
+
+        def failing_fills(*args):
+            rows = ramp_fills(*args)
+            yield next(rows)
+            yield next(rows)
+            on_disk.extend(sorted(path.name for path in out.iterdir()))
+            raise error
+
+        monkeypatch.setattr(svgplot, "_ramp_fills", failing_fills)
+
+    @pytest.mark.parametrize("layout", ["fresh", "nested", "existing-empty"])
+    @pytest.mark.parametrize("error, code, kind", [
+        (ValueError("a cell's fill failed"), 2, "config"),
+        (OSError(28, "No space left on device"), 4, "io"),
+    ], ids=["value-error", "os-error"])
+    def test_heatmap_failure_mid_stream(self, tmp_path, cfg, capsys, monkeypatch,
+                                        layout, error, code, kind):
+        out = self._target(tmp_path, layout)
+        on_disk = []
+        self._fills_failing_after_two_rows(monkeypatch, error, out, on_disk)
+        rc = main(["stability-map", "--config", str(cfg(GRID_CFG)), "--out", str(out),
+                   "--svg", "--quiet"])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == kind
+        assert on_disk == ["stability_contour.csv", "stability_grid.csv", "stability_map.svg"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == self._left(layout)
+        if layout == "existing-empty":
+            assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("layout", ["fresh", "nested", "existing-empty"])
+    def test_interrupt_mid_stream_propagates(self, tmp_path, monkeypatch, layout):
+        out = self._target(tmp_path, layout)
+        on_disk = []
+        self._fills_failing_after_two_rows(monkeypatch, KeyboardInterrupt(), out, on_disk)
+        config = parse_config(GRID_CFG)
+        config.emit_svg = True
+        with pytest.raises(KeyboardInterrupt):
+            run_subcommand("stability-map", config, out)
+        assert on_disk == ["stability_contour.csv", "stability_grid.csv", "stability_map.svg"]
+        left = ["out"] if layout == "existing-empty" else []
+        assert sorted(path.name for path in tmp_path.iterdir()) == left
+        if layout == "existing-empty":
+            assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("layout", ["fresh", "nested", "existing-empty"])
     def test_overflow_before_any_file(self, tmp_path, cfg, capsys, layout):
         # NumericalOverflow: the position decay's m**xi overflows at step 1

@@ -26,9 +26,10 @@ from gammafeedback import (
     stability_grid,
 )
 from gammafeedback.analysis import linspace
-from gammafeedback.svgplot import (RAMP_HIGH, RAMP_LOW, RAMP_STEPS, SINGULAR_COLOR, _Frame,
-                                   _pad_span, _ramp_fills, contour_svg, event_series_svg,
-                                   heatmap_svg, line_chart_svg, timeseries_svg)
+from gammafeedback.svgplot import (_POINTS_PER_CHUNK, RAMP_HIGH, RAMP_LOW, RAMP_STEPS,
+                                   SINGULAR_COLOR, _Frame, _pad_span, _polyline, _ramp_fills,
+                                   contour_svg, event_series_svg, heatmap_svg, line_chart_svg,
+                                   timeseries_svg)
 
 PARAMS = ModelParams(lam=0.05, beta=1.0, mu0=0.025)
 TANH = ImpactSpec.tanh(1.0)
@@ -271,6 +272,28 @@ def test_heatmap_rejects_a_span_beyond_doubles():
             render(scan)
 
 
+@pytest.mark.parametrize("n", [0, 1, _POINTS_PER_CHUNK - 1, _POINTS_PER_CHUNK,
+                               _POINTS_PER_CHUNK + 1, 3 * _POINTS_PER_CHUNK + 7])
+def test_polyline_blocks_join_to_one_points_list(n):
+    # the points go out in blocks of _POINTS_PER_CHUNK, one space between all of them
+    points = [(i * 0.5, -i / 3) for i in range(n)]
+    chunks = list(_polyline(iter(points), "#123456", dasharray="4,2"))
+    assert len(chunks) == 2 + max(0, (n - 1) // _POINTS_PER_CHUNK)
+    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+    assert "".join(chunks) == (f'<polyline points="{coords}" fill="none" stroke="#123456" '
+                               'stroke-width="1.5" stroke-dasharray="4,2"/>')
+
+
+@pytest.mark.parametrize("render", [
+    lambda: timeseries_svg([]),
+    lambda: contour_svg(ContourSet(polylines=[])),
+], ids=["timeseries-svg-no-trajectories", "contour-svg-empty"])
+def test_empty_input_raises_when_the_writer_is_called(render):
+    # the writers return lazy iterators, but check their input at the call
+    with pytest.raises(ValueError):
+        render()
+
+
 def test_heatmap_marks_singular_cells():
     from gammafeedback import amplification_grid
 
@@ -292,9 +315,9 @@ def test_event_series_has_stems_and_dual_axis():
 
 def test_deterministic_output():
     traj = simulate_recursive(PARAMS, TANH, 30)
-    assert timeseries_svg([traj]) == timeseries_svg([traj])
+    assert "".join(timeseries_svg([traj])) == "".join(timeseries_svg([traj]))
     scan = stability_grid(SPEC)
-    assert heatmap_svg(scan) == heatmap_svg(scan)
+    assert "".join(heatmap_svg(scan)) == "".join(heatmap_svg(scan))
 
 
 def test_line_chart():
