@@ -7,14 +7,17 @@ because it records a wall-clock duration; its digests of the other files
 are covered by them. The generator's first draws are pinned the same way,
 so are the bytes of its bulk draws (with the draw that follows them), and so
 are the states of the library-only paths (``simulate_one_shot``,
-linear ``simulate_recursive``, repeated ``feedback_step``), as the SHA-256
-of every state field written with ``float.hex``.
+linear ``simulate_recursive``, repeated ``feedback_step``) and of runs that
+reach the censor's floor and cap and both clamp bounds, as the SHA-256 of
+every state field written with ``float.hex``.
 
 When a change is meant to alter an output, print the new tables with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in the change.
 """
 
+import dataclasses
 import hashlib
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -22,13 +25,18 @@ from pathlib import Path
 import pytest
 
 from gammafeedback import (
+    EventSpec,
     ImpactSpec,
     ModelParams,
     Rng,
     SimState,
+    StochasticSpec,
+    exposure_cap,
     feedback_step,
+    simulate_event_driven,
     simulate_one_shot,
     simulate_recursive,
+    simulate_stochastic,
 )
 from gammafeedback.cli import main
 
@@ -249,9 +257,40 @@ def _frozen(feedback: float) -> ModelParams:
                        gamma0=1.0, k=0.0, eta=0.0)
 
 
+# A small kappa puts the AR(1) exposure's cap within reach of its noise, so
+# the censor fires at the cap as well as at the floor. Spikes up to half of
+# n0 pass a cap of 1.1 * n0 while the position is undecayed, and a negative
+# lam clamps the response at -i_max.
+CENSORED = StochasticSpec(rho=0.5, sigma_n=0.5, kappa=0.5, seed=7)
+SPIKES = EventSpec(horizon=300, n_spikes=40, max_fraction=0.5, seed=3)
+SPIKE_CAP = StochasticSpec(rho=0.0, sigma_n=0.1, kappa=1.0)
+CLAMP_LAMS = {"+i_max": 0.03, "-i_max": -0.03}
+
+
+def censored_stochastic():
+    return simulate_stochastic(PATHS_MODEL, IMPACTS["tanh"], CENSORED, 300)
+
+
+def capped_events():
+    return simulate_event_driven(PATHS_MODEL, IMPACTS["tanh"], SPIKES, SPIKE_CAP)
+
+
+def clamped_recursive(bound: str):
+    params = dataclasses.replace(PATHS_MODEL, lam=CLAMP_LAMS[bound])
+    return simulate_recursive(params, IMPACTS["clamp"], 400)
+
+
 LIBRARY_CASES = {
     **{f"one_shot {name}": (lambda i=impact: simulate_one_shot(PATHS_MODEL, i, 50).states)
        for name, impact in IMPACTS.items()},
+    # the shortest plateaus, and one a block of 1,024 rows plus one long
+    **{f"one_shot {name} T={horizon}":
+       (lambda i=impact, h=horizon: simulate_one_shot(PATHS_MODEL, i, h).states)
+       for name, impact in IMPACTS.items() for horizon in (1, 2, 1025)},
+    "stochastic censored at floor and cap": lambda: censored_stochastic().states,
+    "events censored at cap": lambda: capped_events().states,
+    **{f"recursive clamp at {bound}": (lambda b=bound: clamped_recursive(b).states)
+       for bound in CLAMP_LAMS},
     # lambda * G = 0.4 keeps the linear recursion bounded over the horizon
     "recursive linear": lambda: simulate_recursive(
         ModelParams(lam=0.002, beta=0.8, mu0=0.01, n0=200.0), ImpactSpec.linear(), 600
@@ -699,6 +738,38 @@ LIBRARY_GOLDEN: dict[str, str] = {
         '156d79e7c90cbd0ab7bc713bef69e0b5d708d297d64cbfb440d190187d43481f',
     'one_shot tanh-c0.03':
         '8f9677e2076f9d7a0249bbf11266ca4d106dd2ebe51bf2ead3af6c5bd7bb131a',
+    'one_shot linear T=1':
+        '67759a60f8eaf60e37b73d1f48bfdda13d474a0ec7b121ca6ed7ed432c52ff78',
+    'one_shot linear T=2':
+        '8580ea8de14b2c4b0953519e03c4682d57d46758ef5751d6b757c97104344ee8',
+    'one_shot linear T=1025':
+        'fec2f0917dec0e07a2c0dfbd976c45a6093c1795e452bed6681196b9898d13ce',
+    'one_shot clamp T=1':
+        '25404faa65e90e0c0b68f0b4f49efddae7f56d7709b3607d4bbc195fa8947b9a',
+    'one_shot clamp T=2':
+        'd1ad78b41c86cfbafe42d494288fabf3181832e9841f1973ce5af77632b7e5fe',
+    'one_shot clamp T=1025':
+        'f72845c6937520c11bb953a61dc8addb5e6c0f6ddbdb259add8363370702eee3',
+    'one_shot tanh T=1':
+        'ce1d5ac4a6220409aa793d33010546943806a45d61b6b916324eba46b67d13e6',
+    'one_shot tanh T=2':
+        '68fe2448fb84b758d900142a92c8a727f4186071b1b793fdd6a6284b207c95f9',
+    'one_shot tanh T=1025':
+        '082e5cad8adc8f1354d47f01dacee9d249e5aa08907dfaf60ab6210e97ffa69d',
+    'one_shot tanh-c0.03 T=1':
+        '32288734d9732da0a1136313f4f4d047df81e0a58b9600c327999a7bb5b9782a',
+    'one_shot tanh-c0.03 T=2':
+        'f63fb4515fd2eb18f5297ae599ecf60a1e1a65749c020ece676adf3988c2d75e',
+    'one_shot tanh-c0.03 T=1025':
+        '1f6d7532f5b171bdec8844dd2449ea6d504bbd402dc4b996596d8cbdf19ade67',
+    'stochastic censored at floor and cap':
+        '18194e29fbb4c81bd730361a09f84513ecfd4cfa6f0c32eaa576e915fe62969d',
+    'events censored at cap':
+        'a68db4ca6e0549b3a34881221496506ba7ee3a158fc89b0e6f85e0055a533bbe',
+    'recursive clamp at +i_max':
+        '06bffd53a6926d795f6a3fe9a1c310588e8f8e7967fdb3d4c09dd562adb1f0e6',
+    'recursive clamp at -i_max':
+        '56b3f3f7e91996cb5a5b75a70b01d6557f7ec38d34aa3805d20ec47bb003c314',
     'recursive linear':
         'dbeef10a05e68d8b4f4ec2fb9badad9b2c50285ffcab0dd2c0aa2e471b8bf688',
     'feedback_step f=-0.9':
@@ -753,6 +824,38 @@ def test_library_states(case):
 
 def test_library_table_covers_every_case():
     assert sorted(LIBRARY_GOLDEN) == sorted(LIBRARY_CASES)
+
+
+def test_censored_stochastic_case_reaches_floor_and_cap():
+    # the hook censors n_t + nu, and records that nu on the next state
+    n, nu = censored_stochastic().arrays("n_t", "nu_t")
+    cap = exposure_cap(PATHS_MODEL.n0, CENSORED.sigma_n, CENSORED.rho, CENSORED.kappa)
+    raw = [n[t] + nu[t + 1] for t in range(len(n) - 1)]
+    assert min(raw) < 0.0
+    assert max(raw) > cap
+
+
+def test_capped_events_case_passes_the_cap():
+    # spikes can pass the cap only when max_fraction exceeds its margin
+    assert SPIKES.max_fraction > SPIKE_CAP.kappa * SPIKE_CAP.sigma_n / math.sqrt(
+        1.0 - SPIKE_CAP.rho ** 2)
+    n, nu = capped_events().arrays("n_t", "nu_t")
+    cap = exposure_cap(PATHS_MODEL.n0, SPIKE_CAP.sigma_n, SPIKE_CAP.rho, SPIKE_CAP.kappa)
+    assert max(n[t] + nu[t] for t in range(len(n) - 1)) > cap
+
+
+@pytest.mark.parametrize("bound", CLAMP_LAMS)
+def test_clamped_recursive_case_binds(bound):
+    # the pressure lam * N * gamma0 * (1 + k*x) that each step clamps
+    p = dataclasses.replace(PATHS_MODEL, lam=CLAMP_LAMS[bound])
+    s, ds, n = clamped_recursive(bound).arrays("s", "ds_obs", "n_t")
+    pressure = [p.lam * n[t] * p.gamma0 * (1.0 + p.k * (abs(ds[t] / s[t]) / (p.beta * p.sigma_m)))
+                for t in range(len(s) - 1)]
+    i_max = IMPACTS["clamp"].i_max
+    if bound == "+i_max":
+        assert max(pressure) > i_max
+    else:
+        assert min(pressure) < -i_max
 
 
 def _print_tables() -> None:

@@ -194,6 +194,15 @@ class TestHedgingImpact:
         assert hedging_impact(-5.0, ImpactSpec.clamp(2.0)) == -2.0
         assert hedging_impact(1.5, ImpactSpec.clamp(2.0)) == 1.5
 
+    @pytest.mark.parametrize("y", [math.nan, 0.0, -0.0, math.inf, -math.inf, 2.0, -2.0, 5e-324])
+    def test_clamp_matches_builtin_min_max(self, y):
+        # NaN, the signed zeros, the infinities and the bounds themselves
+        # give what min(i_max, max(-i_max, y)) gives, sign of zero included
+        got = hedging_impact(y, ImpactSpec.clamp(2.0))
+        expected = min(2.0, max(-2.0, y))
+        assert got == expected or (got != got and expected != expected)
+        assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
     def test_tanh_zero(self):
         assert hedging_impact(0.0, ImpactSpec.tanh(1.0)) == 0.0
 

@@ -191,6 +191,34 @@ class TestNormal:
         assert rng.normal() == pytest.approx(z1, rel=1e-12, abs=1e-12)
         assert rng.normal() == pytest.approx(z2, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_pairs_match_box_muller_on_next_u64(self, seed):
+        # the reference draws each pair's two uniforms through next_u64 and
+        # applies the module docstring's transform; the values must be equal
+        ref = Rng(seed)
+
+        def reference_pairs():
+            while True:
+                u1 = (ref.next_u64() >> 11) * 2.0 ** -53
+                u2 = (ref.next_u64() >> 11) * 2.0 ** -53
+                r = math.sqrt(-2.0 * math.log(1.0 - u1))
+                yield r * math.cos(_TWO_PI * u2)
+                yield r * math.sin(_TWO_PI * u2)
+
+        rng, expected = Rng(seed), reference_pairs()
+        draws = [rng.normal() for _ in range(10_000)]
+        assert [z.hex() for z in draws] == [next(expected).hex() for _ in range(10_000)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("odd", [1, 3, 999])
+    def test_next_u64_after_an_odd_number_of_draws(self, seed, odd):
+        # an odd count leaves one normal cached and both uniforms of its pair
+        # consumed: the stream resumes after them
+        rng = Rng(seed)
+        for _ in range(odd):
+            rng.normal()
+        assert rng.next_u64() == oracle_xoshiro_stream(seed, odd + 2)[-1]
+
     def test_moments(self):
         n = 200_000
         z = Rng(20240811).normals(n)
