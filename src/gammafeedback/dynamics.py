@@ -223,12 +223,12 @@ def simulate_one_shot(params: ModelParams, impact: ImpactSpec, horizon: int) -> 
     jump = _drive(SimState(0, s0, mu0 * s0, 0.0, n0, mu0), params, impact, 1)
     _, s, ds, m, _, _, nu = (col[1] for col in jump)
     flat = horizon - 1  # the states after the jump
-    return Trajectory._from_columns(map(array, _TYPECODES, (
-        range(horizon + 1),
-        [s0, s] + [s] * flat,
-        [0.0, ds] + [0.0] * flat,
-        [0.0] + [m] * horizon,
-        [n0] * (horizon + 1),
-        [mu0] + [0.0] * horizon,
-        [0.0] + [nu] * horizon,
-    )))
+    return Trajectory._from_columns((
+        array("q", range(horizon + 1)),
+        array("d", [s0]) + array("d", [s]) * horizon,
+        array("d", [0.0, ds]) + array("d", [0.0]) * flat,
+        array("d", [0.0]) + array("d", [m]) * horizon,
+        array("d", [n0]) * (horizon + 1),
+        array("d", [mu0]) + array("d", [0.0]) * horizon,
+        array("d", [0.0]) + array("d", [nu]) * horizon,
+    ))

@@ -173,7 +173,12 @@ def _impact_function(spec: ImpactSpec) -> Callable[[float], float]:
         return lambda y: y
     if spec.kind == "clamp":
         i_max = spec.i_max
-        return lambda y: min(i_max, max(-i_max, y))
+        # min(i_max, max(-i_max, y)) without the builtin calls, comparison
+        # for comparison: NaN gives -i_max, and a signed zero keeps its sign
+        def clamp(y: float) -> float:
+            y = y if y > -i_max else -i_max
+            return y if y < i_max else i_max
+        return clamp
     c = spec.c
     return lambda y: math.tanh(c * y)
 

@@ -16,6 +16,8 @@ machines and builds, independent of any library's RNG internals:
 - Normals: basic Box-Muller on uniform pairs (u1, u2):
   ``r = sqrt(-2 ln(1 - u1))``, ``z1 = r cos(2 pi u2)``,
   ``z2 = r sin(2 pi u2)``; z2 is cached and returned by the next call.
+  ``Rng.normal`` takes u1 and u2 from two stream steps that it writes out
+  itself, the same steps as ``next_u64``.
 - Bounded integers: rejection sampling on ``u64 % n`` (draws above the
   largest multiple of n below 2^64 are discarded), so there is no modulo
   bias.
@@ -176,6 +178,7 @@ class Rng:
         self._cached_normal: float | None = None
 
     def next_u64(self) -> int:
+        # normal() writes this step out twice: change both together
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
         x = (s1 * 5) & _MASK
         result = ((((x << 7) | (x >> 57)) & _MASK) * 9) & _MASK
@@ -194,16 +197,41 @@ class Rng:
         return (self.next_u64() >> 11) * _U53
 
     def normal(self) -> float:
-        """Standard normal draw; Box-Muller pairs, second value cached."""
+        """Standard normal draw; Box-Muller pairs, second value cached.
+
+        A pair's two uniforms come from two ``next_u64`` steps, written out
+        here on locals so that the state is read and written once per pair.
+        """
         z = self._cached_normal
         if z is not None:
             self._cached_normal = None
             return z
-        u1 = self.uniform()
-        u2 = self.uniform()
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        # next_u64, once for u1 ...
+        x = (s1 * 5) & _MASK
+        u1 = ((((((x << 7) | (x >> 57)) & _MASK) * 9) & _MASK) >> 11) * _U53
+        t = (s1 << 17) & _MASK
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
+        # ... and once for u2
+        x = (s1 * 5) & _MASK
+        u2 = ((((((x << 7) | (x >> 57)) & _MASK) * 9) & _MASK) >> 11) * _U53
+        t = (s1 << 17) & _MASK
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         r = math.sqrt(-2.0 * math.log(1.0 - u1))
-        self._cached_normal = r * math.sin(_TWO_PI * u2)
-        return r * math.cos(_TWO_PI * u2)
+        angle = _TWO_PI * u2
+        self._cached_normal = r * math.sin(angle)
+        return r * math.cos(angle)
 
     def randbelow(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""

@@ -6,8 +6,9 @@ The effective exposure fed to the hedging term is ``n_t + nu_t`` censored
 to [0, cap], where ``nu`` follows ``nu' = rho * nu + sigma_n * n_t * eps``
 with the deterministic position as the scale, and the cap is the
 stationary-dispersion reference level ``n0 * (1 + kappa * sigma_n /
-sqrt(1 - rho^2))``. Deterministic decay of the position itself is
-unchanged. In event-driven runs the AR process is replaced by a sparse
+sqrt(1 - rho^2))``. The censor is two comparisons that give what
+``min(max(x, 0.0), cap)`` gives, NaN and -0.0 included. Deterministic decay
+of the position itself is unchanged. In event-driven runs the AR process is replaced by a sparse
 schedule of uniform spikes.
 """
 
@@ -86,7 +87,9 @@ def simulate_stochastic(
 
     def exposure(t: int, n_t: float, nu_t: float) -> tuple[float, float]:
         nu = rho * nu_t + sigma_n * n_t * normal()
-        return min(max(n_t + nu, 0.0), cap), nu
+        x = n_t + nu
+        x = 0.0 if 0.0 > x else x  # min(max(x, 0.0), cap), comparison for comparison
+        return (cap if cap < x else x), nu
 
     start = initial_state(params)
     return Trajectory._from_columns(_drive(start, params, impact, horizon, exposure))
@@ -126,7 +129,9 @@ def simulate_event_driven(
     spike = generate_event_spikes(events, params.n0).get
 
     def exposure(t: int, n_t: float, nu_t: float) -> tuple[float, float]:
-        return min(max(n_t + nu_t, 0.0), cap), spike(t + 1, 0.0)
+        x = n_t + nu_t
+        x = 0.0 if 0.0 > x else x  # as in simulate_stochastic
+        return (cap if cap < x else x), spike(t + 1, 0.0)
 
     start = initial_state(params, nu0=spike(0, 0.0))
     return Trajectory._from_columns(_drive(start, params, impact, events.horizon, exposure))
