@@ -82,6 +82,11 @@ class ModelParams:
         _require("n0", self.n0)
         _require("gamma0", self.gamma0)
         _require("s0", self.s0)
+        # an infinite lam still saturates tanh and clamp to a finite gain, but
+        # an infinite shock or price leaves nothing finite to write
+        for name in ("mu0", "s0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite (got {getattr(self, name)})")
         # eta = 0 disables position decay entirely; useful for frozen-exposure
         # studies, so only negative values are rejected.
         _require("eta", self.eta, ">=")

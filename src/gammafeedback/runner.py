@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from collections.abc import Iterable
 from pathlib import Path
@@ -39,6 +40,14 @@ from .svgplot import line_chart_svg
 # formatting, which runs as the runner iterates); the SVG renderers
 # (``svgplot.heatmap_svg`` and the rest) and ``artifacts.sha256_hex`` are
 # looked up on their modules for the same reason.
+
+
+def _finite(what: str, value: float) -> float:
+    """``value``, once it is finite: a run that exits 0 writes only finite
+    numbers, so ``what`` names the config keys it derives from."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} is {value!r}: not a finite number")
+    return value
 
 
 def _stability_map(config: RunConfig):
@@ -72,8 +81,11 @@ def _static_response(config: RunConfig):
     # the surprise x is |dS/S|, so D sees the size of the shock, ds its sign
     d = stability_denominator(model, abs(shock))
     ds = static_response(model, shock, model.s0, x_shock_ratio=abs(shock))
+    # a D at or below EPS_SINGULAR, -inf included, was singular (exit 3) above
+    _finite("D = 1 - [model] lambda * n0 * gamma0 * (1 + k*x)", d)
+    _finite("ds = [model] mu0 * s0 / D", ds)
     header = "shock_ratio,s0,stability_denominator,ds,amplification\n"
-    row = f"{shock!r},{model.s0!r},{d!r},{ds!r},{1.0 / d!r}\n"
+    row = f"{shock!r},{model.s0!r},{d!r},{ds!r},{_finite('1/D', 1.0 / d)!r}\n"
     yield "static_response.csv", iter((header, row))
 
 
@@ -92,7 +104,8 @@ def _bifurcation_scan(config: RunConfig):
     if not grid.lam > 0:  # at lambda <= 0, D = 1 - lambda * G * (1 + k*x) never reaches 0
         raise ConfigError(f"[grid] lambda must be > 0 (got {grid.lam})")
     betas = grid.betas()
-    roots = [critical_exposure(grid.lam, b, grid.shock_ratio, grid.sigma_m, grid.k)
+    roots = [_finite("G* = 1 / ([grid] lambda * (1 + k*x))",
+                     critical_exposure(grid.lam, b, grid.shock_ratio, grid.sigma_m, grid.k))
              for b in betas]
     yield "bifurcation.csv", curve_csv(betas, roots)
     if config.emit_svg:
@@ -102,10 +115,12 @@ def _bifurcation_scan(config: RunConfig):
 
 def _fixed_point(config: RunConfig):
     model = config.model
-    a = model.mu0 * model.s0
-    f = linearized_feedback(model, config.impact)
+    a = _finite("a = [model] mu0 * s0", model.mu0 * model.s0)
+    f = _finite("f = I([model] lambda * n0 * gamma0)", linearized_feedback(model, config.impact))
     report = analyze_fixed_point(a, f)
     fp = report.fixed_point
+    if fp is not None:
+        _finite("the fixed point a / (1 - f) of [model] mu0 * s0", fp)
     header = "a,f,fixed_point,singular,classification\n"
     row = (
         f"{a!r},{f!r},{0.0 if fp is None else fp!r},"

@@ -8,8 +8,8 @@ with the deterministic position as the scale, and the cap is the
 stationary-dispersion reference level ``n0 * (1 + kappa * sigma_n /
 sqrt(1 - rho^2))``. The censor is two comparisons that give what
 ``min(max(x, 0.0), cap)`` gives, NaN and -0.0 included. Deterministic decay
-of the position itself is unchanged. In event-driven runs the AR process is replaced by a sparse
-schedule of uniform spikes.
+of the position itself is unchanged. In event-driven runs the AR process is
+replaced by a sparse schedule of uniform spikes.
 """
 
 from __future__ import annotations

@@ -6,17 +6,19 @@ subprocess to cover the console entry point.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from gammafeedback import parse_config, svgplot
+from gammafeedback import config, parse_config, runner, svgplot
 from gammafeedback.artifacts import sha256_hex
 from gammafeedback.cli import main
 from gammafeedback.runner import SUBCOMMANDS, run_subcommand
 from test_golden import CASES as GOLDEN_CASES
+from test_golden import README
 from writer_reference import read_trajectory_csv
 
 SIM_CFG = """
@@ -749,3 +751,102 @@ print("numpy", sys.modules["numpy"])
             ("stability-map", "amplification-map", "static-response", "simulate",
              "simulate-stochastic", "simulate-events", "bifurcation-scan", "fixed-point"))
         assert out[1:-2:2] == ["True"] * sum(case.endswith("--svg") for case in GOLDEN_CASES)
+
+
+class TestFinitenessContract:
+    """Exit 0 means every number written is finite: each float key that a
+    subcommand reads, set to an extreme value, either runs to finite outputs
+    or fails as one JSON line that leaves no output directory."""
+
+    BASE = {
+        "model": {"lambda": "0.001", "beta": "1.0", "mu0": "0.05", "n0": "100",
+                  "gamma0": "1.0", "sigma_m": "0.03", "k": "2", "eta": "2", "xi": "5",
+                  "s0": "100"},
+        "impact": {"kind": "tanh", "c": "1.0", "i_max": "1.0"},
+        "stochastic": {"rho": "0.9", "sigma_n": "0.2", "kappa": "8", "seed": "7"},
+        "events": {"n_spikes": "5", "max_fraction": "0.3", "seed": "11"},
+        "grid": {"beta_min": "0.2", "beta_max": "3.0", "g_min": "0", "g_max": "300",
+                 "n_beta": "6", "n_g": "5", "shock_ratio": "0.05", "lambda": "0.006",
+                 "sigma_m": "0.03", "k": "2"},
+        "run": {"horizon": "30"},
+    }
+    VALUES = ("inf", "-inf", "1e308", "5e-324", "-0.0")
+    NONFINITE = re.compile(r"(?<![a-z])(nan|inf)(?![a-z])", re.IGNORECASE)
+
+    @staticmethod
+    def _reads(subcommand):
+        """The sections whose float keys the subcommand reads; simulate-events
+        takes its cap from [stochastic] when that section is present."""
+        sections = runner._SUBCOMMANDS[subcommand][0]
+        return sections + ("stochastic",) * (subcommand == "simulate-events")
+
+    def _text(self, section, key, value, kind="tanh"):
+        sections = {name: dict(keys) for name, keys in self.BASE.items()}
+        sections[section][key] = value
+        # only the clamp response reads its bound
+        sections["impact"]["kind"] = "clamp" if key == "i_max" else kind
+        return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                       for name, keys in sections.items())
+
+    def test_extreme_float_keys(self, tmp_path, capsys):
+        # a saturating and an unbounded response: only the linear one lets an
+        # extreme lambda, n0 or gamma0 reach the feedback f unbounded
+        broken, runs = [], 0
+        for kind, subcommand in ((kind, sub) for kind in ("tanh", "linear")
+                                 for sub in SUBCOMMANDS):
+            for section in self._reads(subcommand):
+                floats = [key for key, _, _, parse, _ in config._TABLE[section][0]
+                          if parse is float]
+                for key, value in ((key, value) for key in floats for value in self.VALUES):
+                    runs += 1
+                    case = f"{subcommand} [{section}] {key} = {value} ({kind})"
+                    path = tmp_path / f"{runs}.cfg"
+                    path.write_text(self._text(section, key, value, kind))
+                    out = tmp_path / f"out{runs}"
+                    rc = main([subcommand, "--config", str(path), "--out", str(out),
+                               "--svg", "--quiet"])
+                    err = capsys.readouterr().err
+                    if rc == 0:
+                        written = [f for f in sorted(out.iterdir())
+                                   if f.suffix in (".csv", ".svg")]
+                        bad = [f.name for f in written
+                               if self.NONFINITE.search(f.read_text(encoding="utf-8"))]
+                        if not written or bad:
+                            broken.append(f"{case}: exit 0 with non-finite numbers in {bad}")
+                    elif rc not in (2, 3) or out.exists() or err.count("\n") != 1:
+                        broken.append(f"{case}: exit {rc}, error {err!r}, "
+                                      f"output directory left: {out.exists()}")
+                    else:
+                        json.loads(err)
+        assert runs == 2 * 445
+        assert not broken, "\n".join(broken)
+
+    @pytest.mark.parametrize("subcommand, section, key, value", [
+        # every G* is 1 / 5e-324 = inf
+        ("bifurcation-scan", "grid", "lambda", "5e-324"),
+        # an infinite shock, an infinite a = mu0 * s0, or a fixed point
+        # a / (1 - f) past the largest double at 1 - f of about 4e-9
+        ("fixed-point", "model", "mu0", "inf"),
+        ("fixed-point", "model", "mu0", "-inf"),
+        ("fixed-point", "model", "mu0", "1e308"),
+        ("fixed-point", "model", "s0", "inf"),
+        ("fixed-point", "model", "s0", "1e308"),
+        # D = inf, which would write ds and 1/D as 0.0
+        ("static-response", "model", "lambda", "-inf"),
+    ])
+    def test_readme_runs_that_wrote_inf_are_2(self, tmp_path, capsys, subcommand, section,
+                                              key, value):
+        head, body = README.split(f"[{section}]\n")
+        text = head + f"[{section}]\n" + re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", body,
+                                                 count=1)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        rc = main([subcommand, "--config", str(path), "--out", str(tmp_path / "x"),
+                   "--svg", "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "config"
+        assert f"[{section}] " in error["message"] and key in error["message"]
+        assert not (tmp_path / "x").exists()

@@ -293,6 +293,7 @@ POSITIVE = _floats(0.0, exclude_min=True)
 NON_NEGATIVE = _floats(0.0)
 FINITE_POSITIVE = _floats(0.0, exclude_min=True, max_value=sys.float_info.max)
 FINITE_NON_NEGATIVE = _floats(0.0, max_value=sys.float_info.max)
+FINITE = _floats(-sys.float_info.max, max_value=sys.float_info.max)
 # (beta, sigma_m) pairs whose product, the surprise scale, does not underflow to 0
 SCALES = st.tuples(POSITIVE, POSITIVE).filter(lambda pair: pair[0] * pair[1] > 0)
 SEEDS = st.integers(0, 2**64 - 1)
@@ -302,9 +303,9 @@ SEEDS = st.integers(0, 2**64 - 1)
 def run_configs(draw) -> RunConfig:
     """Valid RunConfigs over all six sections, each optional section maybe absent."""
     model = draw(st.none() | SCALES.flatmap(lambda scale: st.builds(
-        ModelParams, lam=_floats(), beta=st.just(scale[0]), mu0=_floats(), n0=POSITIVE,
+        ModelParams, lam=_floats(), beta=st.just(scale[0]), mu0=FINITE, n0=POSITIVE,
         gamma0=POSITIVE, sigma_m=st.just(scale[1]), k=NON_NEGATIVE, eta=NON_NEGATIVE,
-        xi=POSITIVE, s0=POSITIVE)))
+        xi=POSITIVE, s0=FINITE_POSITIVE)))
     impact = draw(st.none() | st.builds(
         ImpactSpec, kind=st.sampled_from(ImpactSpec.KINDS), c=POSITIVE, i_max=POSITIVE))
     stochastic = draw(st.none() | st.builds(

@@ -31,6 +31,7 @@ from gammafeedback import (
     simulate_one_shot,
     simulate_recursive,
     simulate_stochastic,
+    stability_denominator,
 )
 from step_reference import (outcome, position_decay, reference_step, replay_events,
                             replay_one_shot, replay_recursive, replay_stochastic)
@@ -168,6 +169,36 @@ class TestFeedbackStep:
         p = frozen_params(1.5, mu0=0.01)
         with pytest.raises(NumericalOverflow):
             simulate_recursive(p, ImpactSpec.linear(), 10_000)
+
+
+class TestStabilityCondition:
+    """The paper's squeeze condition on the step driver: with a linear
+    response, no decay (eta = 0) and no shock (mu0 = 0), one step multiplies
+    dS by lam * N * gamma0 * (1 + k*x) = 1 - D, so |dS| grows exactly when
+    D = stability_denominator(p, |dS/S|) < 0."""
+
+    # the driver multiplies lam * N * gamma0 left to right, D takes
+    # lam * (N * gamma0): the two may differ in the last bits near D = 0
+    TOL = 8 * math.ulp(1.0)
+
+    @given(lam=st.floats(1e-4, 0.02), n0=st.floats(10.0, 400.0),
+           gamma0=st.floats(0.1, 2.0), beta=st.floats(0.05, 3.0),
+           sigma_m=st.floats(0.005, 0.1), k=st.floats(0.0, 5.0))
+    @settings(max_examples=300, deadline=None)
+    def test_dS_grows_exactly_when_D_is_negative(self, lam, n0, gamma0, beta, sigma_m, k):
+        p = ModelParams(lam=lam, beta=beta, mu0=0.0, n0=n0, gamma0=gamma0,
+                        sigma_m=sigma_m, k=k, eta=0.0)
+        # acceptance criterion 3's start state, a unit displacement
+        state = SimState(t=0, s=100.0, ds_obs=1.0, m_cum=0.0, n_t=n0, mu_t=0.0)
+        for _ in range(40):
+            d = stability_denominator(p, abs(state.ds_obs / state.s))
+            try:
+                nxt = feedback_step(state, p, ImpactSpec.linear())
+            except NumericalOverflow:
+                break
+            if abs(d) > self.TOL:
+                assert (abs(nxt.ds_obs) > abs(state.ds_obs)) == (d < 0), (state, d)
+            state = nxt
 
 
 class TestSimulateRecursive:

@@ -296,6 +296,22 @@ class TestModelParams:
         with pytest.raises(ValueError, match=r"beta \* sigma_m underflows to 0"):
             ModelParams(lam=0.05, beta=1e-200, mu0=0.025, sigma_m=1e-200)
 
+    @pytest.mark.parametrize("field", ["mu0", "s0"])
+    def test_infinite_shock_or_price_rejected(self, field):
+        kwargs = dict(lam=0.05, beta=1.0, mu0=0.025)
+        kwargs[field] = math.inf
+        with pytest.raises(ValueError, match=rf"^{field} must be finite \(got inf\)$"):
+            ModelParams(**kwargs)
+        kwargs[field] = -math.inf
+        with pytest.raises(ValueError, match=rf"^{field} must be "):
+            ModelParams(**kwargs)
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf])
+    def test_infinite_lambda_accepted(self, lam):
+        # tanh and clamp saturate an infinite pressure to a finite gain
+        p = ModelParams(lam=lam, beta=1.0, mu0=0.025)
+        assert simulate_recursive(p, ImpactSpec.tanh(1.0), 5).prices[-1] > 0.0
+
     def test_eta_zero_allowed(self):
         ModelParams(lam=0.05, beta=1.0, mu0=0.025, eta=0.0)
 
