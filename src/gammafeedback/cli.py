@@ -12,9 +12,8 @@ overflowing a double), 4 I/O error. Every failure prints one JSON error
 line to stderr, and a failed run removes what it wrote.
 
 A run that exits 0 writes only finite numbers to its CSVs and only finite
-coordinates to its SVGs. An input whose derived values are not finite (an
-infinite mu0 or s0, a critical exposure G*, a, f or fixed point, or D or ds
-of static-response that overflows) exits 2 with a message naming its keys.
+coordinates to its SVGs; an input whose derived values are not finite exits
+2 with one JSON line that names its keys.
 
 No subcommand imports numpy.
 """

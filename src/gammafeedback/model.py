@@ -82,9 +82,7 @@ class ModelParams:
         _require("n0", self.n0)
         _require("gamma0", self.gamma0)
         _require("s0", self.s0)
-        # an infinite lam still saturates tanh and clamp to a finite gain, but
-        # an infinite shock or price leaves nothing finite to write
-        for name in ("mu0", "s0"):
+        for name in ("mu0", "s0"):  # lam may be infinite: tanh and clamp saturate it
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite (got {getattr(self, name)})")
         # eta = 0 disables position decay entirely; useful for frozen-exposure
@@ -178,12 +176,9 @@ def _impact_function(spec: ImpactSpec) -> Callable[[float], float]:
         return lambda y: y
     if spec.kind == "clamp":
         i_max = spec.i_max
-        # min(i_max, max(-i_max, y)) without the builtin calls, comparison
-        # for comparison: NaN gives -i_max, and a signed zero keeps its sign
-        def clamp(y: float) -> float:
-            y = y if y > -i_max else -i_max
-            return y if y < i_max else i_max
-        return clamp
+        # min(i_max, max(-i_max, y)) without the builtin calls, comparison for
+        # comparison (i_max is above 0): NaN gives -i_max, a zero keeps its sign
+        return lambda y: (y if y < i_max else i_max) if y > -i_max else -i_max
     c = spec.c
     return lambda y: math.tanh(c * y)
 

@@ -197,17 +197,13 @@ class Rng:
         return (self.next_u64() >> 11) * _U53
 
     def normal(self) -> float:
-        """Standard normal draw; Box-Muller pairs, second value cached.
-
-        A pair's two uniforms come from two ``next_u64`` steps, written out
-        here on locals so that the state is read and written once per pair.
-        """
+        """Standard normal draw; Box-Muller pairs, second value cached."""
         z = self._cached_normal
         if z is not None:
             self._cached_normal = None
             return z
+        # two next_u64 steps on locals: the state is read and written once per pair
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        # next_u64, once for u1 ...
         x = (s1 * 5) & _MASK
         u1 = ((((((x << 7) | (x >> 57)) & _MASK) * 9) & _MASK) >> 11) * _U53
         t = (s1 << 17) & _MASK
@@ -217,7 +213,6 @@ class Rng:
         s0 ^= s3
         s2 ^= t
         s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
-        # ... and once for u2
         x = (s1 * 5) & _MASK
         u2 = ((((((x << 7) | (x >> 57)) & _MASK) * 9) & _MASK) >> 11) * _U53
         t = (s1 << 17) & _MASK

@@ -43,8 +43,7 @@ from .svgplot import line_chart_svg
 
 
 def _finite(what: str, value: float) -> float:
-    """``value``, once it is finite: a run that exits 0 writes only finite
-    numbers, so ``what`` names the config keys it derives from."""
+    """``value``, once it is finite; ``what`` names the keys it derives from."""
     if not math.isfinite(value):
         raise ConfigError(f"{what} is {value!r}: not a finite number")
     return value

@@ -88,8 +88,9 @@ def simulate_stochastic(
     def exposure(t: int, n_t: float, nu_t: float) -> tuple[float, float]:
         nu = rho * nu_t + sigma_n * n_t * normal()
         x = n_t + nu
-        x = 0.0 if 0.0 > x else x  # min(max(x, 0.0), cap), comparison for comparison
-        return (cap if cap < x else x), nu
+        # min(max(x, 0.0), cap) without the builtin calls, comparison for
+        # comparison (cap is above 0): NaN and -0.0 pass as they did
+        return (0.0 if 0.0 > x else cap if cap < x else x), nu
 
     start = initial_state(params)
     return Trajectory._from_columns(_drive(start, params, impact, horizon, exposure))
@@ -129,9 +130,8 @@ def simulate_event_driven(
     spike = generate_event_spikes(events, params.n0).get
 
     def exposure(t: int, n_t: float, nu_t: float) -> tuple[float, float]:
-        x = n_t + nu_t
-        x = 0.0 if 0.0 > x else x  # as in simulate_stochastic
-        return (cap if cap < x else x), spike(t + 1, 0.0)
+        x = n_t + nu_t  # censored as in simulate_stochastic
+        return (0.0 if 0.0 > x else cap if cap < x else x), spike(t + 1, 0.0)
 
     start = initial_state(params, nu0=spike(0, 0.0))
     return Trajectory._from_columns(_drive(start, params, impact, events.horizon, exposure))
