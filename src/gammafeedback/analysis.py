@@ -5,9 +5,10 @@ Stability maps and fixed-point analysis of the hedging-feedback loop.
   field D(beta, G) over an inclusive rectangular grid, with the surprise
   term evaluated at a fixed exogenous shock ratio, and 1/D computed from
   that D scan.
-- ``extract_contour``: marching-squares iso-lines with linear edge
-  interpolation; saddle cells are disambiguated by the sign of the
-  cell-center average.
+- ``extract_contour(spec, level)``: the level set D = level in the grid
+  box, from the closed form G = (1 - level) / (lam * (1 + k*x)): at most
+  one polyline, its vertices in non-decreasing beta. Level 0 is the
+  threshold curve; the 1/D = 2 curve of an amplification map is level 1/2.
 - ``critical_exposure``: the analytic root G*(beta) = 1 / (lam * (1 + k*x)),
   i.e. the exposure at which the denominator crosses zero.
 - ``analyze_fixed_point`` / ``linearized_feedback``: the affine one-step map
@@ -150,11 +151,8 @@ class GridScan:
 
 @dataclass
 class ContourSet:
-    """Iso-level polylines in (beta, G) coordinates.
-
-    Each polyline is a list of (beta, G) vertices; closed loops repeat their
-    first vertex at the end.
-    """
+    """Iso-level polylines in (beta, G) coordinates, each a list of (beta, G)
+    vertices."""
 
     polylines: list
 
@@ -206,136 +204,38 @@ def amplification_grid(dscan: GridScan) -> GridScan:
     return GridScan(dscan.spec, values, singular)
 
 
-# Marching squares: corner bits (c0..c3) of a crossed cell -> segments as
-# pairs of local edge ids. Corners: c0=(i,j), c1=(i,j+1), c2=(i+1,j+1),
-# c3=(i+1,j); edges: 0=bottom c0-c1, 1=right c1-c2, 2=top c3-c2, 3=left
-# c0-c3. Cases 5 (c0 and c2 inside) and 10 (c1 and c3 inside) are saddles;
-# when the cell-center average is inside, case + 16 joins the two inside
-# corners across the cell.
-_MS_TABLE: dict[int, tuple[tuple[int, int], ...]] = {
-    1: ((0, 3),),
-    2: ((0, 1),),
-    3: ((1, 3),),
-    4: ((1, 2),),
-    5: ((0, 3), (1, 2)),
-    6: ((0, 2),),
-    7: ((2, 3),),
-    8: ((2, 3),),
-    9: ((0, 2),),
-    10: ((0, 1), (2, 3)),
-    11: ((1, 2),),
-    12: ((1, 3),),
-    13: ((0, 1),),
-    14: ((0, 3),),
-    5 + 16: ((0, 1), (2, 3)),
-    10 + 16: ((0, 3), (1, 2)),
-}
+def extract_contour(spec: GridSpec, level: float) -> ContourSet:
+    """The level set D = ``level`` in the grid box, from the closed form.
 
-
-def _crossing_point(key, values, level, betas, gs):
-    """Linear-interpolated crossing of ``level`` along a node edge."""
-    kind, i, j = key
-    fa = values[i][j] - level
-    if kind == "r":
-        fb = values[i][j + 1] - level
-        t = fa / (fa - fb)
-        return (betas[i], gs[j] + t * (gs[j + 1] - gs[j]))
-    fb = values[i + 1][j] - level
-    t = fa / (fa - fb)
-    return (betas[i] + t * (betas[i + 1] - betas[i]), gs[j])
-
-
-def extract_contour(scan: GridScan, level: float) -> ContourSet:
-    """Marching-squares polylines of ``scan`` at ``level``.
-
-    Cells touching a singular node contribute nothing. Returns an empty set
-    when the level is never crossed.
+    For lam > 0 the set is the curve G_c(beta) = (1 - level) / a(beta), with
+    a(beta) = lam * (1 + k*x) computed as ``stability_grid`` computes it per
+    row. G_c is non-decreasing in beta, so the box holds at most one piece of
+    it: one polyline with a vertex at each beta node whose G_c lies in
+    [g_min, g_max], and, between two nodes, one where the curve enters
+    through g_min or leaves through g_max, at the exact beta
+    k*s / (sigma_m * ((1 - level) / (lam * G) - 1)) of that edge G. For
+    lam <= 0 the set is empty.
     """
-    values = scan.values
-    # One byte per node, 1 for usable (not singular) and for inside (usable
-    # and above the level; non-singular values are finite, so v > level is
-    # v - level > 0), read as little-endian integers: byte j of a row's
-    # integer is node j, and a shift by 8 moves to the next node.
-    n_g = scan.spec.n_g
-    all_usable = int.from_bytes(b"\x01" * n_g, "little")
-    inside, usable = [], []
-    for row, flags in zip(values, scan.singular):
-        if any(flags):
-            inside.append(bytes([not s and v > level for v, s in zip(row, flags)]))
-            usable.append(int.from_bytes(bytes([not s for s in flags]), "little"))
-        else:
-            inside.append(bytes([v > level for v in row]))
-            usable.append(all_usable)
-    masks = [int.from_bytes(row, "little") for row in inside]
-
-    links: dict[tuple, list[tuple]] = {}
-
-    def _link(ka, kb):
-        links.setdefault(ka, []).append(kb)
-        links.setdefault(kb, []).append(ka)
-
-    for i in range(scan.spec.n_beta - 1):
-        a, b = inside[i], inside[i + 1]
-        ma, mb = masks[i], masks[i + 1]
-        # a cell needs four usable corners and two that differ; going round
-        # it, an even number of the corner pairs c0-c1, c1-c2, c2-c3, c3-c0
-        # differ, so the cell is crossed when c0-c1, c3-c2 or c0-c3 does
-        ok = usable[i] & usable[i + 1]
-        ok &= ok >> 8
-        todo = ((ma ^ (ma >> 8)) | (mb ^ (mb >> 8)) | (ma ^ mb)) & ok
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            j = low.bit_length() >> 3
-            # corners c0..c3 of cell (i, j), in the order of _MS_TABLE
-            c = a[j] + 2 * a[j + 1] + 4 * b[j + 1] + 8 * b[j]
-            if c in (5, 10) and 0.25 * ((values[i][j] - level) + (values[i][j + 1] - level)
-                                        + (values[i + 1][j + 1] - level)
-                                        + (values[i + 1][j] - level)) > 0:
-                c += 16
-            # the global identity of each local edge; rows run along G
-            edges = (("r", i, j), ("c", i, j + 1), ("r", i + 1, j), ("c", i, j))
-            for ea, eb in _MS_TABLE[c]:
-                _link(edges[ea], edges[eb])
-
-    # Chain segments into polylines: open chains first (from degree-1 edges
-    # in sorted order), then remaining closed loops.
-    visited: set[tuple] = set()
-    polylines = []
-
-    def _walk(start):
-        chain = [start]
-        visited.add(start)
-        current = start
-        while True:
-            nxt = None
-            for cand in links[current]:
-                if cand not in visited:
-                    nxt = cand
-                    break
-            if nxt is None:
-                # Closed loop: step back to the start if it is a neighbor.
-                if len(chain) > 2 and start in links[current]:
-                    chain.append(start)
-                break
-            chain.append(nxt)
-            visited.add(nxt)
-            current = nxt
-        return chain
-
-    endpoints = sorted(k for k, nbrs in links.items() if len(nbrs) == 1)
-    for key in endpoints:
-        if key not in visited:
-            polylines.append(_walk(key))
-    for key in sorted(links):
-        if key not in visited:
-            polylines.append(_walk(key))
-
-    betas = scan.spec.betas()
-    gs = scan.spec.gs()
-    return ContourSet([
-        [_crossing_point(k, values, level, betas, gs) for k in chain] for chain in polylines
-    ])
+    lam, shock, sigma_m, k = spec.lam, spec.shock_ratio, spec.sigma_m, spec.k
+    if not lam > 0:
+        return ContourSet([])
+    c, g_min, g_max = 1.0 - level, float(spec.g_min), float(spec.g_max)
+    line, b0, g0 = [], spec.beta_min, math.inf
+    for b in spec.betas():
+        g = c / (lam * (1.0 + k * (shock / (b * sigma_m))))
+        for edge in (g_min, g_max):
+            if g0 < edge < g:  # the curve crosses this edge of the box between b0 and b
+                # the root above with lam * edge multiplied through; b if the
+                # divisor underflows to 0
+                den = sigma_m * (c - lam * edge)
+                root = k * shock * (lam * edge) / den if den > 0 else b
+                # rounding can pass a node: kept between b0 and b, and so, being
+                # non-decreasing in edge, never before the vertex of g_min
+                line.append((min(max(root, b0), b), edge))
+        if g_min <= g <= g_max:
+            line.append((b, g))
+        b0, g0 = b, g
+    return ContourSet([line] if line else [])
 
 
 def critical_exposure(

@@ -51,7 +51,7 @@ def _finite(what: str, value: float) -> float:
 
 def _stability_map(config: RunConfig):
     scan = stability_grid(config.grid)
-    contour = extract_contour(scan, 0.0)
+    contour = extract_contour(config.grid, 0.0)
     yield "stability_grid.csv", grid_csv(scan)
     yield "stability_contour.csv", contour_csv(contour)
     if config.emit_svg:
@@ -60,11 +60,9 @@ def _stability_map(config: RunConfig):
 
 
 def _amplification_map(config: RunConfig):
-    dscan = stability_grid(config.grid)
-    ascan = amplification_grid(dscan)
-    amp2 = extract_contour(ascan, 2.0)
-    d0 = extract_contour(dscan, 0.0)
-    del dscan  # only its contour is drawn: freed before the first output is built
+    ascan = amplification_grid(stability_grid(config.grid))
+    amp2 = extract_contour(config.grid, 0.5)  # 1/D = 2 is D = 1/2
+    d0 = extract_contour(config.grid, 0.0)
     yield "amplification_grid.csv", grid_csv(ascan)
     yield "amplification_contour.csv", contour_csv(amp2)
     yield "stability_contour.csv", contour_csv(d0)

@@ -1,5 +1,5 @@
 """
-Self-contained SVG rendering for grids, contours, and trajectories.
+Self-contained SVG rendering for grids with contour overlays, and for trajectories.
 
 No external renderer: documents are plain SVG 1.1 text, returned as one-shot
 iterators of chunks, with axes, tick labels, and a legend, deterministic for
@@ -262,19 +262,6 @@ def timeseries_svg(
     colors = [PALETTE[idx % len(PALETTE)] for idx in range(len(trajectories))]
     series = [(range(len(traj)), traj.arrays("s")[0]) for traj in trajectories]
     return _chart(series, colors, title, xlabel, ylabel, labels)
-
-
-def contour_svg(
-    contours: ContourSet,
-    title: str = "",
-    xlabel: str = "beta",
-    ylabel: str = "G",
-) -> Iterator[str]:
-    """Standalone polyline plot of a contour set."""
-    if not contours.polylines:
-        raise ValueError("contour set is empty")
-    series = [tuple(zip(*line)) for line in contours.polylines]
-    return _chart(series, [PALETTE[0]] * len(series), title, xlabel, ylabel)
 
 
 def event_series_svg(traj: Trajectory, title: str = "") -> Iterator[str]:

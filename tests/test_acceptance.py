@@ -34,7 +34,6 @@ from gammafeedback import (
     simulate_recursive,
     simulate_stochastic,
     stability_denominator,
-    stability_grid,
 )
 from gammafeedback.cli import main as cli_main
 from gammafeedback.svgplot import timeseries_svg
@@ -101,7 +100,7 @@ def test_criterion_2_threshold_equivalence():
     def max_deviation(n):
         spec = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
                         n_beta=n, n_g=n, shock_ratio=0.05, lam=0.003)
-        contour = extract_contour(stability_grid(spec), 0.0)
+        contour = extract_contour(spec, 0.0)
         dev = 0.0
         for line in contour.polylines:
             for beta, g in line:

@@ -1,16 +1,18 @@
-"""Grid scans, contour extraction, and fixed-point analysis.
+"""Grid scans, threshold contours, and fixed-point analysis.
 
-The contour checks use the analytic root curve G*(beta) = 1/(lam*(1+k*x))
-as an independent oracle; fixed points are checked against brute-force
-iteration of the affine map.
+The contour checks use ``critical_exposure``, the analytic root curve
+G*(beta) = 1/(lam*(1+k*x)), and exact fractions as oracles; fixed points
+are checked against brute-force iteration of the affine map.
 """
 
+import dataclasses
 import math
 import re
 import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -73,8 +75,9 @@ class TestGridSpec:
         assert _hex_rows([ints.betas(), ints.gs()]) == _hex_rows([floats.betas(), floats.gs()])
         for grid in (stability_grid, _amplification):
             assert "".join(grid_csv(grid(ints))) == "".join(grid_csv(grid(floats)))
-            assert ("".join(contour_csv(extract_contour(grid(ints), 0.5)))
-                    == "".join(contour_csv(extract_contour(grid(floats), 0.5))))
+        for level in (0.0, 0.5):
+            assert ("".join(contour_csv(extract_contour(ints, level)))
+                    == "".join(contour_csv(extract_contour(floats, level))))
 
     @pytest.mark.parametrize("kwargs", [
         {"beta_min": 0.0}, {"beta_min": -1.0}, {"g_min": -5.0},
@@ -301,16 +304,13 @@ class TestAmplificationGrid:
 
 
 class TestExtractContour:
-    def _scan_from(self, values, beta_min=1.0, beta_max=2.0, g_min=0.0, g_max=1.0):
-        spec = GridSpec(beta_min=beta_min, beta_max=beta_max, g_min=g_min,
-                        g_max=g_max, n_beta=len(values), n_g=len(values[0]),
-                        shock_ratio=0.0, lam=0.003)
-        return GridScan(spec=spec, values=[[float(v) for v in row] for row in values],
-                        singular=[[False] * len(row) for row in values])
+    def _spec(self, lam):
+        # at zero shock a(beta) = lam: the level set D = 0 is the line G = 1/lam
+        return GridSpec(beta_min=1.0, beta_max=2.0, g_min=0.0, g_max=1.0, n_beta=2, n_g=2,
+                        shock_ratio=0.0, lam=lam)
 
     def test_vertical_midline(self):
-        scan = self._scan_from([[1.0, -1.0], [1.0, -1.0]])
-        contour = extract_contour(scan, 0.0)
+        contour = extract_contour(self._spec(2.0), 0.0)
         assert len(contour.polylines) == 1
         line = contour.polylines[0]
         assert len(line) == 2
@@ -318,43 +318,17 @@ class TestExtractContour:
         assert {b for b, _ in line} == {1.0, 2.0}  # spans the beta range
 
     def test_no_crossing_is_empty(self):
-        scan = self._scan_from([[5.0, 5.0], [5.0, 5.0]])
-        contour = extract_contour(scan, 0.0)
+        contour = extract_contour(self._spec(0.2), 0.0)  # G = 5, above the box
         assert contour.polylines == []
 
     def test_interpolated_crossing_position(self):
-        # f = 3 at G=0 and -1 at G=1: crossing at t = 3/4
-        scan = self._scan_from([[3.0, -1.0], [3.0, -1.0]])
-        contour = extract_contour(scan, 0.0)
+        # D = 1 - (4/3) * G is 1 at G=0 and -1/3 at G=1: the curve lies at 3/4,
+        # between the G nodes
+        contour = extract_contour(self._spec(4 / 3), 0.0)
         assert [g for _, g in contour.polylines[0]] == pytest.approx([0.75, 0.75])
 
-    def test_closed_loop(self):
-        # an island of positive values yields a closed polyline
-        values = [[-1.0] * 5 for _ in range(5)]
-        values[2][2] = 1.0
-        scan = self._scan_from(values)
-        contour = extract_contour(scan, 0.0)
-        assert len(contour.polylines) == 1
-        line = contour.polylines[0]
-        assert line[0] == line[-1]  # closed
-        assert len(line) == 5
-
-    def test_saddle_disambiguation_by_center(self):
-        # opposite-sign diagonal with positive center joins the inside
-        # corners into two separate arcs around the negative corners
-        values = [[4.0, -1.0], [-1.0, 4.0]]
-        scan = self._scan_from(values)
-        contour = extract_contour(scan, 0.0)
-        assert len(contour.polylines) == 2
-        # negative center on the same geometry flips the pairing
-        values = [[1.0, -4.0], [-4.0, 1.0]]
-        scan = self._scan_from(values)
-        contour = extract_contour(scan, 0.0)
-        assert len(contour.polylines) == 2
-
     def test_contour_matches_analytic_root(self):
-        scan = stability_grid(FIG1A)
-        contour = extract_contour(scan, 0.0)
+        contour = extract_contour(FIG1A, 0.0)
         assert contour.polylines
         max_dev = 0.0
         for line in contour.polylines:
@@ -368,7 +342,7 @@ class TestExtractContour:
         def max_dev(n):
             spec = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
                             n_beta=n, n_g=n, shock_ratio=0.05, lam=0.003)
-            contour = extract_contour(stability_grid(spec), 0.0)
+            contour = extract_contour(spec, 0.0)
             dev = 0.0
             for line in contour.polylines:
                 for beta, g in line:
@@ -381,8 +355,7 @@ class TestExtractContour:
         assert fine <= coarse / 2
 
     def test_vertices_inside_bbox_and_adjacent_cells(self):
-        scan = stability_grid(FIG1A)
-        contour = extract_contour(scan, 0.0)
+        contour = extract_contour(FIG1A, 0.0)
         for line in contour.polylines:
             for beta, g in line:
                 assert FIG1A.beta_min - 1e-12 <= beta <= FIG1A.beta_max + 1e-12
@@ -394,11 +367,9 @@ class TestExtractContour:
     def test_skips_cells_touching_singular_nodes(self):
         spec = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
                         n_beta=60, n_g=60, shock_ratio=0.05, lam=0.003)
-        ascan = amplification_grid(stability_grid(spec))
-        contour = extract_contour(ascan, 2.0)
+        contour = extract_contour(spec, 0.5)  # 1/D = 2
         assert contour.polylines
-        # every vertex must sit strictly in non-singular territory: its
-        # amplification interpolates between finite positive cells
+        # every vertex must sit strictly in non-singular territory, where D > 0
         for line in contour.polylines:
             for beta, g in line:
                 d = 1 - spec.lam * g * (1 + spec.k * spec.shock_ratio / (beta * spec.sigma_m))
@@ -424,19 +395,208 @@ DEGENERATE = [
     GridSpec(beta_min=1.0, beta_max=1.0, g_min=100.0, g_max=100.0, n_beta=2, n_g=2,
              shock_ratio=0.05, lam=0.02),
 ]
+# The CLI's two levels of D: 0, and 1/2 for the amplification map's 1/D = 2.
+LEVELS = (0.0, 0.5)
+# D = 1/2 meets an edge one ulp past a node's G, where the computed root lies
+# before beta_min (entering through g_min) and past beta_max (leaving through
+# g_max): each vertex is kept at its node.
+CLAMPED = [
+    GridSpec(beta_min=0.7543203727086492, beta_max=1.2605289835265885, g_min=70.94292685917726,
+             g_max=300.0, n_beta=2, n_g=2, shock_ratio=0.013962802961759575,
+             lam=0.002999467999859582, sigma_m=0.03362911457309894, k=2.452128989889852),
+    GridSpec(beta_min=0.6544179666261012, beta_max=3.1117870098208433, g_min=0.0,
+             g_max=24.03263847790142, n_beta=2, n_g=2, shock_ratio=0.06384282806344237,
+             lam=0.009666829213937776, sigma_m=0.05071574669250206, k=2.848209623149546),
+]
+
+
+@pytest.fixture(scope="module")
+def bench_inputs():
+    """``bench/inputs.py``, loaded read-only for its map grids."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import inputs as module
+    finally:
+        sys.path.remove(bench)
+    return module
+
+
+def _map_specs(bench_inputs, seeds=(1, 2, 3)):
+    """The grids of the ``maps`` workload's stability and amplification maps."""
+    specs = []
+    for seed in seeds:
+        for op in bench_inputs.maps_ops(seed):
+            if op["subcommand"] != "bifurcation-scan":
+                g = op["sections"]["grid"]
+                specs.append(GridSpec(
+                    beta_min=g["beta_min"], beta_max=g["beta_max"], g_min=g["g_min"],
+                    g_max=g["g_max"], n_beta=g["n_beta"], n_g=g["n_g"],
+                    shock_ratio=g["shock_ratio"], lam=g["lambda"], sigma_m=g["sigma_m"],
+                    k=g["k"]))
+    return specs
+
+
+def _curve(spec, level, beta):
+    """G = (1 - level) / a(beta), a computed in the order of ``stability_grid``."""
+    return (1.0 - level) / (spec.lam * (1.0 + spec.k * (spec.shock_ratio / (beta * spec.sigma_m))))
+
+
+def _split(spec, level, line):
+    """A polyline's node vertices, and the vertices where it crosses g_min or
+    g_max between two nodes."""
+    nodes = {(b, _curve(spec, level, b)) for b in spec.betas()}
+    crossings = [v for v in line if v[1] in (spec.g_min, spec.g_max) and v not in nodes]
+    return [v for v in line if v not in crossings], crossings
+
+
+def _positive_lambda_specs():
+    return ref.grid_specs().filter(lambda spec: spec.lam > 0)
 
 
 @st.composite
-def saddle_scans(draw) -> GridScan:
-    """Checkerboard signs with drawn magnitudes, so that most cells are
-    saddles, and a few singular nodes."""
-    spec = draw(ref.grid_specs())
-    magnitude = st.one_of(st.integers(1, 3).map(float), st.floats(1e-3, 1e3))  # centers of 0
-    values = [[draw(magnitude) * (1 if (i + j) % 2 else -1) for j in range(spec.n_g)]
-              for i in range(spec.n_beta)]
-    singular = [[draw(st.integers(0, 9)) == 0 for _ in range(spec.n_g)]
-                for _ in range(spec.n_beta)]
-    return GridScan(spec=spec, values=values, singular=singular)
+def crossed_specs(draw):
+    """(spec, level): a spec with lam > 0 whose g_min and g_max are drawn
+    between the level curve's values at beta_min and beta_max, so that the
+    curve mostly crosses the box's edges between two nodes."""
+    spec = draw(_positive_lambda_specs())
+    level = draw(st.sampled_from(LEVELS))
+    lo, hi = _curve(spec, level, spec.beta_min), _curve(spec, level, spec.beta_max)
+    assume(lo < hi < math.inf)  # a sloped curve; inf at a subnormal lam
+    t = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    g_min, g_max = sorted(lo + draw(t) * (hi - lo) for _ in range(2))
+    return dataclasses.replace(spec, g_min=g_min, g_max=g_max), level
+
+
+def _specs_and_levels():
+    return st.one_of(crossed_specs(), st.tuples(_positive_lambda_specs(), st.sampled_from(LEVELS)))
+
+
+class TestThresholdContour:
+    """The level sets D = 0 and D = 1/2 from the closed form G = (1 - c) / a(beta)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_positive_lambda_specs(), crossed_specs().map(lambda pair: pair[0])))
+    @example(FIG1A)
+    @example(SKEW)
+    def test_threshold_nodes_equal_critical_exposure(self, spec):
+        want = [(b, critical_exposure(spec.lam, b, spec.shock_ratio, spec.sigma_m, spec.k))
+                for b in spec.betas()]
+        want = [(b, g) for b, g in want if spec.g_min <= g <= spec.g_max]
+        lines = extract_contour(spec, 0.0).polylines
+        nodes, crossings = _split(spec, 0.0, lines[0]) if lines else ([], [])
+        assert _hex_lines([nodes]) == _hex_lines([want])
+        assert len(crossings) <= 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(crossed_specs())
+    @example((SKEW, 0.0))
+    @example((SKEW, 0.5))
+    @example((CLAMPED[0], 0.5))
+    @example((CLAMPED[1], 0.5))
+    def test_crossings_lie_on_the_box_at_the_exact_root(self, spec_level):
+        # the root k*s*(lam*E) / (sigma_m * (c - lam*E)) of an edge E rounds six
+        # times, and the subtraction scales the rounding of lam*E by
+        # c / (c - lam*E): at most 6 ulp times that ratio. The CLAMPED
+        # vertices, kept at a node, lie within one ulp of their roots.
+        spec, level = spec_level
+        lines = extract_contour(spec, level).polylines
+        c = Fraction(1.0 - level)
+        for beta, g in _split(spec, level, lines[0])[1] if lines else []:
+            assert g in (spec.g_min, spec.g_max)
+            lam_g = Fraction(spec.lam) * Fraction(g)
+            assert c > lam_g
+            root = (Fraction(spec.k) * Fraction(spec.shock_ratio) * lam_g
+                    / (Fraction(spec.sigma_m) * (c - lam_g)))
+            ulps = abs(Fraction(beta) - root) / Fraction(math.ulp(float(root)))
+            assert ulps <= 6 * c / (c - lam_g), (beta, float(root))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_specs_and_levels())
+    @example((FIG1A, 0.0))
+    @example((SKEW, 0.5))
+    @example((CLAMPED[0], 0.5))
+    @example((CLAMPED[1], 0.5))
+    def test_vertices_in_the_box_and_non_decreasing(self, spec_level):
+        spec, level = spec_level
+        lines = extract_contour(spec, level).polylines
+        assert len(lines) <= 1
+        for line in lines:
+            assert line
+            for beta, g in line:
+                assert spec.beta_min <= beta <= spec.beta_max and spec.g_min <= g <= spec.g_max
+            for (b0, g0), (b1, g1) in zip(line, line[1:]):
+                assert b0 <= b1 and g0 <= g1
+
+    @pytest.mark.parametrize("lam", [0.0, -0.0, -0.003, -math.inf])
+    def test_empty_without_positive_lambda(self, lam):
+        spec = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
+                        n_beta=5, n_g=5, shock_ratio=0.05, lam=lam)
+        for level in (*LEVELS, -1.0, 2.0):
+            assert extract_contour(spec, level).polylines == []
+
+    def test_integer_edges_give_float_vertices(self):
+        # D = 0 leaves the box through g_max = 100, D = 1/2 enters it through g_min = 40
+        ints = GridSpec(beta_min=1, beta_max=3, g_min=40, g_max=100, n_beta=3, n_g=3,
+                        shock_ratio=0.05, lam=0.003)
+        floats = GridSpec(beta_min=1.0, beta_max=3.0, g_min=40.0, g_max=100.0, n_beta=3, n_g=3,
+                          shock_ratio=0.05, lam=0.003)
+        for level in LEVELS:
+            line, = extract_contour(ints, level).polylines
+            assert all(type(v) is float for vertex in line for v in vertex)
+            assert _split(ints, level, line)[1]
+            assert line == extract_contour(floats, level).polylines[0]
+
+    def test_underflowing_root_divisor_keeps_the_next_node(self):
+        # sigma_m * (1 - lam * 90) is 5e-324 * 0.1, which rounds to 0: the
+        # crossing of g_max between the first two nodes is kept at the second
+        spec = GridSpec(beta_min=1e14, beta_max=1e15, g_min=0.0, g_max=90.0, n_beta=3, n_g=3,
+                        shock_ratio=1e-310, lam=0.01, sigma_m=5e-324)
+        stability_grid(spec)  # a grid the maps accept
+        line, = extract_contour(spec, 0.0).polylines
+        assert line == [(1e14, 71.18428189057127), (5.5e14, 90.0)]
+
+    def test_degenerate_specs_pin_what_they_draw(self):
+        beta_fixed, g_fixed, both_fixed = DEGENERATE
+        # a fixed beta repeats its node: one point, once per node
+        assert extract_contour(beta_fixed, 0.0).polylines == [[(1.0, 76.9230769230769)] * 4]
+        assert extract_contour(beta_fixed, 0.5).polylines == [[(1.0, 38.46153846153845)] * 4]
+        # a fixed G is entered and left at the same beta between two nodes
+        assert extract_contour(g_fixed, 0.0).polylines == [[(0.5882352941176471, 50.0)] * 2]
+        assert extract_contour(g_fixed, 0.5).polylines == [[(1.4285714285714286, 50.0)] * 2]
+        # the curve passes below the one node
+        for level in LEVELS:
+            assert extract_contour(both_fixed, level).polylines == []
+
+    @staticmethod
+    def _a_cell_crosses(scan, level):
+        """The rule of the bench's contour check, stated on a scan: some cell
+        whose four corners are not singular has corners on both sides of the
+        level (above it, or not)."""
+        rows = [[None if s else v > level for v, s in zip(row, flags)]
+                for row, flags in zip(scan.values, scan.singular)]
+        return any(None not in corners and len(set(corners)) == 2
+                   for below, above in zip(rows, rows[1:])
+                   for corners in zip(below, below[1:], above, above[1:]))
+
+    def test_nonempty_iff_a_usable_cell_crosses(self, bench_inputs):
+        for spec in [FIG1A, SKEW, *_map_specs(bench_inputs)]:
+            dscan = stability_grid(spec)
+            for scan, scan_level, level in ((dscan, 0.0, 0.0),
+                                            (amplification_grid(dscan), 2.0, 0.5)):
+                assert (bool(extract_contour(spec, level).polylines)
+                        == self._a_cell_crosses(scan, scan_level)), (spec, level)
+
+    def test_exact_curve_where_every_crossed_cell_is_singular(self):
+        # D = 1 - G/100 is 1, -0.5 and -2 at G = 0, 150 and 300: each cell the
+        # 1/D = 2 level crosses has a singular corner, so the scan rule finds
+        # no crossing, yet the exact curve G = 50 lies in the box
+        spec = GridSpec(beta_min=1.0, beta_max=2.0, g_min=0.0, g_max=300.0, n_beta=3, n_g=3,
+                        shock_ratio=0.0, lam=0.01)
+        assert not self._a_cell_crosses(amplification_grid(stability_grid(spec)), 2.0)
+        assert extract_contour(spec, 0.5).polylines == [[(1.0, 50.0), (1.5, 50.0), (2.0, 50.0)]]
+        assert extract_contour(spec, 0.0).polylines == [[(1.0, 100.0), (1.5, 100.0),
+                                                          (2.0, 100.0)]]
 
 
 class TestMatchesNumpyReference:
@@ -459,32 +619,22 @@ class TestMatchesNumpyReference:
         assert [list(r) for r in scan.singular] == singular.tolist()
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(ref.grid_scans(), saddle_scans()),
-           st.one_of(st.sampled_from([0.0, -0.0, 2.0]), st.floats(-1e6, 1e6)))
-    def test_contours(self, scan, level):
-        assert (_hex_lines(extract_contour(scan, level).polylines)
-                == _hex_lines(ref.extract_contour(scan, level)))
+    @given(st.one_of(
+        crossed_specs(),
+        st.tuples(ref.grid_specs(),
+                  st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(-1e6, 1e6)))))
+    def test_contours(self, spec_level):
+        spec, level = spec_level
+        assert (_hex_lines(extract_contour(spec, level).polylines)
+                == _hex_lines(ref.threshold_contour(spec, level)))
 
     @pytest.mark.parametrize("spec", [FIG1A, SKEW, *DEGENERATE],
                              ids=["fig1a", "skew", "beta-fixed", "g-fixed", "both-fixed"])
     def test_map_contours(self, spec):
-        # the CLI's contours: D = 0 and 1/D = 2, singular cells and all
-        dscan = stability_grid(spec)
-        for scan, level in ((dscan, 0.0), (amplification_grid(dscan), 2.0)):
-            assert (_hex_lines(extract_contour(scan, level).polylines)
-                    == _hex_lines(ref.extract_contour(scan, level)))
-
-    def test_saddle_cells(self):
-        # both pairings of each saddle case next to ordinary cells, and a
-        # saddle whose center is exactly 0 (outside) in the last row pair
-        values = [[4.0, -1.0, 1.0, -4.0], [-1.0, 4.0, -4.0, 1.0], [2.0, 2.0, -3.0, 0.5],
-                  [-2.0, -2.0, 3.0, -0.5]]
-        spec = GridSpec(beta_min=0.5, beta_max=1.5, g_min=10.0, g_max=40.0, n_beta=4, n_g=4,
-                        shock_ratio=0.05, lam=0.003)
-        scan = GridScan(spec=spec, values=values, singular=[[False] * 4 for _ in range(4)])
-        contour = extract_contour(scan, 0.0)
-        assert len(contour.polylines) >= 2
-        assert _hex_lines(contour.polylines) == _hex_lines(ref.extract_contour(scan, 0.0))
+        # the CLI's contours: D = 0 and 1/D = 2
+        for level in LEVELS:
+            assert (_hex_lines(extract_contour(spec, level).polylines)
+                    == _hex_lines(ref.threshold_contour(spec, level)))
 
 
 class TestCriticalExposure:

@@ -84,7 +84,7 @@ _number = st.one_of(st.floats(allow_nan=True), st.integers(-10**6, 10**6), st.ju
 
 class TestContourCsv:
     def test_round_trip(self):
-        contour = extract_contour(stability_grid(SPEC), 0.0)
+        contour = extract_contour(SPEC, 0.0)
         assert contour.polylines
         lines = read_contour_csv("".join(contour_csv(contour)))
         assert len(lines) == len(contour.polylines)
@@ -92,7 +92,7 @@ class TestContourCsv:
             assert got.tolist() == np.asarray(want).tolist()
 
     def test_header(self):
-        contour = extract_contour(stability_grid(SPEC), 0.0)
+        contour = extract_contour(SPEC, 0.0)
         assert "".join(contour_csv(contour)).startswith("polyline_id,beta,G\n")
 
     @settings(max_examples=100, deadline=None)
@@ -104,9 +104,8 @@ class TestContourCsv:
         assert "".join(contour_csv(contours)) == ref.contour_csv(contours)
 
     def test_extracted_contours_match_scalar_reference(self):
-        dscan = stability_grid(SPEC)
-        for scan, level in ((dscan, 0.0), (amplification_grid(dscan), 2.0)):
-            contours = extract_contour(scan, level)
+        for level in (0.0, 0.5):  # D = 0 and 1/D = 2
+            contours = extract_contour(SPEC, level)
             assert contours.polylines
             assert "".join(contour_csv(contours)) == ref.contour_csv(contours)
 

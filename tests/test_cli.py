@@ -105,6 +105,17 @@ class TestSubcommands:
         assert (out / "amplification_contour.csv").exists()
         assert (out / "stability_contour.csv").exists()
 
+    @pytest.mark.parametrize("svg", [[], ["--svg"]], ids=["csv", "svg"])
+    def test_both_maps_write_one_threshold_curve(self, tmp_path, cfg, svg):
+        # both maps draw D = 0 from the same [grid]: the same bytes
+        path = cfg(GRID_CFG)
+        for sub in ("stability-map", "amplification-map"):
+            assert main([sub, "--config", str(path), "--out", str(tmp_path / sub),
+                         "--quiet", *svg]) == 0
+        curve = (tmp_path / "stability-map" / "stability_contour.csv").read_bytes()
+        assert curve.count(b"\n") > 1
+        assert curve == (tmp_path / "amplification-map" / "stability_contour.csv").read_bytes()
+
     def test_simulate_svg_outputs(self, tmp_path, cfg):
         rc = main(["simulate", "--config", str(cfg(SIM_CFG)),
                    "--out", str(tmp_path / "s"), "--svg", "--quiet"])

@@ -310,7 +310,7 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'config.resolved.cfg':
             'f4fe3483c9e8249a44d84c8111a14f3c2bcf1fb57566010a83817119b509f246',
         'stability_contour.csv':
-            '7e4cafc438deb98d6f5c8c79f0b73955d12525310bc2281418a4d560e7da2151',
+            '5d9018730fb8dc3d1c4bf541e494df18ea32d6852ce8e2fde01f078cf01e58b1',
         'stability_grid.csv':
             '3b3934ca9c4432a6223e35a49920bb20851e8a1690aef244bc0163272d46ec3a',
     }),
@@ -318,33 +318,33 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'config.resolved.cfg':
             '6f2bab76fadc56a6888ade021b082e87da7ef73d83937309d99c43964b3c665c',
         'stability_contour.csv':
-            '7e4cafc438deb98d6f5c8c79f0b73955d12525310bc2281418a4d560e7da2151',
+            '5d9018730fb8dc3d1c4bf541e494df18ea32d6852ce8e2fde01f078cf01e58b1',
         'stability_grid.csv':
             '3b3934ca9c4432a6223e35a49920bb20851e8a1690aef244bc0163272d46ec3a',
         'stability_map.svg':
-            'd5a178b55b9e290e6829d734ebf32872ceb72ae3e878b1ec34a85026984d8def',
+            'e1ffb66f774adc08376a7cb244cc6470817a08445393199b55ccd5a03a280b7d',
     }),
     'readme amplification-map': (0, {
         'amplification_contour.csv':
-            '5cbc10ce239aeed77cc8b184f6d3e9ff0daf12814fd4ef55a4a29edcb579cb64',
+            '2a2876aaa293ace86ad20952a86219f3d861a7a0bd1dcd9c716d24e55d815972',
         'amplification_grid.csv':
             '682d205f0bdea0a1957b05eabb21bc2f122f71bd9082dde0b49e2dec5fa3bbf0',
         'config.resolved.cfg':
             'f4fe3483c9e8249a44d84c8111a14f3c2bcf1fb57566010a83817119b509f246',
         'stability_contour.csv':
-            '7e4cafc438deb98d6f5c8c79f0b73955d12525310bc2281418a4d560e7da2151',
+            '5d9018730fb8dc3d1c4bf541e494df18ea32d6852ce8e2fde01f078cf01e58b1',
     }),
     'readme amplification-map --svg': (0, {
         'amplification_contour.csv':
-            '5cbc10ce239aeed77cc8b184f6d3e9ff0daf12814fd4ef55a4a29edcb579cb64',
+            '2a2876aaa293ace86ad20952a86219f3d861a7a0bd1dcd9c716d24e55d815972',
         'amplification_grid.csv':
             '682d205f0bdea0a1957b05eabb21bc2f122f71bd9082dde0b49e2dec5fa3bbf0',
         'amplification_map.svg':
-            '4a1be668703d7c8cbf65f42b34278cbad56aae38f1b4297b527b101c443d31dc',
+            '96f59be91d6158a64fc39a6842ef0b54e72962401a6c5896baef893dfa511bb9',
         'config.resolved.cfg':
             '6f2bab76fadc56a6888ade021b082e87da7ef73d83937309d99c43964b3c665c',
         'stability_contour.csv':
-            '7e4cafc438deb98d6f5c8c79f0b73955d12525310bc2281418a4d560e7da2151',
+            '5d9018730fb8dc3d1c4bf541e494df18ea32d6852ce8e2fde01f078cf01e58b1',
     }),
     'readme static-response': (3, {}),
     'readme static-response --svg': (3, {}),
@@ -582,7 +582,7 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'config.resolved.cfg':
             '3af7ac32afd6b20b7900d2c05438af390c01ac5ce5907a9c7be24ef6f481e457',
         'stability_contour.csv':
-            '895cb0c5c41f8661125d5d94c4350122b7ab5a1a7681c5379f3484c5d9d84c7f',
+            'a7961239e59c8ac6a946a7c89d3792982e5b76101c4897f9fe46cdc3f99983c7',
         'stability_grid.csv':
             '6474fb76d33e6aad8d7d1e6e66ba5cecaba13bcb8510a92559a268c85d4225a3',
     }),
@@ -590,33 +590,33 @@ GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
         'config.resolved.cfg':
             'f6448ccb95247354f61d34a12cb27a2c47efe79003c4bd86996500c75e977155',
         'stability_contour.csv':
-            '895cb0c5c41f8661125d5d94c4350122b7ab5a1a7681c5379f3484c5d9d84c7f',
+            'a7961239e59c8ac6a946a7c89d3792982e5b76101c4897f9fe46cdc3f99983c7',
         'stability_grid.csv':
             '6474fb76d33e6aad8d7d1e6e66ba5cecaba13bcb8510a92559a268c85d4225a3',
         'stability_map.svg':
-            '59b15db71b8d7fc9a17d6f1283e04702b20d91a513762ba650c929d60633ead3',
+            '4345ebc1289dc5fe2854fd7b2a0136b98a5acd894022b200dbd4242dfa28694b',
     }),
     'skew amplification-map': (0, {
         'amplification_contour.csv':
-            'd3f3e51351ee02a2ba46a2b808682fdcd36b3eaa0fc0ee2ad68b7864fc6db51b',
+            '8495fdf125880c29280b76adc8ba9f9060949a7665469be46b8be851afda30d2',
         'amplification_grid.csv':
             '198ac16bead620ea49c7523fbeae84f47b69c6b62e7669db488ff19d0ebd5d21',
         'config.resolved.cfg':
             '3af7ac32afd6b20b7900d2c05438af390c01ac5ce5907a9c7be24ef6f481e457',
         'stability_contour.csv':
-            '895cb0c5c41f8661125d5d94c4350122b7ab5a1a7681c5379f3484c5d9d84c7f',
+            'a7961239e59c8ac6a946a7c89d3792982e5b76101c4897f9fe46cdc3f99983c7',
     }),
     'skew amplification-map --svg': (0, {
         'amplification_contour.csv':
-            'd3f3e51351ee02a2ba46a2b808682fdcd36b3eaa0fc0ee2ad68b7864fc6db51b',
+            '8495fdf125880c29280b76adc8ba9f9060949a7665469be46b8be851afda30d2',
         'amplification_grid.csv':
             '198ac16bead620ea49c7523fbeae84f47b69c6b62e7669db488ff19d0ebd5d21',
         'amplification_map.svg':
-            '5a511d97cbf178674369578492eb17ed804411cdd1b5a653f00bcb629e48a840',
+            'de46ef2f1b3a323b4692d5778ca440eb1b38a8fa307c88d4f50f0b92ae370773',
         'config.resolved.cfg':
             'f6448ccb95247354f61d34a12cb27a2c47efe79003c4bd86996500c75e977155',
         'stability_contour.csv':
-            '895cb0c5c41f8661125d5d94c4350122b7ab5a1a7681c5379f3484c5d9d84c7f',
+            'a7961239e59c8ac6a946a7c89d3792982e5b76101c4897f9fe46cdc3f99983c7',
     }),
 }
 U64: dict[int, list[int]] = {

@@ -1,4 +1,4 @@
-"""SVG emitter: document shape, legends, determinism, dispatch."""
+"""SVG emitter: document shape, legends, determinism, pinned chart bytes."""
 
 import hashlib
 import math
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import writer_reference as ref
 from gammafeedback import (
-    ContourSet,
     EventSpec,
     GridScan,
     GridSpec,
@@ -28,8 +27,7 @@ from gammafeedback import (
 from gammafeedback.analysis import linspace
 from gammafeedback.svgplot import (_POINTS_PER_CHUNK, RAMP_HIGH, RAMP_LOW, RAMP_STEPS,
                                    SINGULAR_COLOR, _Frame, _pad_span, _polyline, _ramp_fills,
-                                   contour_svg, event_series_svg, heatmap_svg, line_chart_svg,
-                                   timeseries_svg)
+                                   event_series_svg, heatmap_svg, line_chart_svg, timeseries_svg)
 
 PARAMS = ModelParams(lam=0.05, beta=1.0, mu0=0.025)
 TANH = ImpactSpec.tanh(1.0)
@@ -64,7 +62,7 @@ RECT = re.compile(r'<rect x="([^"]+)" y="([^"]+)" width="([^"]+)" height="([^"]+
 
 
 def test_heatmap_has_cells_and_contour_overlay():
-    contour = extract_contour(stability_grid(SPEC), 0.0)
+    contour = extract_contour(SPEC, 0.0)
     frame = _Frame((SPEC.beta_min, SPEC.beta_max), (SPEC.g_min, SPEC.g_max))
     nodes = [(i, j) for i in range(SPEC.n_beta) for j in range(SPEC.n_g)]
     for scan in (stability_grid(SPEC), amplification_grid(stability_grid(SPEC))):
@@ -113,7 +111,7 @@ def _edge_scan(values, singular=None):
 @example(_edge_scan([1.0 + k * 2.0**-52 for k in range(12)]))  # a span of 11 ulps
 @example(_edge_scan([-5e8 + k * 1e8 for k in range(12)]))  # a span of 1.1e9
 def test_heatmap_matches_scalar_reference(scan):
-    contours = [(extract_contour(scan, 0.0), "#000000", "6,4")]
+    contours = [(extract_contour(scan.spec, 0.0), "#000000", "6,4")]
     svg = "".join(heatmap_svg(scan, contours, title="t"))
     assert svg == ref.heatmap_svg(scan, contours, title="t")
 
@@ -286,8 +284,7 @@ def test_polyline_blocks_join_to_one_points_list(n):
 
 @pytest.mark.parametrize("render", [
     lambda: timeseries_svg([]),
-    lambda: contour_svg(ContourSet(polylines=[])),
-], ids=["timeseries-svg-no-trajectories", "contour-svg-empty"])
+], ids=["timeseries-svg-no-trajectories"])
 def test_empty_input_raises_when_the_writer_is_called(render):
     # the writers return lazy iterators, but check their input at the call
     with pytest.raises(ValueError):
@@ -327,22 +324,7 @@ def test_line_chart():
     assert ">beta</text>" in svg
 
 
-def test_contour_dispatch():
-    contour = extract_contour(stability_grid(SPEC), 0.0)
-    svg = "".join(contour_svg(contour))
-    assert svg.count("<polyline") == len(contour.polylines)
-
-
-FIG1A = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
-                 n_beta=200, n_g=200, shock_ratio=0.05, lam=0.003)
 MUS = (0.005, 0.01, 0.015, 0.02, 0.025)
-
-
-def _two_contours():
-    scan = stability_grid(FIG1A)
-    lines = [extract_contour(scan, 0.5).polylines[0], extract_contour(scan, 0.0).polylines[0]]
-    return contour_svg(ContourSet(polylines=lines), title="D = 1/2 and D = 0",
-                       xlabel="b", ylabel="exposure")
 
 
 def _five_labelled_runs():
@@ -357,15 +339,9 @@ def _unequal_horizons():
     return timeseries_svg(trajs, xlabel="step", ylabel="price")
 
 
-# SHA-256 of the bytes of the charts that no CLI golden renders: contour
-# plots, whose frame spans every polyline, and multi-series price charts,
-# with a legend and with series of different lengths.
+# SHA-256 of the bytes of the charts that no CLI golden renders: multi-series
+# price charts, with a legend and with series of different lengths.
 PINNED_CHARTS = {
-    "fig1a-d0-contour": (
-        lambda: contour_svg(extract_contour(stability_grid(FIG1A), 0.0)),
-        "0a63d89aa9c916c029b64210df3e34cc56338cff1ad458e5084c6a54ee54f3f5"),
-    "two-contours": (_two_contours,
-                     "0876a8225928e8812db45fd81ed650f53af602429f30603f55e4d959b36e2bc3"),
     "five-labelled-runs": (_five_labelled_runs,
                            "bb85d5605b3363d5547885bb096287db08fa48af884d5a6c3de8a3e90b8cf924"),
     "unequal-horizons": (_unequal_horizons,

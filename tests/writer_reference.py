@@ -3,8 +3,8 @@
 ``heatmap_svg`` formats every coordinate and colours every cell on its own,
 the CSV writers go through ``csv.writer`` one row at a time, and ``ticks``
 is ``np.linspace``. ``stability_values``, ``amplification_values``,
-``ramp_fills`` and ``extract_contour`` are the numpy grids, heatmap fills
-and marching squares that ``gammafeedback`` computes in plain Python, written
+``ramp_fills`` and ``threshold_contour`` are the numpy grids, heatmap fills
+and threshold curves that ``gammafeedback`` computes in plain Python, written
 with numpy. The tests require ``gammafeedback`` to produce exactly these
 strings and values, bit for bit. The ``read_*_csv`` readers parse the written
 files back for the round-trip tests. ``grid_scans`` draws the scans the
@@ -177,86 +177,31 @@ def ramp_fills(values, singular, vmin: float, span: float) -> np.ndarray:
     return np.array(palette, dtype=object)[index]
 
 
-# Marching-squares cases, written out here so that the reference does not
-# share the package's table. Corner bits c0=(i,j), c1=(i,j+1), c2=(i+1,j+1),
-# c3=(i+1,j) -> segments as pairs of local edges 0=bottom c0-c1, 1=right
-# c1-c2, 2=top c3-c2, 3=left c0-c3; the saddles 5 and 10 are resolved in
-# extract_contour.
-_SEGMENTS = {
-    1: [(0, 3)], 2: [(0, 1)], 3: [(1, 3)], 4: [(1, 2)], 6: [(0, 2)], 7: [(2, 3)],
-    8: [(2, 3)], 9: [(0, 2)], 11: [(1, 2)], 12: [(1, 3)], 13: [(0, 1)], 14: [(0, 3)],
-}
-
-
-def _edge_key(edge: int, i: int, j: int) -> tuple[str, int, int]:
-    """The node edge of a cell's local edge: ("r", i, j) runs along G from
-    node (i, j), ("c", i, j) along beta."""
-    return [("r", i, j), ("c", i, j + 1), ("r", i + 1, j), ("c", i, j)][edge]
-
-
-def extract_contour(scan, level: float) -> list[np.ndarray]:
-    """Marching-squares polylines over whole-array case indices, each an
-    (m, 2) array of [beta, G] vertices."""
-    values, singular = _grids(scan)
+def threshold_contour(spec: GridSpec, level: float) -> list[np.ndarray]:
+    """The level set D = level from the closed form, as whole-array operations:
+    G = (1 - level) / a at every beta node, the nodes whose G lies in
+    [g_min, g_max], and, where G passes an edge E of the box between two
+    nodes, the beta k*s*(lam*E) / (sigma_m * (1 - level - lam*E)), kept
+    between the two nodes. At most one (m, 2) array of [beta, G] vertices."""
+    if not spec.lam > 0:
+        return []
+    lam, shock, sigma_m, k = spec.lam, spec.shock_ratio, spec.sigma_m, spec.k
+    betas = np.linspace(spec.beta_min, spec.beta_max, spec.n_beta)
+    c = 1.0 - level
     with np.errstate(all="ignore"):
-        f = values - level
-    usable = np.isfinite(values) & ~singular
-    inside = (f > 0) & usable
-    case = (inside[:-1, :-1].astype(np.int8) + 2 * inside[:-1, 1:]
-            + 4 * inside[1:, 1:] + 8 * inside[1:, :-1])
-    ok = usable[:-1, :-1] & usable[:-1, 1:] & usable[1:, 1:] & usable[1:, :-1]
-    case = np.where(ok, case, 0)
-    betas = np.linspace(scan.spec.beta_min, scan.spec.beta_max, scan.spec.n_beta)
-    gs = np.linspace(scan.spec.g_min, scan.spec.g_max, scan.spec.n_g)
-
-    links: dict[tuple, list[tuple]] = {}
-    for i, j in zip(*np.nonzero((case > 0) & (case < 15))):
-        c = int(case[i, j])
-        if c in (5, 10):
-            center = 0.25 * (f[i, j] + f[i, j + 1] + f[i + 1, j + 1] + f[i + 1, j])
-            # a centre inside joins the two inside corners across the cell
-            if c == 5:
-                segs = [(0, 1), (2, 3)] if center > 0 else [(0, 3), (1, 2)]
-            else:
-                segs = [(0, 3), (1, 2)] if center > 0 else [(0, 1), (2, 3)]
-        else:
-            segs = _SEGMENTS[c]
-        for ea, eb in segs:
-            ka, kb = _edge_key(ea, int(i), int(j)), _edge_key(eb, int(i), int(j))
-            links.setdefault(ka, []).append(kb)
-            links.setdefault(kb, []).append(ka)
-
-    visited: set[tuple] = set()
-
-    def walk(start):
-        chain, current = [start], start
-        visited.add(start)
-        while True:
-            nxt = next((cand for cand in links[current] if cand not in visited), None)
-            if nxt is None:
-                if len(chain) > 2 and start in links[current]:
-                    chain.append(start)
-                return chain
-            chain.append(nxt)
-            visited.add(nxt)
-            current = nxt
-
-    chains = []
-    for key in [*sorted(k for k, nbrs in links.items() if len(nbrs) == 1), *sorted(links)]:
-        if key not in visited:
-            chains.append(walk(key))
-
-    def crossing(key):
-        kind, i, j = key
-        fa = f[i, j]
-        fb = f[i, j + 1] if kind == "r" else f[i + 1, j]
-        with np.errstate(all="ignore"):
-            t = fa / (fa - fb)
-            if kind == "r":
-                return (betas[i], gs[j] + t * (gs[j + 1] - gs[j]))
-            return (betas[i] + t * (betas[i + 1] - betas[i]), gs[j])
-
-    return [np.array([crossing(k) for k in chain]) for chain in chains]
+        g = c / (lam * (1.0 + k * (shock / (betas * sigma_m))))
+    # (position, beta, G): node i at 3i, its crossings of g_min and g_max on
+    # the way to node i + 1 at 3i + 1 and 3i + 2
+    inside = (spec.g_min <= g) & (g <= spec.g_max)
+    vertices = [(3 * i, betas[i], g[i]) for i in np.flatnonzero(inside)]
+    for n, edge in enumerate((float(spec.g_min), float(spec.g_max))):
+        crossed = (g[:-1] < edge) & (edge < g[1:])
+        den = sigma_m * (c - lam * edge)
+        root = k * shock * (lam * edge) / den if den > 0 else betas[1:]
+        beta = np.minimum(np.maximum(root, betas[:-1]), betas[1:])
+        vertices += [(3 * i + 1 + n, beta[i], edge) for i in np.flatnonzero(crossed)]
+    vertices.sort()
+    return [np.array([(b, gv) for _, b, gv in vertices])] if vertices else []
 
 
 # -- readers for the round-trip tests ----------------------------------------
