@@ -5,7 +5,8 @@ Each case runs one subcommand in-process on a fixed config, with or without
 writes with the values recorded below. ``manifest.json`` is left out
 because it records a wall-clock duration; its digests of the other files
 are covered by them. The generator's first draws are pinned the same way,
-so are the bytes of its bulk draws (with the draw that follows them), and so
+so are the bytes of its bulk draws (with the draw that follows them), its
+spike-time picks and the spike schedules built on them, and so
 are the states of the library-only paths (``simulate_one_shot``,
 linear ``simulate_recursive``, repeated ``feedback_step``) and of runs that
 reach the censor's floor and cap and both clamp bounds, as the SHA-256 of
@@ -33,6 +34,7 @@ from gammafeedback import (
     StochasticSpec,
     exposure_cap,
     feedback_step,
+    generate_event_spikes,
     simulate_event_driven,
     simulate_one_shot,
     simulate_recursive,
@@ -218,6 +220,35 @@ def bulk_digest(case: str) -> tuple[str, int]:
     values = getattr(rng, draw)(int(n))
     data = values.astype(values.dtype.newbyteorder("<")).tobytes()
     return hashlib.sha256(data).hexdigest(), rng.next_u64()
+
+
+# Spike times drawn by sample_indices, each followed by one next_u64(): the
+# empty and the one-item draw, full populations, the bench's event horizons,
+# and a large population with few picks.
+SAMPLE_SIZES = ((0, 0), (1, 1), (10, 10), (131, 76), (500, 70), (29587, 200), (10**6, 5))
+SAMPLE_CASES = [f"{seed} {n} {k}" for seed in RNG_SEEDS for n, k in SAMPLE_SIZES]
+
+
+def sample_digest(case: str) -> tuple[str, int]:
+    """SHA-256 of the picks of a sample_indices draw, in draw order, and the next u64."""
+    seed, population, k = map(int, case.split())
+    rng = Rng(seed)
+    picks = rng.sample_indices(population, k)
+    return hashlib.sha256(",".join(map(str, picks)).encode()).hexdigest(), rng.next_u64()
+
+
+# Spike schedules at the largest bench horizon and at a million steps.
+SPIKE_CASES = [f"{seed} {horizon} {n_spikes}" for seed in RNG_SEEDS
+               for horizon, n_spikes in ((29587, 200), (10**6, 70))]
+
+
+def spikes_digest(case: str) -> str:
+    """SHA-256 of one ``step float.hex(size)`` line per spike of a schedule."""
+    seed, horizon, n_spikes = map(int, case.split())
+    spec = EventSpec(horizon=horizon, n_spikes=n_spikes, max_fraction=0.3, seed=seed)
+    schedule = generate_event_spikes(spec, PATHS_MODEL.n0)
+    lines = "\n".join(f"{t} {float.hex(v)}" for t, v in schedule.items())
+    return hashlib.sha256(lines.encode()).hexdigest()
 
 
 def states_digest(states) -> str:
@@ -729,6 +760,66 @@ BULK_GOLDEN: dict[str, tuple[str, int]] = {
         ('cf3690e3d35f2ae76177bcb3cdcd51ff3bb5b4ae78d90c25439ce19135ba70b4', 6659809837573033559),
 }
 
+SAMPLE_GOLDEN: dict[str, tuple[str, int]] = {
+    '0 0 0':
+        ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 11091344671253066420),
+    '0 1 1':
+        ('5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9', 13793997310169335082),
+    '0 10 10':
+        ('94932ed6823ae09d2f061cf086866a929b804cad244e18bc9f16ef73796d392d', 2108416074180405844),
+    '0 131 76':
+        ('d5494c06904ea54cc9adcb578d63ea99ffa8742c748d7833063f6d7239515bd4', 13136723021230855642),
+    '0 500 70':
+        ('aa310592fa944a5ebf44288189ae67f6f0a699b653e9d16c5b2ae5c95cada1e7', 197538868047695706),
+    '0 29587 200':
+        ('1cf0d4549a94a2b73af2a08ae0d8b8948523289095e445e21612f65d8ba4331d', 12484669803094204725),
+    '0 1000000 5':
+        ('6ab47e2468b4fc90fb633f25a8eb63ae288cfb08443b0be652c32a1d71822d35', 18442103541295991498),
+    '1 0 0':
+        ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 12966619160104079557),
+    '1 1 1':
+        ('5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9', 9600361134598540522),
+    '1 10 10':
+        ('8a2411e1e2945523b4fee0c9b707deb8f616bc7ede9409f59e73a4265159ba0e', 17202925169076741841),
+    '1 131 76':
+        ('aabef8cdead5cafe4b392c272ca34fbf3b663a962b7408c34e41e7a019c382aa', 5080962596265011358),
+    '1 500 70':
+        ('e2cb855682cbcea23bcafe5dc32d9b6ebcbde838ded0ac6137af73f4af3f8ca2', 2993040952029564184),
+    '1 29587 200':
+        ('3e17d656669fdc5ed8032c58639ea44237d50367c301ea4a3503b31f63ae5e07', 8406197547008748429),
+    '1 1000000 5':
+        ('d56daf87b18bf0b10528242dc06c17cd01552d543973419b120db3c1e73e3f8b', 2648436617965840162),
+    '18446744073709551615 0 0':
+        ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 10328197420357168392),
+    '18446744073709551615 1 1':
+        ('5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9', 14156678507024973869),
+    '18446744073709551615 10 10':
+        ('a37164a3ee721582fc1907b8420e0045a37ea097d4005e8c66488eec5cba5955', 4742038592102647401),
+    '18446744073709551615 131 76':
+        ('8e812e2fcb38c5751027d26529b80ddcf0c20c9e4dd0a4fa90372d5ff80be90a', 7208232795285723122),
+    '18446744073709551615 500 70':
+        ('e87aca8d6047d9e64c28213735c063a0d353a6c2f4b63b0488bbc195d17d0bd3', 3828563762495902883),
+    '18446744073709551615 29587 200':
+        ('6bcf422ee20ae199318fd2840850d2333b20e13700bd7d76859a7ee0613ac797', 12513362320542735687),
+    '18446744073709551615 1000000 5':
+        ('a8d4b31420d989f58d61becb5f227ba1a7b3bc962ed4df11eb2eb0fe13f5ceb9', 13498236496097551653),
+}
+
+SPIKES_GOLDEN: dict[str, str] = {
+    '0 29587 200':
+        '3952f37b4117ae365141bcc9b5ca59f1cfd49673862ec52b98b6432c2261ec37',
+    '0 1000000 70':
+        '11b5b3d5a91057ee56695aaa2b875b7ed625dc31bbef1d2a21401d96c08e95b2',
+    '1 29587 200':
+        'eb7226c6f6a1eebbba62c002f44fac78d7b07f90d20597ffc13d469644d179fc',
+    '1 1000000 70':
+        '42e3c18b8a09bf8b530ca8a9d8d9f9b141fdbd1257e63b05f8b9ef25314eac32',
+    '18446744073709551615 29587 200':
+        'a3df8d08d6e1265749c15f6f7555425704a0959e05e31252e81f830332c45cc9',
+    '18446744073709551615 1000000 70':
+        '2aed1b159ce411fcf22ff67afd7cc28eceff898a897f4623e657e1b2eaeb4ec6',
+}
+
 LIBRARY_GOLDEN: dict[str, str] = {
     'one_shot linear':
         'e8062e29536d4680da4e25f67a5ba7227e3e41744a277492c99c82412d86fce8',
@@ -817,6 +908,24 @@ def test_bulk_table_covers_every_case():
     assert sorted(BULK_GOLDEN) == sorted(BULK_CASES)
 
 
+@pytest.mark.parametrize("case", SAMPLE_CASES)
+def test_sample_indices(case):
+    assert sample_digest(case) == SAMPLE_GOLDEN[case]
+
+
+def test_sample_table_covers_every_case():
+    assert sorted(SAMPLE_GOLDEN) == sorted(SAMPLE_CASES)
+
+
+@pytest.mark.parametrize("case", SPIKE_CASES)
+def test_event_spikes(case):
+    assert spikes_digest(case) == SPIKES_GOLDEN[case]
+
+
+def test_spike_table_covers_every_case():
+    assert sorted(SPIKES_GOLDEN) == sorted(SPIKE_CASES)
+
+
 @pytest.mark.parametrize("case", LIBRARY_CASES)
 def test_library_states(case):
     assert states_digest(LIBRARY_CASES[case]()) == LIBRARY_GOLDEN[case]
@@ -884,6 +993,14 @@ def _print_tables() -> None:
     print("BULK_GOLDEN: dict[str, tuple[str, int]] = {")
     for case in BULK_CASES:
         print(f"    {case!r}:\n        {bulk_digest(case)!r},")
+    print("}")
+    print("SAMPLE_GOLDEN: dict[str, tuple[str, int]] = {")
+    for case in SAMPLE_CASES:
+        print(f"    {case!r}:\n        {sample_digest(case)!r},")
+    print("}")
+    print("SPIKES_GOLDEN: dict[str, str] = {")
+    for case in SPIKE_CASES:
+        print(f"    {case!r}:\n        {spikes_digest(case)!r},")
     print("}")
     print("LIBRARY_GOLDEN: dict[str, str] = {")
     for case, states in LIBRARY_CASES.items():
