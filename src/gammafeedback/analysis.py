@@ -1,10 +1,10 @@
 """
 Stability maps and fixed-point analysis of the hedging-feedback loop.
 
-- ``stability_grid(spec)`` / ``amplification_grid(dscan)``: the scalar
+- ``stability_grid(spec)`` / ``amplification_grid(spec)``: the scalar
   field D(beta, G) over an inclusive rectangular grid, with the surprise
-  term evaluated at a fixed exogenous shock ratio, and 1/D computed from
-  that D scan.
+  term evaluated at a fixed exogenous shock ratio, and 1/D, each beta row
+  computed from that row's D values, so no whole D scan is held.
 - ``extract_contour(spec, level)``: the level set D = level in the grid
   box, from the closed form G = (1 - level) / (lam * (1 + k*x)): at most
   one polyline, its vertices in non-decreasing beta. Level 0 is the
@@ -175,11 +175,9 @@ class FixedPointReport:
     classification: FixedPointClass
 
 
-def stability_grid(spec: GridSpec) -> GridScan:
-    """Evaluate D = 1 - lam*G*(1 + k*x) on the grid, x at the fixed shock.
-
-    Each cell is ``1 - (lam * (1 + k*x)) * G``, in that order.
-    """
+def _d_rows(spec: GridSpec):
+    """Each beta row of D = 1 - lam*G*(1 + k*x), x at the fixed shock, as a
+    list: each cell is ``1 - (lam * (1 + k*x)) * G``, in that order."""
     gs = spec.gs()
     lam, shock, sigma_m, k = spec.lam, spec.shock_ratio, spec.sigma_m, spec.k
     # every cell is finite when the largest, at (beta_min, g_max), is
@@ -187,21 +185,25 @@ def stability_grid(spec: GridSpec) -> GridScan:
     if not math.isfinite(extreme):
         raise ValueError(f"lambda * (1 + k * shock_ratio / (beta_min * sigma_m)) * g_max "
                          f"is {extreme!r}: the grid's cells are not finite")
-    values = []
     for b in spec.betas():
         la = lam * (1.0 + k * (shock / (b * sigma_m)))
-        values.append(array("d", [1.0 - la * g for g in gs]))
+        yield [1.0 - la * g for g in gs]
+
+
+def stability_grid(spec: GridSpec) -> GridScan:
+    """Evaluate D = 1 - lam*G*(1 + k*x) on the grid, x at the fixed shock."""
+    values = [array("d", row) for row in _d_rows(spec)]
     return GridScan(spec, values, [bytes(spec.n_g)] * spec.n_beta)  # one shared zero row
 
 
-def amplification_grid(dscan: GridScan) -> GridScan:
-    """Evaluate 1/D on the grid of a ``stability_grid`` scan of D; cells
+def amplification_grid(spec: GridSpec) -> GridScan:
+    """Evaluate 1/D on the grid, each row from that row's D values; cells
     with D <= EPS_SINGULAR are flagged."""
-    d = dscan.values
-    values = [array("d", [1.0 / v if v > EPS_SINGULAR else SINGULAR_VALUE for v in row])
-              for row in d]
-    singular = [bytes([v <= EPS_SINGULAR for v in row]) for row in d]
-    return GridScan(dscan.spec, values, singular)
+    values, singular = [], []
+    for row in _d_rows(spec):
+        values.append(array("d", [1.0 / v if v > EPS_SINGULAR else SINGULAR_VALUE for v in row]))
+        singular.append(bytes([v <= EPS_SINGULAR for v in row]))
+    return GridScan(spec, values, singular)
 
 
 def extract_contour(spec: GridSpec, level: float) -> ContourSet:

@@ -20,7 +20,8 @@ machines and builds, independent of any library's RNG internals:
   itself, the same steps as ``next_u64``.
 - Bounded integers: rejection sampling on ``u64 % n`` (draws above the
   largest multiple of n below 2^64 are discarded), so there is no modulo
-  bias.
+  bias. ``sample_indices`` is a partial Fisher-Yates shuffle that stores
+  only the pool entries it has moved, one ``randbelow`` per pick.
 
 Bulk draws need numpy (the ``bulk`` extra); nothing else in the package
 imports it. ``u64_array()`` and ``uniforms()`` are bit-identical to the
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -245,17 +247,21 @@ class Rng:
         """k distinct indices from range(population), partial Fisher-Yates.
 
         Index i swaps with a uniform position in [i, population); the first
-        k pool entries are returned in draw order.
+        k pool entries are returned in draw order. The pool is sparse: only
+        entries that have moved are stored, so k picks cost O(k) time and
+        memory whatever the population.
         """
         if k < 0:
             raise ValueError(f"k must be >= 0 (got {k})")
         if k > population:
             raise ValueError(f"cannot sample {k} distinct indices from {population}")
-        pool = list(range(population))
+        population = operator.index(population)  # a float raises TypeError, as range did
+        moved, picks = {}, []  # moved: pool position -> entry, for moved entries only
         for i in range(k):
             j = i + self.randbelow(population - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+            picks.append(moved.get(j, j))
+            moved[j] = moved.pop(i, i)  # position i is never drawn again
+        return picks
 
     # Bulk paths: the same u64 stream, generated by jump-ahead lanes.
 

@@ -60,7 +60,7 @@ def _stability_map(config: RunConfig):
 
 
 def _amplification_map(config: RunConfig):
-    ascan = amplification_grid(stability_grid(config.grid))
+    ascan = amplification_grid(config.grid)
     amp2 = extract_contour(config.grid, 0.5)  # 1/D = 2 is D = 1/2
     d0 = extract_contour(config.grid, 0.0)
     yield "amplification_grid.csv", grid_csv(ascan)

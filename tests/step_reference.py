@@ -8,7 +8,8 @@ step by step and compare it with the driver state for state:
 (mu = mu0 * N / n0), ``ar1_step`` (nu' = rho * nu + sigma_n * N * eps) and
 ``censor_exposure`` (the exposure clipped to [0, cap]). ``reference_step``
 is one step through them, and the ``replay_*`` functions are the four
-modes built on it. ``outcome`` reduces a run to its states or to the step
+modes built on it. ``sample_indices`` draws spike times the way the
+generator did before its pool was made sparse: a whole list, swapped in place. ``outcome`` reduces a run to its states or to the step
 at which it overflowed.
 """
 
@@ -42,6 +43,17 @@ def ar1_step(nu, rho, sigma_n, n_t, epsilon):
 def censor_exposure(n_bar, cap):
     """The exposure clipped to [0, cap]: no short inventory, capped size."""
     return min(max(n_bar, 0.0), cap)
+
+
+def sample_indices(rng, population, k):
+    """k distinct indices from range(population) by partial Fisher-Yates on
+    a list of the whole pool: index i swaps with a uniform position in
+    [i, population), and the first k entries are the picks, in draw order."""
+    pool = list(range(population))
+    for i in range(k):
+        j = i + rng.randbelow(population - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
 
 
 def reference_impact(y, impact):

@@ -46,10 +46,6 @@ FIG1A = GridSpec(
 )
 
 
-def _amplification(spec):
-    return amplification_grid(stability_grid(spec))
-
-
 def iterate_affine(a, f, steps, start=0.0):
     """Brute-force orbit of d -> a + f*d; independent of analyze_fixed_point."""
     d = start
@@ -73,7 +69,7 @@ class TestGridSpec:
                           shock_ratio=0.05, lam=0.003)
         assert all(type(v) is float for v in ints.betas() + ints.gs())
         assert _hex_rows([ints.betas(), ints.gs()]) == _hex_rows([floats.betas(), floats.gs()])
-        for grid in (stability_grid, _amplification):
+        for grid in (stability_grid, amplification_grid):
             assert "".join(grid_csv(grid(ints))) == "".join(grid_csv(grid(floats)))
         for level in (0.0, 0.5):
             assert ("".join(contour_csv(extract_contour(ints, level)))
@@ -268,7 +264,7 @@ class TestAmplificationGrid:
         spec = GridSpec(beta_min=0.5, beta_max=2.0, g_min=0.0, g_max=300.0,
                         n_beta=4, n_g=4, shock_ratio=0.05, lam=0.003)
         d = stability_grid(spec)
-        a = amplification_grid(d)
+        a = amplification_grid(spec)
         for i in range(4):
             for j in range(4):
                 if d.values[i][j] <= 1e-9:
@@ -279,7 +275,7 @@ class TestAmplificationGrid:
                     assert abs(a.values[i][j] - 1.0 / d.values[i][j]) <= 1e-12
 
     def test_zero_exposure_amplification_is_one(self):
-        a = amplification_grid(stability_grid(FIG1A))
+        a = amplification_grid(FIG1A)
         assert [row[0] for row in a.values] == [1.0] * FIG1A.n_beta
 
     def test_amplification_two_at_half_denominator(self):
@@ -291,12 +287,27 @@ class TestAmplificationGrid:
         spec = GridSpec(beta_min=beta, beta_max=beta, g_min=0.0, g_max=g_half,
                         n_beta=2, n_g=2, shock_ratio=shock, lam=lam,
                         sigma_m=sigma, k=k)
-        a = amplification_grid(stability_grid(spec))
+        a = amplification_grid(spec)
         assert a.values[0][1] == pytest.approx(2.0, rel=1e-12)
+
+    def test_holds_one_d_row_at_a_time(self):
+        # each 1/D row comes from that row's D values: the peak is the
+        # result plus a few rows of 300 boxed floats, not a second grid
+        spec = dataclasses.replace(FIG1A, n_beta=300, n_g=300)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scan = amplification_grid(spec)
+            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(scan.values) * len(scan.values[0]) == 300 * 300
+        row = 300 * (8 + 24)  # a list slot and a float object per cell
+        assert peak - kept < 6 * row
 
     def test_consistency_with_stability_grid(self):
         d = stability_grid(FIG1A)
-        a = amplification_grid(d)
+        a = amplification_grid(FIG1A)
         assert any(map(any, a.singular)) and not all(map(all, a.singular))
         for a_row, flags, d_row in zip(a.values, a.singular, d.values):
             for av, s, dv in zip(a_row, flags, d_row):
@@ -583,7 +594,7 @@ class TestThresholdContour:
         for spec in [FIG1A, SKEW, *_map_specs(bench_inputs)]:
             dscan = stability_grid(spec)
             for scan, scan_level, level in ((dscan, 0.0, 0.0),
-                                            (amplification_grid(dscan), 2.0, 0.5)):
+                                            (amplification_grid(spec), 2.0, 0.5)):
                 assert (bool(extract_contour(spec, level).polylines)
                         == self._a_cell_crosses(scan, scan_level)), (spec, level)
 
@@ -593,7 +604,7 @@ class TestThresholdContour:
         # no crossing, yet the exact curve G = 50 lies in the box
         spec = GridSpec(beta_min=1.0, beta_max=2.0, g_min=0.0, g_max=300.0, n_beta=3, n_g=3,
                         shock_ratio=0.0, lam=0.01)
-        assert not self._a_cell_crosses(amplification_grid(stability_grid(spec)), 2.0)
+        assert not self._a_cell_crosses(amplification_grid(spec), 2.0)
         assert extract_contour(spec, 0.5).polylines == [[(1.0, 50.0), (1.5, 50.0), (2.0, 50.0)]]
         assert extract_contour(spec, 0.0).polylines == [[(1.0, 100.0), (1.5, 100.0),
                                                           (2.0, 100.0)]]
@@ -614,7 +625,7 @@ class TestMatchesNumpyReference:
         assert _hex_rows(scan.values) == _hex_rows(ref.stability_values(spec).tolist())
         assert [list(r) for r in scan.singular] == [[False] * spec.n_g] * spec.n_beta
         values, singular = ref.amplification_values(spec)
-        scan = amplification_grid(scan)
+        scan = amplification_grid(spec)
         assert _hex_rows(scan.values) == _hex_rows(values.tolist())
         assert [list(r) for r in scan.singular] == singular.tolist()
 

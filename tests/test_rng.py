@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from gammafeedback import Rng
 from gammafeedback.rng import _BAND, _CHUNK, _LANES, _STRIDE, _TWO_PI
+from step_reference import sample_indices
 
 MASK = (1 << 64) - 1
 
@@ -308,3 +309,34 @@ class TestIntegers:
         with pytest.raises(ValueError, match=r"k must be >= 0 \(got -1\)"):
             Rng(1).sample_indices(5, -1)
         assert Rng(1).sample_indices(5, 0) == []
+
+    def test_sample_indices_too_many_rejected(self):
+        with pytest.raises(ValueError, match=r"^cannot sample 6 distinct indices from 5$"):
+            Rng(0).sample_indices(5, 6)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_sample_indices_float_population_rejected(self, k):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            Rng(0).sample_indices(10.0, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+           st.integers(0, MASK))
+    def test_sample_indices_match_the_list_pool(self, sizes, seed):
+        # the sparse pool makes the same randbelow calls and picks as the
+        # whole list, and leaves the generator at the same draw
+        population, k = sizes
+        rng, oracle = Rng(seed), Rng(seed)
+        assert rng.sample_indices(population, k) == sample_indices(oracle, population, k)
+        assert rng.next_u64() == oracle.next_u64()
+
+    def test_sample_indices_memory_is_o_k(self):
+        # 8 picks of a million hold 8 moved entries, not a million-entry pool
+        tracemalloc.start()
+        try:
+            picks = Rng(5).sample_indices(10**6, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(set(picks)) == 8
+        assert peak < 64 * 2**10
