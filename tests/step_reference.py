@@ -8,9 +8,10 @@ step by step and compare it with the driver state for state:
 (mu = mu0 * N / n0), ``ar1_step`` (nu' = rho * nu + sigma_n * N * eps) and
 ``censor_exposure`` (the exposure clipped to [0, cap]). ``reference_step``
 is one step through them, and the ``replay_*`` functions are the four
-modes built on it. ``sample_indices`` draws spike times the way the
-generator did before its pool was made sparse: a whole list, swapped in place. ``outcome`` reduces a run to its states or to the step
-at which it overflowed.
+modes built on it. ``sample_indices`` is the partial Fisher-Yates pass
+over a list of the whole pool, the oracle for the generator's sparse
+pool. ``outcome`` reduces a run to its states or to the step at which it
+overflowed.
 """
 
 import math
