@@ -205,10 +205,11 @@ def first_normals_hex(seed: int) -> list[str]:
     return [rng.normal().hex() for _ in range(16)]
 
 
-# The bulk draws, each followed by one next_u64(): one value, the lane path's
-# short-block strides, and a full block of lanes plus a short one.
+# The bulk draws, each followed by one next_u64(): one value, 1000 draws (32
+# lanes of 32, the last one 8 long), and two counts above 2^20: 2^20 + 3, just
+# past a power of four, and 3 * 2^20 + 5.
 BULK_DRAWS = ("u64_array", "uniforms", "normals")
-BULK_SIZES = (1, 1000, 2**20 + 3)
+BULK_SIZES = (1, 1000, 2**20 + 3, 3 * 2**20 + 5)
 BULK_CASES = [f"{draw} {seed} {n}" for draw in BULK_DRAWS for seed in RNG_SEEDS
               for n in BULK_SIZES]
 
@@ -710,54 +711,72 @@ BULK_GOLDEN: dict[str, tuple[str, int]] = {
         ('757a9e48923a354721296928208b4b560405fe747783239ae416510007f6e81b', 3215403766075632002),
     'u64_array 0 1048579':
         ('bc1b6a44e067c61fa540f4d8ec8ae4c3551a3c49b684c4fbff503c3120bb0ad9', 9136155371078206559),
+    'u64_array 0 3145733':
+        ('7e48e3154648c6ca0f29d27fa6bc8f0b49c02c8edd5b65b22e926955f5099d23', 10556908781519554203),
     'u64_array 1 1':
         ('8260800ceae3ecbcb402bf0c681bf229209c80d837b08865cf630074c6d75ed8', 9600361134598540522),
     'u64_array 1 1000':
         ('65b711aa4c8e36e4f76bd762ed4c7e58b310f8fd741ad41b7188cb7b62008bc2', 14841950361884779394),
     'u64_array 1 1048579':
         ('62ff11f588452908b6ff4294ce38f5d1c573ff4384aaecbacb1618eb08da30f5', 9301029272898691974),
+    'u64_array 1 3145733':
+        ('98e05bc83cd04469eaa77acae610d1fdf196c0bf94df0fc35cf009cd03fe3873', 15508361597191213545),
     'u64_array 18446744073709551615 1':
         ('e2d40c4c427217f98f3100addc29e860efaa8a6fdb79a74d99cb59233f05ce83', 14156678507024973869),
     'u64_array 18446744073709551615 1000':
         ('1d890f305739e9fbdf693878214aa1f6269fdeca0f8ed6cb1a50cd055689795c', 1855756785506932879),
     'u64_array 18446744073709551615 1048579':
         ('bafa99ee651946edb9812f235297f9485be2babd8ca1c861556a91df23495efb', 15213908714786957687),
+    'u64_array 18446744073709551615 3145733':
+        ('564a1d57e846d16f371d6d6bfd7fd745e551efdd527f182c168a0e76a3ee1bee', 6094328207976892360),
     'uniforms 0 1':
         ('59946f2b897e093062f4f637e8ffcf95d68fcc2c62a36f3bc7e153c03372929a', 13793997310169335082),
     'uniforms 0 1000':
         ('cf3ee6379f80ff2a827ca55f0275b51171a11a5f9f42cb92db99daf4a826b9f3', 3215403766075632002),
     'uniforms 0 1048579':
         ('4538bc1992c8b9b3aaaad4e570c5529e4ba2d094f8276e2fef32a514b5690729', 9136155371078206559),
+    'uniforms 0 3145733':
+        ('634a7433cf76e58beb9f5fdd3ddf50c53f291fa75b14fc950e036e74e4ebdbbd', 10556908781519554203),
     'uniforms 1 1':
         ('c58d1dfd6287dc5548c6d7622e9c5d10696ce0c1cbe4ff6c3b29501b85e33f91', 9600361134598540522),
     'uniforms 1 1000':
         ('1850c5cce6033b5c2abccd38cb42c1cc5769a3089c1e329bc31f7813a9b8f1aa', 14841950361884779394),
     'uniforms 1 1048579':
         ('9ef81da8dbed093a671ba74470c3fb9a29827ee7ef16cceb2eb29da432a1e845', 9301029272898691974),
+    'uniforms 1 3145733':
+        ('f71b3b979a049b56adf5115483c61f179efc3380110a3af85c87c0ee185e7a73', 15508361597191213545),
     'uniforms 18446744073709551615 1':
         ('16909bb57c9811bb0ae899164f33387306c2825b59056e3d3c018c4d421b5411', 14156678507024973869),
     'uniforms 18446744073709551615 1000':
         ('42f8110b0ee03bb3eb263cb6141fb65c50c9315b277a406a4d0b7dacf9d7f0a7', 1855756785506932879),
     'uniforms 18446744073709551615 1048579':
         ('6c4d4c3b4cd62624e645d7c7c913695c485b514ee87707cb005ced05f894dffb', 15213908714786957687),
+    'uniforms 18446744073709551615 3145733':
+        ('5ff6db0b01d22e15c4852ac2c16a7f62f402e72a5a7c94fba8cb3fb8a3c9a4fd', 6094328207976892360),
     'normals 0 1':
         ('5e4a1682232da02a11a8e917aae2c99d8ea7cfee64be81f992558bc744ed55ba', 1900383378846508768),
     'normals 0 1000':
         ('49e716746b12fd28d8eb2ad4d6ba608bb841bd4d144ff73aff64ee4a2f07405e', 3215403766075632002),
     'normals 0 1048579':
         ('9367c8505b51335da9b49ff2dd7216468225b36867b32717f1af2f06788549ac', 13273239511053938289),
+    'normals 0 3145733':
+        ('c9b495f5ae8e07eda354907837d757b654f8f944a112e53d2a5452758b243f3e', 9715278777977880745),
     'normals 1 1':
         ('8657d7904123fdb0f478523b2c0b57608b3de4c4760ecec7723bacb1360b1a31', 10590380919521690900),
     'normals 1 1000':
         ('8b516a8376087b8ab2b063d96856adc39d3e5ceb56b6da0ebf6decee6a155fc3', 14841950361884779394),
     'normals 1 1048579':
         ('cf2704f814067de045a1b0f449f4d54f3b6ef6ce6ae19eca7f30055d253bb7cc', 4035706738607622234),
+    'normals 1 3145733':
+        ('c5a7d9b8c77a840e0650b473223121de07025c62dabe3d4e75ba7e9653f9e421', 17338767743649845100),
     'normals 18446744073709551615 1':
         ('984ca191243f2c511bca6b6fd831d1695f59eb2f806f5a28e6472deb649c8045', 9357971779955476126),
     'normals 18446744073709551615 1000':
         ('fc6d443f1fba44b83c36bc42abf2706fabcb33a7f195e6188cef9e936ebc223d', 1855756785506932879),
     'normals 18446744073709551615 1048579':
         ('cf3690e3d35f2ae76177bcb3cdcd51ff3bb5b4ae78d90c25439ce19135ba70b4', 6659809837573033559),
+    'normals 18446744073709551615 3145733':
+        ('54e3ee44e768f298b59e0de6e5490e9f527a8417326da86eb3113487fe8745ca', 17100791813577228950),
 }
 
 SAMPLE_GOLDEN: dict[str, tuple[str, int]] = {
