@@ -26,15 +26,16 @@ machines and builds, independent of any library's RNG internals:
 Bulk draws need numpy (the ``bulk`` extra); nothing else in the package
 imports it. ``u64_array()`` and ``uniforms()`` are bit-identical to the
 scalar stream and leave the generator in the same state. The update is
-linear over GF(2)^256, so the stream is cut into lanes whose start states
-come from GF(2) jump-ahead (Haramoto et al., INFORMS J. Computing 2008);
-numpy advances all lanes together with in-place operations, a band of steps
-at a time, and applies the output function to each band while it is still in
-cache. ``normals()`` applies the Box-Muller transform vectorized, in chunks,
-over the uniforms' own buffer. numpy's ``log`` may differ from ``math.log``
-in the last ulp (its ``sqrt``, ``cos`` and ``sin`` agree with ``math``), so a
-bulk normal may differ from the scalar path's in the last bits: bulk normals
-are for statistics, not for replaying a scalar-path simulation.
+linear over GF(2)^256, so n draws run as about sqrt(n) lanes of about sqrt(n)
+steps (twice the steps over half the lanes just past a power of four), each
+started by GF(2) jump-ahead (Haramoto et al., INFORMS J. Computing 2008);
+numpy advances all lanes together in place, a band of steps at a time, and
+applies the output function to each band while it is still in cache.
+``normals()`` applies the Box-Muller transform vectorized, in chunks, over
+the uniforms' own buffer. numpy's ``log`` may differ from ``math.log`` in the
+last ulp (its ``sqrt``, ``cos`` and ``sin`` agree with ``math``), so a bulk
+normal may differ from the scalar path's in the last bits: bulk normals are
+for statistics, not for replaying a scalar-path simulation.
 """
 
 from __future__ import annotations
@@ -65,28 +66,10 @@ def splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-# A full block of bulk draws runs _LANES lanes _STRIDE positions apart. A
-# shorter block of m draws uses a stride of about sqrt(m) instead; strides are
-# powers of two, so every jump distance is one of the cached squarings of the
-# update T.
-_LANES = 1024
-_STRIDE_LOG2 = 10
-_STRIDE = 1 << _STRIDE_LOG2
-# The lanes' s1 words are collected _BAND steps at a time (64 x 1024 words,
-# 512 KiB), output-transformed in place and copied into the serial result.
-# normals() transforms _CHUNK values at a time.
+# The lanes' s1 words are collected _BAND steps at a time (512 KiB at 10^6 draws),
+# output-transformed in place and copied out; normals() works _CHUNK values at a time.
 _BAND = 64
 _CHUNK = 1 << 16
-
-
-@functools.lru_cache(maxsize=None)
-def _bit_shifts() -> np.ndarray:
-    """The shifts 0..63 that split a uint64 word into its bits (read-only)."""
-    import numpy as np
-
-    shifts = np.arange(64, dtype=np.uint64)
-    shifts.flags.writeable = False
-    return shifts
 
 
 def _advance(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, s3: np.ndarray,
@@ -114,7 +97,7 @@ def _apply(jump: np.ndarray, states: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    bits = (states[:, None, :] >> _bit_shifts()[None, :, None]) & np.uint64(1)
+    bits = (states[:, None, :] >> np.arange(64, dtype=np.uint64)[:, None]) & np.uint64(1)
     masks = bits.reshape(256, -1) * np.uint64(_MASK)
     return np.bitwise_xor.reduce(masks[:, None, :] & jump.T[:, :, None], axis=0)
 
@@ -139,7 +122,7 @@ def _jump(j: int) -> np.ndarray:
 
 def _lane_starts(state: np.ndarray, lanes: int, stride_log2: int) -> np.ndarray:
     """States at positions 0, stride, 2*stride, ... from state, shape (4, lanes),
-    where stride = 2^stride_log2."""
+    where stride = 2^stride_log2: every jump is a cached squaring of T."""
     import numpy as np
 
     starts = np.empty((4, lanes), dtype=np.uint64)
@@ -269,51 +252,44 @@ class Rng:
         """Next n raw outputs as a uint64 array (advances the stream).
 
         Bit-identical to n calls of ``next_u64`` and leaves the same state.
-        Each block of m <= ``_LANES * _STRIDE`` draws starts one lane every
-        stride positions by GF(2) jump-ahead and advances all lanes together.
-        The stride is the power of two 2^ceil(log2(m)/2), so a block takes
-        about sqrt(m) numpy steps over about sqrt(m) lanes; a full block has
-        ``_LANES`` lanes ``_STRIDE`` apart. Every ``_BAND`` steps the lanes'
-        outputs are finished in place and copied lane by lane into the result.
+        ceil(n/stride) lanes, a stride of 2^ceil(log2(n)/2) apart and each
+        started by GF(2) jump-ahead, advance together: about sqrt(n) numpy
+        steps over about sqrt(n) lanes. The stride doubles just past a power
+        of four, so 4^k + 1 draws take twice the steps of 4^k. Row i of the
+        (lanes, stride) result is lane i, finished in place ``_BAND`` steps at
+        a time; its first n words are returned.
         """
         import numpy as np
 
         _check_count(n)
-        out = np.empty(n, dtype=np.uint64)
+        if n == 0:  # no lane to run: the stream does not move
+            return np.empty(0, dtype=np.uint64)
+        stride_log2 = ((n - 1).bit_length() + 1) // 2
+        stride = 1 << stride_log2  # never more than n
+        lanes = -(-n // stride)
+        last = n - (lanes - 1) * stride  # steps the last lane needs
         state = np.array([[self._s0], [self._s1], [self._s2], [self._s3]], dtype=np.uint64)
-        for begin in range(0, n, _LANES * _STRIDE):
-            m = min(n - begin, _LANES * _STRIDE)
-            stride_log2 = ((m - 1).bit_length() + 1) // 2
-            stride = 1 << stride_log2  # never more than m
-            lanes = -(-m // stride)
-            full = m // stride  # lanes all of whose stride steps are draws
-            last = m - (lanes - 1) * stride  # steps the last lane needs
-            head = out[begin:begin + full * stride].reshape(full, stride)
-            tail = out[begin + full * stride:begin + m]  # the last lane, if short
-            lane_states = _lane_starts(state, lanes, stride_log2)
-            s0, s1, s2, s3 = lane_states
-            t = np.empty(lanes, dtype=np.uint64)
-            band = np.empty((min(_BAND, stride), lanes), dtype=np.uint64)
-            spare = np.empty_like(band)
-            for i0 in range(0, stride, _BAND):
-                rows = min(_BAND, stride - i0)
-                for i in range(rows):
-                    band[i] = s1
-                    _advance(s0, s1, s2, s3, t)
-                    if i0 + i + 1 == last:
-                        state = lane_states[:, -1:].copy()
-                x, w = band[:rows], spare[:rows]
-                x *= 5
-                np.left_shift(x, 7, out=w)
-                x >>= 57
-                x |= w
-                x *= 9
-                head[:, i0:i0 + rows] = x[:, :full].T
-                part = tail[i0:i0 + rows]
-                if part.size:
-                    part[:] = x[:part.size, full]
+        lane_states = _lane_starts(state, lanes, stride_log2)
+        out = np.empty((lanes, stride), dtype=np.uint64)  # after the set-up: peaks do not add
+        s0, s1, s2, s3 = lane_states
+        t = np.empty(lanes, dtype=np.uint64)
+        band, spare = np.empty((2, min(_BAND, stride), lanes), dtype=np.uint64)
+        for i0 in range(0, stride, _BAND):
+            rows = min(_BAND, stride - i0)
+            for i in range(rows):
+                band[i] = s1
+                _advance(s0, s1, s2, s3, t)
+                if i0 + i + 1 == last:
+                    state = lane_states[:, -1:].copy()
+            x, w = band[:rows], spare[:rows]
+            x *= 5
+            np.left_shift(x, 7, out=w)
+            x >>= 57
+            x |= w
+            x *= 9
+            out[:, i0:i0 + rows] = x.T
         self._s0, self._s1, self._s2, self._s3 = (int(w) for w in state[:, 0])
-        return out
+        return out.reshape(-1)[:n]
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms in [0, 1) as a float64 array."""
@@ -333,18 +309,17 @@ class Rng:
         _check_count(n)
         pairs = (n + 1) // 2
         z = self.uniforms(2 * pairs)  # each chunk's pairs become its normals
-        r = np.empty(min(pairs, _CHUNK // 2))
-        angle = np.empty_like(r)
-        trig = np.empty_like(r)
+        r, angle = np.empty((2, min(pairs, _CHUNK // 2)))
         for begin in range(0, 2 * pairs, _CHUNK):
             u = z[begin:begin + _CHUNK]
             k = len(u) // 2
-            rk, ak, tk = r[:k], angle[:k], trig[:k]
-            np.subtract(1.0, u[0::2], out=rk)
+            rk, ak, u1, u2 = r[:k], angle[:k], u[0::2], u[1::2]
+            np.subtract(1.0, u1, out=rk)
             np.log(rk, out=rk)
             rk *= -2.0
             np.sqrt(rk, out=rk)
-            np.multiply(u[1::2], _TWO_PI, out=ak)
-            np.multiply(rk, np.cos(ak, out=tk), out=u[0::2])
-            np.multiply(rk, np.sin(ak, out=tk), out=u[1::2])
+            np.multiply(u2, _TWO_PI, out=ak)
+            # cos and sin go straight into the pair's slots; cos * r == r * cos
+            np.multiply(np.cos(ak, out=u1), rk, out=u1)
+            np.multiply(np.sin(ak, out=u2), rk, out=u2)
         return z[:n]

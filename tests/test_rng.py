@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammafeedback import Rng
-from gammafeedback.rng import _BAND, _CHUNK, _LANES, _STRIDE, _TWO_PI
+from gammafeedback.rng import _BAND, _CHUNK, _TWO_PI
 from step_reference import sample_indices
 
 MASK = (1 << 64) - 1
@@ -84,17 +84,21 @@ class TestStream:
         assert a.next_u64() == b.next_u64()
 
 
-# Lane, stride, band and block boundaries of the bulk path. A block of m draws
-# runs lanes 2^ceil(log2(m)/2) apart: the stride doubles at m = 4^a + 1 (2, 5,
-# 17, 65, ..., 4097), every lane is full at m = 4^a, and 24/25 put the last of
-# three 8-apart lanes exactly full and one past it. Lanes are advanced _BAND
-# steps at a time: one band, one band +- 1, lanes x band +- 1, and 128-apart
-# lanes whose short last one ends one step into its second band.
+# Lane, stride and band boundaries of the bulk path. n draws run lanes
+# 2^ceil(log2(n)/2) apart: the stride doubles at n = 4^a + 1 (2, 5, 17, 65,
+# ..., 4097), every lane is full at n = 4^a, and 24/25 put the last of three
+# 8-apart lanes exactly full and one past it. Lanes are advanced _BAND steps
+# at a time: one band, one band +- 1, 1024 x band +- 1 (256 full lanes of 256,
+# then 129 lanes of 512), and 128-apart lanes whose short last one ends one
+# step into its second band. BLOCK = 2^20 draws run 1024 full lanes of 1024.
+LANES = STRIDE = 1024
 LANE_SIZES = [0, 1, 2, 3, 4, 5, 16, 17, 24, 25, _BAND - 1, _BAND, _BAND + 1, 1000,
-              _STRIDE - 1, _STRIDE, _STRIDE + 1, 3 * _STRIDE + 7, 4096, 4097,
-              100 * 2 * _BAND + _BAND + 1, _LANES * _BAND - 1, _LANES * _BAND,
-              _LANES * _BAND + 1, 200_003]
-BLOCK = _LANES * _STRIDE
+              STRIDE - 1, STRIDE, STRIDE + 1, 3 * STRIDE + 7, 4096, 4097,
+              100 * 2 * _BAND + _BAND + 1, LANES * _BAND - 1, LANES * _BAND,
+              LANES * _BAND + 1, 200_003]
+BLOCK = LANES * STRIDE
+# every lane full at 4^k draws, and the stride doubled one draw later
+POWER_OF_FOUR_SIZES = [4**k + extra for k in range(1, 11) for extra in (0, 1)]
 SEEDS = [0, 1, 2**64 - 1, 20240811]
 
 
@@ -119,31 +123,54 @@ class TestBulkLanes:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_consecutive_draws_equal_one_long_draw(self, seed):
         a, b = Rng(seed), Rng(seed)
-        first = a.u64_array(_STRIDE + 3)
-        second = a.u64_array(2 * _STRIDE - 1)
-        whole = b.u64_array(3 * _STRIDE + 2)
+        first = a.u64_array(STRIDE + 3)
+        second = a.u64_array(2 * STRIDE - 1)
+        whole = b.u64_array(3 * STRIDE + 2)
         assert np.concatenate([first, second]).tolist() == whole.tolist()
         assert a.next_u64() == b.next_u64()
 
-    def test_crosses_a_block_of_lanes(self):
+    def test_past_2_to_the_20_a_last_lane_stops_mid_band(self):
+        # 513 lanes of 2048; the last one stops 1029 steps in, 5 into its 17th band
         seed = 20240811
-        n = BLOCK + _STRIDE + 5
-        expected = oracle_prefix(seed, n + 1)
+        n = BLOCK + STRIDE + 5
+        expected = oracle_prefix(seed, BLOCK + STRIDE + 6)
         rng = Rng(seed)
         assert rng.u64_array(n).tolist() == expected[:n]
         assert rng.next_u64() == expected[n]
 
-    # one full block, then none or a last block short enough for its own stride
+    # 1024 full lanes of 1024, then 513 lanes of 2048 whose last one is 1 or 17 long
     @pytest.mark.parametrize("n", [BLOCK, BLOCK + 1, BLOCK + 17])
-    def test_full_block_then_a_short_one(self, n):
+    def test_at_and_just_past_2_to_the_20(self, n):
         seed = 20240811
-        expected = oracle_prefix(seed, BLOCK + _STRIDE + 6)
+        expected = oracle_prefix(seed, BLOCK + STRIDE + 6)
         rng = Rng(seed)
         assert rng.u64_array(n).tolist() == expected[:n]
         assert rng.next_u64() == expected[n]
+
+    @pytest.mark.parametrize("n", POWER_OF_FOUR_SIZES)
+    def test_powers_of_four_and_one_past(self, n):
+        seed = 20240811
+        expected = oracle_prefix(seed, BLOCK + STRIDE + 6)
+        rng = Rng(seed)
+        assert rng.u64_array(n).tolist() == expected[:n]
+        assert rng.next_u64() == expected[n]
+
+    def test_a_padded_size_is_one_contiguous_run(self):
+        # 1000 draws fill 32 lanes of 32 but the last 24 words: the result is
+        # the first 1000, contiguous, and the next draw starts at draw 1000
+        seed = 20240811
+        expected = oracle_prefix(seed, 1006)
+        rng = Rng(seed)
+        bulk = rng.u64_array(1000)
+        assert bulk.dtype == np.uint64
+        assert bulk.flags.c_contiguous
+        assert bulk.shape == (1000,)
+        assert bulk.tolist() == expected[:1000]
+        assert rng.u64_array(5).tolist() == expected[1000:1005]
+        assert rng.next_u64() == expected[1005]
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 4 * _STRIDE))
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 4 * STRIDE))
     def test_random_seed_and_length(self, seed, n):
         expected = oracle_xoshiro_stream(seed, n + 1)
         rng = Rng(seed)
