@@ -133,7 +133,7 @@ class TestBulkLanes:
         # 513 lanes of 2048; the last one stops 1029 steps in, 5 into its 17th band
         seed = 20240811
         n = BLOCK + STRIDE + 5
-        expected = oracle_prefix(seed, BLOCK + STRIDE + 6)
+        expected = oracle_prefix(seed, n + 1)
         rng = Rng(seed)
         assert rng.u64_array(n).tolist() == expected[:n]
         assert rng.next_u64() == expected[n]
