@@ -17,7 +17,6 @@ from gammafeedback import config, parse_config, runner, svgplot
 from gammafeedback.artifacts import sha256_hex
 from gammafeedback.cli import main
 from gammafeedback.runner import SUBCOMMANDS, run_subcommand
-from test_golden import CASES as GOLDEN_CASES
 from test_golden import README
 from writer_reference import read_trajectory_csv
 
@@ -739,29 +738,6 @@ for sub in ("stability-map", "amplification-map"):
                                      "amplification-map", "0", "False"]
         assert (tmp_path / "stability-map" / "stability_map.svg").exists()
         assert (tmp_path / "amplification-map" / "amplification_map.svg").exists()
-
-    def test_golden_svg_runs_without_numpy(self):
-        # numpy made unimportable: every subcommand's --svg golden case still
-        # writes its pinned bytes
-        tests = str(Path(__file__).resolve().parent)
-        script = f"""
-import pathlib, sys, tempfile
-sys.modules["numpy"] = None
-sys.path.insert(0, {tests!r})
-from test_golden import CASES, GOLDEN, run_case
-for case in CASES:
-    if case.endswith("--svg"):
-        with tempfile.TemporaryDirectory() as root:
-            print(case.split()[1], run_case(case, pathlib.Path(root)) == GOLDEN[case])
-print("numpy", sys.modules["numpy"])
-"""
-        out = self._run(script)
-        assert out[-2:] == ["numpy", "None"]
-        results = dict(zip(out[:-2:2], out[1:-2:2]))
-        assert sorted(results) == sorted(
-            ("stability-map", "amplification-map", "static-response", "simulate",
-             "simulate-stochastic", "simulate-events", "bifurcation-scan", "fixed-point"))
-        assert out[1:-2:2] == ["True"] * sum(case.endswith("--svg") for case in GOLDEN_CASES)
 
 
 class TestFinitenessContract:
