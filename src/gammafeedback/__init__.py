@@ -6,7 +6,6 @@ of delta-hedging feedback with beta-normalized shock perception.
 __version__ = "0.1.0"
 
 from .analysis import (
-    ContourSet,
     FixedPointClass,
     FixedPointReport,
     GridScan,
@@ -51,7 +50,6 @@ from .stochastic import (
 __all__ = [
     "__version__",
     "ConfigError",
-    "ContourSet",
     "EPS_SINGULAR",
     "EventSpec",
     "FixedPointClass",

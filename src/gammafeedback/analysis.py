@@ -149,14 +149,6 @@ class GridScan:
                 raise ValueError("non-singular cells must be finite")
 
 
-@dataclass
-class ContourSet:
-    """Iso-level polylines in (beta, G) coordinates, each a list of (beta, G)
-    vertices."""
-
-    polylines: list
-
-
 class FixedPointClass(Enum):
     STABLE = "stable"
     UNSTABLE = "unstable"
@@ -206,21 +198,21 @@ def amplification_grid(spec: GridSpec) -> GridScan:
     return GridScan(spec, values, singular)
 
 
-def extract_contour(spec: GridSpec, level: float) -> ContourSet:
+def extract_contour(spec: GridSpec, level: float) -> list[tuple[float, float]]:
     """The level set D = ``level`` in the grid box, from the closed form.
 
     For lam > 0 the set is the curve G_c(beta) = (1 - level) / a(beta), with
     a(beta) = lam * (1 + k*x) computed as ``stability_grid`` computes it per
     row. G_c is non-decreasing in beta, so the box holds at most one piece of
-    it: one polyline with a vertex at each beta node whose G_c lies in
-    [g_min, g_max], and, between two nodes, one where the curve enters
-    through g_min or leaves through g_max, at the exact beta
-    k*s / (sigma_m * ((1 - level) / (lam * G) - 1)) of that edge G. For
-    lam <= 0 the set is empty.
+    it, returned as one polyline of (beta, G) vertices: one at each beta node
+    whose G_c lies in [g_min, g_max], and, between two nodes, one where the
+    curve enters through g_min or leaves through g_max, at the exact beta
+    k*s / (sigma_m * ((1 - level) / (lam * G) - 1)) of that edge G. The list
+    is empty when the curve misses the box, and for lam <= 0.
     """
     lam, shock, sigma_m, k = spec.lam, spec.shock_ratio, spec.sigma_m, spec.k
     if not lam > 0:
-        return ContourSet([])
+        return []
     c, g_min, g_max = 1.0 - level, float(spec.g_min), float(spec.g_max)
     line, b0, g0 = [], spec.beta_min, math.inf
     for b in spec.betas():
@@ -237,7 +229,7 @@ def extract_contour(spec: GridSpec, level: float) -> ContourSet:
         if g_min <= g <= g_max:
             line.append((b, g))
         b0, g0 = b, g
-    return ContourSet([line] if line else [])
+    return line
 
 
 def critical_exposure(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterator
 
-from .analysis import ContourSet, GridScan
+from .analysis import GridScan
 from .dynamics import SimState, Trajectory
 
 
@@ -36,10 +36,10 @@ def grid_csv(scan: GridScan) -> Iterator[str]:
             yield "".join([f"{b},{g},{v!r},0\n" for g, v in zip(gs, row_values)])
 
 
-def contour_csv(contours: ContourSet) -> Iterator[str]:
-    yield "polyline_id,beta,G\n"  # then one chunk per polyline
-    for pid, line in enumerate(contours.polylines):
-        yield "".join([f"{pid},{b!r},{g!r}\n" for b, g in line])
+def contour_csv(line: list[tuple[float, float]]) -> Iterator[str]:
+    yield "polyline_id,beta,G\n"  # then, if the line is not empty, its rows
+    if line:
+        yield "".join([f"0,{b!r},{g!r}\n" for b, g in line])
 
 
 # Long trajectories are formatted this many states at a time, so that the
@@ -58,8 +58,8 @@ def trajectory_csv(traj: Trajectory) -> Iterator[str]:
         ])
 
 
-def curve_csv(betas, values, value_name: str = "g_star") -> Iterator[str]:
-    yield f"beta,{value_name}\n"
+def curve_csv(betas, values) -> Iterator[str]:
+    yield "beta,g_star\n"
     yield "".join([f"{float(b)!r},{float(v)!r}\n" for b, v in zip(betas, values)])
 
 

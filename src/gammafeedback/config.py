@@ -15,6 +15,7 @@ parsing that text reproduces the same RunConfig exactly.
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import MISSING, dataclass, fields
 
 from .analysis import GridSpec
@@ -42,6 +43,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.horizon is not None:
             _require("horizon", self.horizon, ">=", 1)
+        # ``render_config`` writes the value on an ``out = ...`` line, which
+        # reads back stripped, cut at a line break, and cut at a # or ; that
+        # starts the value or follows whitespace
+        out = self.output_dir
+        if out is not None and (out != out.strip() or re.search(r"\n|(^|\s)[#;]", out)):
+            raise ValueError("out must not start or end with whitespace, hold a line break, "
+                             f"or hold # or ; at its start or after whitespace (got {out!r})")
 
 
 _SPECS = {"model": ModelParams, "impact": ImpactSpec, "stochastic": StochasticSpec,

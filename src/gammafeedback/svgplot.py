@@ -21,7 +21,7 @@ import math
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
-from .analysis import ContourSet, GridScan, linspace
+from .analysis import GridScan, linspace
 from .dynamics import Trajectory
 
 WIDTH = 720
@@ -185,14 +185,10 @@ def _polyline(points: Iterable[tuple[float, float]], color: str, width: float = 
     yield f'" fill="none" stroke="{color}" stroke-width="{width}"{dash}/>'
 
 
-def heatmap_svg(
-    scan: GridScan,
-    contours: list[tuple[ContourSet, str, str | None]] = (),
-    title: str = "",
-    xlabel: str = "beta",
-    ylabel: str = "G",
-) -> Iterator[str]:
-    """Grid heatmap with optional (ContourSet, color, dasharray) overlays."""
+def heatmap_svg(scan: GridScan, contours: list[tuple[list, str, str | None]] = (),
+                title: str = "") -> Iterator[str]:
+    """Grid heatmap with optional (polyline, color, dasharray) overlays, each
+    polyline a list of (beta, G) vertices as ``extract_contour`` returns."""
     spec = scan.spec
     betas, gs = spec.betas(), spec.gs()
     frame = _Frame((spec.beta_min, spec.beta_max), (spec.g_min, spec.g_max))
@@ -226,11 +222,11 @@ def heatmap_svg(
                 f'<rect x="{x}" y="{y}" width="{width}" height="{h}" fill="{fill}"/>'
                 for y, h, fill in zip(ys, heights, row)
             ])
-        for contour, color, dasharray in contours:
-            for line in contour.polylines:
+        for line, color, dasharray in contours:
+            if line:
                 pts = [(frame.x(b), frame.y(g)) for b, g in line]
                 yield _polyline(pts, color, width=1.8, dasharray=dasharray)
-        yield from _axes(frame, xlabel, ylabel, title)
+        yield from _axes(frame, "beta", "G", title)
     return _document(body())
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import pytest
 from scipy.signal import lfilter
 
 from gammafeedback import (
@@ -100,11 +101,9 @@ def test_criterion_2_threshold_equivalence():
     def max_deviation(n):
         spec = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
                         n_beta=n, n_g=n, shock_ratio=0.05, lam=0.003)
-        contour = extract_contour(spec, 0.0)
         dev = 0.0
-        for line in contour.polylines:
-            for beta, g in line:
-                dev = max(dev, abs(g - critical_exposure(0.003, beta, 0.05)))
+        for beta, g in extract_contour(spec, 0.0):
+            dev = max(dev, abs(g - critical_exposure(0.003, beta, 0.05)))
         return dev, spec.cell_width_g
 
     dev200, cell200 = max_deviation(200)
@@ -235,6 +234,7 @@ def test_criterion_5_figure_shape_properties():
            f"spread(T)={spread(375):.3f}; larger-shock runs dominate pointwise")
 
 
+@pytest.mark.filterwarnings("error")
 def test_criterion_6_stochastic_statistics():
     # 1e6-step constant-scale AR(1) harness, vectorized: bulk normals from
     # the pinned generator, recursion as an IIR filter

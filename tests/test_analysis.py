@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 import writer_reference as ref
 from gammafeedback import (
-    ContourSet,
     FixedPointClass,
     GridScan,
     GridSpec,
@@ -321,43 +320,37 @@ class TestExtractContour:
                         shock_ratio=0.0, lam=lam)
 
     def test_vertical_midline(self):
-        contour = extract_contour(self._spec(2.0), 0.0)
-        assert len(contour.polylines) == 1
-        line = contour.polylines[0]
+        line = extract_contour(self._spec(2.0), 0.0)
         assert len(line) == 2
         assert [g for _, g in line] == pytest.approx([0.5, 0.5])  # G at the midpoint column
         assert {b for b, _ in line} == {1.0, 2.0}  # spans the beta range
 
     def test_no_crossing_is_empty(self):
-        contour = extract_contour(self._spec(0.2), 0.0)  # G = 5, above the box
-        assert contour.polylines == []
+        assert extract_contour(self._spec(0.2), 0.0) == []  # G = 5, above the box
 
     def test_interpolated_crossing_position(self):
         # D = 1 - (4/3) * G is 1 at G=0 and -1/3 at G=1: the curve lies at 3/4,
         # between the G nodes
-        contour = extract_contour(self._spec(4 / 3), 0.0)
-        assert [g for _, g in contour.polylines[0]] == pytest.approx([0.75, 0.75])
+        line = extract_contour(self._spec(4 / 3), 0.0)
+        assert [g for _, g in line] == pytest.approx([0.75, 0.75])
 
     def test_contour_matches_analytic_root(self):
-        contour = extract_contour(FIG1A, 0.0)
-        assert contour.polylines
+        line = extract_contour(FIG1A, 0.0)
+        assert line
         max_dev = 0.0
-        for line in contour.polylines:
-            for beta, g in line:
-                g_star = critical_exposure(FIG1A.lam, beta, FIG1A.shock_ratio,
-                                           FIG1A.sigma_m, FIG1A.k)
-                max_dev = max(max_dev, abs(g - g_star))
+        for beta, g in line:
+            g_star = critical_exposure(FIG1A.lam, beta, FIG1A.shock_ratio,
+                                       FIG1A.sigma_m, FIG1A.k)
+            max_dev = max(max_dev, abs(g - g_star))
         assert max_dev <= FIG1A.cell_width_g
 
     def test_halving_cells_halves_deviation(self):
         def max_dev(n):
             spec = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
                             n_beta=n, n_g=n, shock_ratio=0.05, lam=0.003)
-            contour = extract_contour(spec, 0.0)
             dev = 0.0
-            for line in contour.polylines:
-                for beta, g in line:
-                    dev = max(dev, abs(g - critical_exposure(0.003, beta, 0.05)))
+            for beta, g in extract_contour(spec, 0.0):
+                dev = max(dev, abs(g - critical_exposure(0.003, beta, 0.05)))
             return dev
 
         # n-1 cells: doubling the cell count halves the width
@@ -366,33 +359,37 @@ class TestExtractContour:
         assert fine <= coarse / 2
 
     def test_vertices_inside_bbox_and_adjacent_cells(self):
-        contour = extract_contour(FIG1A, 0.0)
-        for line in contour.polylines:
-            for beta, g in line:
-                assert FIG1A.beta_min - 1e-12 <= beta <= FIG1A.beta_max + 1e-12
-                assert FIG1A.g_min - 1e-12 <= g <= FIG1A.g_max + 1e-12
-            for (b0, g0), (b1, g1) in zip(line, line[1:]):
-                assert abs(b1 - b0) <= FIG1A.cell_width_beta + 1e-12
-                assert abs(g1 - g0) <= FIG1A.cell_width_g + 1e-12
+        line = extract_contour(FIG1A, 0.0)
+        for beta, g in line:
+            assert FIG1A.beta_min - 1e-12 <= beta <= FIG1A.beta_max + 1e-12
+            assert FIG1A.g_min - 1e-12 <= g <= FIG1A.g_max + 1e-12
+        for (b0, g0), (b1, g1) in zip(line, line[1:]):
+            assert abs(b1 - b0) <= FIG1A.cell_width_beta + 1e-12
+            assert abs(g1 - g0) <= FIG1A.cell_width_g + 1e-12
 
     def test_skips_cells_touching_singular_nodes(self):
         spec = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
                         n_beta=60, n_g=60, shock_ratio=0.05, lam=0.003)
-        contour = extract_contour(spec, 0.5)  # 1/D = 2
-        assert contour.polylines
+        line = extract_contour(spec, 0.5)  # 1/D = 2
+        assert line
         # every vertex must sit strictly in non-singular territory, where D > 0
-        for line in contour.polylines:
-            for beta, g in line:
-                d = 1 - spec.lam * g * (1 + spec.k * spec.shock_ratio / (beta * spec.sigma_m))
-                assert d > 0
+        for beta, g in line:
+            d = 1 - spec.lam * g * (1 + spec.k * spec.shock_ratio / (beta * spec.sigma_m))
+            assert d > 0
 
 
 def _hex_rows(rows):
     return [[float(v).hex() for v in row] for row in rows]
 
 
-def _hex_lines(polylines):
-    return [[(float(b).hex(), float(g).hex()) for b, g in line] for line in polylines]
+def _hex_line(line):
+    return [(float(b).hex(), float(g).hex()) for b, g in line]
+
+
+def _ref_line(spec, level):
+    """``ref.threshold_contour``'s one array of vertices, or [] when it has none."""
+    line, = ref.threshold_contour(spec, level) or [[]]
+    return line
 
 
 # A non-square grid that starts above G = 0, as the CLI's skew golden.
@@ -494,9 +491,8 @@ class TestThresholdContour:
         want = [(b, critical_exposure(spec.lam, b, spec.shock_ratio, spec.sigma_m, spec.k))
                 for b in spec.betas()]
         want = [(b, g) for b, g in want if spec.g_min <= g <= spec.g_max]
-        lines = extract_contour(spec, 0.0).polylines
-        nodes, crossings = _split(spec, 0.0, lines[0]) if lines else ([], [])
-        assert _hex_lines([nodes]) == _hex_lines([want])
+        nodes, crossings = _split(spec, 0.0, extract_contour(spec, 0.0))
+        assert _hex_line(nodes) == _hex_line(want)
         assert len(crossings) <= 2
 
     @settings(max_examples=300, deadline=None)
@@ -511,9 +507,8 @@ class TestThresholdContour:
         # c / (c - lam*E): at most 6 ulp times that ratio. The CLAMPED
         # vertices, kept at a node, lie within one ulp of their roots.
         spec, level = spec_level
-        lines = extract_contour(spec, level).polylines
         c = Fraction(1.0 - level)
-        for beta, g in _split(spec, level, lines[0])[1] if lines else []:
+        for beta, g in _split(spec, level, extract_contour(spec, level))[1]:
             assert g in (spec.g_min, spec.g_max)
             lam_g = Fraction(spec.lam) * Fraction(g)
             assert c > lam_g
@@ -530,21 +525,19 @@ class TestThresholdContour:
     @example((CLAMPED[1], 0.5))
     def test_vertices_in_the_box_and_non_decreasing(self, spec_level):
         spec, level = spec_level
-        lines = extract_contour(spec, level).polylines
-        assert len(lines) <= 1
-        for line in lines:
-            assert line
-            for beta, g in line:
-                assert spec.beta_min <= beta <= spec.beta_max and spec.g_min <= g <= spec.g_max
-            for (b0, g0), (b1, g1) in zip(line, line[1:]):
-                assert b0 <= b1 and g0 <= g1
+        line = extract_contour(spec, level)
+        assert type(line) is list
+        for beta, g in line:
+            assert spec.beta_min <= beta <= spec.beta_max and spec.g_min <= g <= spec.g_max
+        for (b0, g0), (b1, g1) in zip(line, line[1:]):
+            assert b0 <= b1 and g0 <= g1
 
     @pytest.mark.parametrize("lam", [0.0, -0.0, -0.003, -math.inf])
     def test_empty_without_positive_lambda(self, lam):
         spec = GridSpec(beta_min=0.2, beta_max=3.0, g_min=0.0, g_max=300.0,
                         n_beta=5, n_g=5, shock_ratio=0.05, lam=lam)
         for level in (*LEVELS, -1.0, 2.0):
-            assert extract_contour(spec, level).polylines == []
+            assert extract_contour(spec, level) == []
 
     def test_integer_edges_give_float_vertices(self):
         # D = 0 leaves the box through g_max = 100, D = 1/2 enters it through g_min = 40
@@ -553,10 +546,10 @@ class TestThresholdContour:
         floats = GridSpec(beta_min=1.0, beta_max=3.0, g_min=40.0, g_max=100.0, n_beta=3, n_g=3,
                           shock_ratio=0.05, lam=0.003)
         for level in LEVELS:
-            line, = extract_contour(ints, level).polylines
+            line = extract_contour(ints, level)
             assert all(type(v) is float for vertex in line for v in vertex)
             assert _split(ints, level, line)[1]
-            assert line == extract_contour(floats, level).polylines[0]
+            assert line == extract_contour(floats, level)
 
     def test_underflowing_root_divisor_keeps_the_next_node(self):
         # sigma_m * (1 - lam * 90) is 5e-324 * 0.1, which rounds to 0: the
@@ -564,20 +557,19 @@ class TestThresholdContour:
         spec = GridSpec(beta_min=1e14, beta_max=1e15, g_min=0.0, g_max=90.0, n_beta=3, n_g=3,
                         shock_ratio=1e-310, lam=0.01, sigma_m=5e-324)
         stability_grid(spec)  # a grid the maps accept
-        line, = extract_contour(spec, 0.0).polylines
-        assert line == [(1e14, 71.18428189057127), (5.5e14, 90.0)]
+        assert extract_contour(spec, 0.0) == [(1e14, 71.18428189057127), (5.5e14, 90.0)]
 
     def test_degenerate_specs_pin_what_they_draw(self):
         beta_fixed, g_fixed, both_fixed = DEGENERATE
         # a fixed beta repeats its node: one point, once per node
-        assert extract_contour(beta_fixed, 0.0).polylines == [[(1.0, 76.9230769230769)] * 4]
-        assert extract_contour(beta_fixed, 0.5).polylines == [[(1.0, 38.46153846153845)] * 4]
+        assert extract_contour(beta_fixed, 0.0) == [(1.0, 76.9230769230769)] * 4
+        assert extract_contour(beta_fixed, 0.5) == [(1.0, 38.46153846153845)] * 4
         # a fixed G is entered and left at the same beta between two nodes
-        assert extract_contour(g_fixed, 0.0).polylines == [[(0.5882352941176471, 50.0)] * 2]
-        assert extract_contour(g_fixed, 0.5).polylines == [[(1.4285714285714286, 50.0)] * 2]
+        assert extract_contour(g_fixed, 0.0) == [(0.5882352941176471, 50.0)] * 2
+        assert extract_contour(g_fixed, 0.5) == [(1.4285714285714286, 50.0)] * 2
         # the curve passes below the one node
         for level in LEVELS:
-            assert extract_contour(both_fixed, level).polylines == []
+            assert extract_contour(both_fixed, level) == []
 
     @staticmethod
     def _a_cell_crosses(scan, level):
@@ -595,7 +587,7 @@ class TestThresholdContour:
             dscan = stability_grid(spec)
             for scan, scan_level, level in ((dscan, 0.0, 0.0),
                                             (amplification_grid(spec), 2.0, 0.5)):
-                assert (bool(extract_contour(spec, level).polylines)
+                assert (bool(extract_contour(spec, level))
                         == self._a_cell_crosses(scan, scan_level)), (spec, level)
 
     def test_exact_curve_where_every_crossed_cell_is_singular(self):
@@ -605,9 +597,8 @@ class TestThresholdContour:
         spec = GridSpec(beta_min=1.0, beta_max=2.0, g_min=0.0, g_max=300.0, n_beta=3, n_g=3,
                         shock_ratio=0.0, lam=0.01)
         assert not self._a_cell_crosses(amplification_grid(spec), 2.0)
-        assert extract_contour(spec, 0.5).polylines == [[(1.0, 50.0), (1.5, 50.0), (2.0, 50.0)]]
-        assert extract_contour(spec, 0.0).polylines == [[(1.0, 100.0), (1.5, 100.0),
-                                                          (2.0, 100.0)]]
+        assert extract_contour(spec, 0.5) == [(1.0, 50.0), (1.5, 50.0), (2.0, 50.0)]
+        assert extract_contour(spec, 0.0) == [(1.0, 100.0), (1.5, 100.0), (2.0, 100.0)]
 
 
 class TestMatchesNumpyReference:
@@ -636,16 +627,15 @@ class TestMatchesNumpyReference:
                   st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(-1e6, 1e6)))))
     def test_contours(self, spec_level):
         spec, level = spec_level
-        assert (_hex_lines(extract_contour(spec, level).polylines)
-                == _hex_lines(ref.threshold_contour(spec, level)))
+        assert _hex_line(extract_contour(spec, level)) == _hex_line(_ref_line(spec, level))
 
     @pytest.mark.parametrize("spec", [FIG1A, SKEW, *DEGENERATE],
                              ids=["fig1a", "skew", "beta-fixed", "g-fixed", "both-fixed"])
     def test_map_contours(self, spec):
         # the CLI's contours: D = 0 and 1/D = 2
         for level in LEVELS:
-            assert (_hex_lines(extract_contour(spec, level).polylines)
-                    == _hex_lines(ref.threshold_contour(spec, level)))
+            assert (_hex_line(extract_contour(spec, level))
+                    == _hex_line(_ref_line(spec, level)))
 
 
 class TestCriticalExposure:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import writer_reference as ref
 from gammafeedback import (
-    ContourSet,
     GridSpec,
     ImpactSpec,
     ModelParams,
@@ -84,30 +83,29 @@ _number = st.one_of(st.floats(allow_nan=True), st.integers(-10**6, 10**6), st.ju
 
 class TestContourCsv:
     def test_round_trip(self):
-        contour = extract_contour(SPEC, 0.0)
-        assert contour.polylines
-        lines = read_contour_csv("".join(contour_csv(contour)))
-        assert len(lines) == len(contour.polylines)
-        for got, want in zip(lines, contour.polylines):
-            assert got.tolist() == np.asarray(want).tolist()
+        line = extract_contour(SPEC, 0.0)
+        assert line
+        got, = read_contour_csv("".join(contour_csv(line)))
+        assert got.tolist() == np.asarray(line).tolist()
 
     def test_header(self):
-        contour = extract_contour(SPEC, 0.0)
-        assert "".join(contour_csv(contour)).startswith("polyline_id,beta,G\n")
+        line = extract_contour(SPEC, 0.0)
+        assert "".join(contour_csv(line)).startswith("polyline_id,beta,G\n")
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.lists(st.tuples(_number, _number), max_size=6), max_size=4))
-    @example([[(-0.0, 0.0)], [], [(1, 2.5), (3, -0.0)]])
-    def test_matches_scalar_reference(self, polylines):
-        contours = ContourSet(polylines=[[(float(b), float(g)) for b, g in p]
-                                         for p in polylines])
-        assert "".join(contour_csv(contours)) == ref.contour_csv(contours)
+    @given(st.lists(st.tuples(_number, _number), max_size=6))
+    @example([(-0.0, 0.0)])
+    @example([])
+    @example([(1, 2.5), (3, -0.0)])
+    def test_matches_scalar_reference(self, line):
+        line = [(float(b), float(g)) for b, g in line]
+        assert "".join(contour_csv(line)) == ref.contour_csv(line)
 
     def test_extracted_contours_match_scalar_reference(self):
         for level in (0.0, 0.5):  # D = 0 and 1/D = 2
-            contours = extract_contour(SPEC, level)
-            assert contours.polylines
-            assert "".join(contour_csv(contours)) == ref.contour_csv(contours)
+            line = extract_contour(SPEC, level)
+            assert line
+            assert "".join(contour_csv(line)) == ref.contour_csv(line)
 
 
 class TestTrajectoryCsv:

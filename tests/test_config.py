@@ -169,6 +169,17 @@ class TestRoundTrip:
         config.emit_svg = True
         self._assert_round_trip(config)
 
+    # each would read back changed from its ``out = ...`` line: cut at a
+    # comment, stripped, or (with a line break) not parse at all
+    @pytest.mark.parametrize("out", ["a ;b", "a #b", "a\t#b", ";x", "#x", " a", "x ", "a\nb"])
+    def test_output_dir_that_cannot_round_trip_rejected(self, out):
+        with pytest.raises(ValueError, match=r"^out must "):
+            RunConfig(output_dir=out)
+
+    @pytest.mark.parametrize("out", ["a;b", "", "x=y", "[s]"])
+    def test_awkward_output_dirs_survive(self, out):
+        self._assert_round_trip(RunConfig(output_dir=out))
+
 
 # A config with every section, as key -> raw value per section.
 FULL = {
@@ -300,8 +311,9 @@ SEEDS = st.integers(0, 2**64 - 1)
 
 
 @st.composite
-def run_configs(draw) -> RunConfig:
-    """Valid RunConfigs over all six sections, each optional section maybe absent."""
+def run_config_fields(draw) -> dict:
+    """RunConfig fields over all six sections, each optional section maybe
+    absent: every section valid, ``output_dir`` maybe one RunConfig rejects."""
     model = draw(st.none() | SCALES.flatmap(lambda scale: st.builds(
         ModelParams, lam=_floats(), beta=st.just(scale[0]), mu0=FINITE, n0=POSITIVE,
         gamma0=POSITIVE, sigma_m=st.just(scale[1]), k=NON_NEGATIVE, eta=NON_NEGATIVE,
@@ -327,18 +339,24 @@ def run_configs(draw) -> RunConfig:
                         n_beta=draw(st.integers(2, 10**9)), n_g=draw(st.integers(2, 10**9)),
                         shock_ratio=draw(NON_NEGATIVE), lam=draw(_floats()),
                         sigma_m=sigma_m, k=draw(NON_NEGATIVE))
-    output_dir = draw(st.none() | st.text("abcXYZ0129/._-", max_size=24))
-    return RunConfig(model=model, impact=impact, stochastic=stochastic, events=events,
-                     grid=grid, horizon=horizon, output_dir=output_dir,
-                     emit_svg=draw(st.booleans()))
+    output_dir = draw(st.none() | st.text("abcXYZ0129/._- #;\n", max_size=24))
+    return dict(model=model, impact=impact, stochastic=stochastic, events=events,
+                grid=grid, horizon=horizon, output_dir=output_dir,
+                emit_svg=draw(st.booleans()))
 
 
 class TestRoundTripProperty:
     @settings(max_examples=300, deadline=None)
-    @given(config=run_configs())
-    @example(config=RunConfig(
+    @given(fields=run_config_fields())
+    @example(fields=dict(
         model=ModelParams(lam=5e-324, beta=0.1 + 0.2, mu0=-0.0, sigma_m=1e-323),
         impact=ImpactSpec(kind="tanh", c=0.1 + 0.2), horizon=1, output_dir="",
     ))
-    def test_parse_inverts_render(self, config):
+    def test_parse_inverts_render(self, fields):
+        """Construction rejects the output_dir, or the config round-trips."""
+        try:
+            config = RunConfig(**fields)
+        except ValueError as exc:
+            assert str(exc).startswith("out must ")
+            return
         assert parse_config(render_config(config)) == config

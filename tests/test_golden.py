@@ -918,6 +918,7 @@ def test_first_normals(seed):
     assert first_normals_hex(seed) == NORMAL_HEX[seed]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", BULK_CASES)
 def test_bulk_draws(case):
     assert bulk_digest(case) == BULK_GOLDEN[case]

@@ -18,6 +18,10 @@ from gammafeedback import Rng
 from gammafeedback.rng import _BAND, _CHUNK, _TWO_PI
 from step_reference import sample_indices
 
+# the bulk draws call numpy directly: a deprecation in their path fails
+# here, on each Python the suite runs on, before it becomes an error
+pytestmark = pytest.mark.filterwarnings("error")
+
 MASK = (1 << 64) - 1
 
 

@@ -31,7 +31,16 @@ def _exists(path, node):
 
 def test_every_file_and_test_the_workflow_names_exists():
     refs = REFERENCE.findall(WORKFLOW.read_text(encoding="utf-8"))
-    # the pattern still finds each kind of reference
-    assert {path.split("/")[0] for path, _ in refs} == {"tests", "bench"}
-    assert any(node for _, node in refs)
+    # the pattern still finds the one script the workflow names
+    assert ("bench/run.py", "") in refs
     assert [path + node for path, node in refs if not _exists(path, node)] == []
+
+
+def test_a_named_test_is_read_as_module_and_node():
+    # the workflow's pytest step names no module, so a sample step that does
+    # shows how one would be read and checked
+    refs = REFERENCE.findall("pytest -q tests/test_golden.py::test_bulk_draws "
+                             "tests/test_rng.py::TestGone::test_gone bench/gone.py")
+    assert refs == [("tests/test_golden.py", "::test_bulk_draws"),
+                    ("tests/test_rng.py", "::TestGone::test_gone"), ("bench/gone.py", "")]
+    assert [_exists(path, node) for path, node in refs] == [True, False, False]

@@ -72,8 +72,8 @@ def heatmap_svg(scan, contours=(), title="", xlabel="beta", ylabel="G") -> str:
                 f'<rect x="{_f(px)}" y="{_f(py1)}" width="{_f(px1 - px)}" '
                 f'height="{_f(py - py1)}" fill="{color}"/>'
             )
-    for contour, color, dasharray in contours:
-        for line in contour.polylines:
+    for line, color, dasharray in contours:
+        if line:
             pts = [(frame.x(b), frame.y(g)) for b, g in line]
             body.append(_polyline(pts, color, width=1.8, dasharray=dasharray))
     body.extend(_axes(frame, xlabel, ylabel, title))
@@ -100,13 +100,12 @@ def grid_csv(scan) -> str:
     return buf.getvalue()
 
 
-def contour_csv(contours) -> str:
+def contour_csv(line) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["polyline_id", "beta", "G"])
-    for pid, line in enumerate(contours.polylines):
-        for beta, g in line:
-            writer.writerow([pid, _fmt(beta), _fmt(g)])
+    for beta, g in line:
+        writer.writerow([0, _fmt(beta), _fmt(g)])
     return buf.getvalue()
 
 
