@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammafeedback import Rng
-from gammafeedback.rng import _BAND, _CHUNK, _TWO_PI
+from gammafeedback.rng import _BAND, _CHUNK, _TWO_PI, _apply, _jump
 from step_reference import sample_indices
 
 # the bulk draws call numpy directly: a deprecation in their path fails
@@ -188,6 +188,86 @@ class TestBulkLanes:
         with pytest.raises(ValueError, match=rf"^n must be >= 0 \(got {n}\)$"):
             getattr(rng, draw)(n)
         assert rng.next_u64() == Rng(5).next_u64()  # the stream did not move
+
+
+def reference_apply(jump, states):
+    """A GF(2)-linear map, given as the (4, 256) images of the unit states,
+    applied to each column of states, shape (4, m): the XOR of the images of
+    each state's set bits, bit 64w + i being bit i of word w."""
+    bits = (states[:, None, :] >> np.arange(64, dtype=np.uint64)[:, None]) & np.uint64(1)
+    masks = bits.reshape(256, -1) * np.uint64(MASK)
+    return np.bitwise_xor.reduce(masks[:, None, :] & jump.T[:, :, None], axis=0)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_jump(j):
+    """T^(2^j) by squaring T j times through reference_apply."""
+    if j == 0:
+        return _jump(0)  # built from one xoshiro step of each unit state
+    half = reference_jump(j - 1)
+    return reference_apply(half, half)
+
+
+def package_apply(j, states):
+    """The package's application of the cached jump T^(2^j)."""
+    return _apply(_jump(j), states)
+
+
+def jump_states(m):
+    """(4, m) states: random words, then all-zero, all-ones and single-bit
+    states, as many of each kind as fit."""
+    rnd = np.random.default_rng(m)
+    states = rnd.integers(0, 2**64, size=(4, m), dtype=np.uint64)
+    special = [np.zeros(4, dtype=np.uint64), np.full(4, MASK, dtype=np.uint64)]
+    for bit in (0, 1, 3, 4, 63, 64, 127, 128, 200, 255):
+        one = np.zeros(4, dtype=np.uint64)
+        one[bit // 64] = np.uint64(1) << np.uint64(bit % 64)
+        special.append(one)
+    for i, state in enumerate(special[:m]):
+        states[:, m - 1 - i] = state
+    return states
+
+
+class TestJumpApplication:
+    """The jump-ahead maps against the bit-by-bit reference."""
+
+    def test_unit_images_are_one_xoshiro_step(self):
+        # column 64w + i of T is the state after one step from bit i of word w
+        for bit in (0, 17, 64, 100, 191, 255):
+            s = [0, 0, 0, 0]
+            s[bit // 64] = 1 << (bit % 64)
+            t = (s[1] << 17) & MASK
+            s[2] ^= s[0]
+            s[3] ^= s[1]
+            s[1] ^= s[2]
+            s[0] ^= s[3]
+            s[2] ^= t
+            s[3] = ((s[3] << 45) | (s[3] >> 19)) & MASK
+            assert _jump(0)[:, bit].tolist() == s
+
+    @pytest.mark.parametrize("j", [0, 1, 9, 19])
+    @pytest.mark.parametrize("m", [1, 2, 255, 256, 977])
+    def test_application_matches_the_reference(self, j, m):
+        states = jump_states(m)
+        got = package_apply(j, states)
+        assert got.dtype == np.uint64
+        assert got.shape == (4, m)
+        assert got.tolist() == reference_apply(_jump(j), states).tolist()
+
+    @pytest.mark.parametrize("j", [1, 2, 9, 19])
+    def test_jump_is_the_reference_squaring_chain(self, j):
+        jump = _jump(j)
+        assert not jump.flags.writeable
+        assert jump.tolist() == reference_jump(j).tolist()
+
+    def test_a_jump_skips_its_draws(self):
+        # T^(2^9) applied to the seeded state gives the state 512 draws on
+        seed = 20240811
+        rng = Rng(seed)
+        state = np.array([[rng._s0], [rng._s1], [rng._s2], [rng._s3]], dtype=np.uint64)
+        for _ in range(512):
+            rng.next_u64()
+        assert package_apply(9, state)[:, 0].tolist() == [rng._s0, rng._s1, rng._s2, rng._s3]
 
 
 class TestUniform:
