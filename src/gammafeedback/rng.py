@@ -26,11 +26,16 @@ machines and builds, independent of any library's RNG internals:
 Bulk draws need numpy (the ``bulk`` extra); nothing else in the package
 imports it. ``u64_array()`` and ``uniforms()`` are bit-identical to the
 scalar stream and leave the generator in the same state. The update is
-linear over GF(2)^256, so n draws run as about sqrt(n) lanes of about sqrt(n)
-steps (twice the steps over half the lanes just past a power of four), each
-started by GF(2) jump-ahead (Haramoto et al., INFORMS J. Computing 2008);
-numpy advances all lanes together in place, a band of steps at a time, and
-applies the output function to each band while it is still in cache.
+linear over GF(2)^256, so n draws run as lanes a stride apart, each started
+by GF(2) jump-ahead (Haramoto et al., INFORMS J. Computing 2008). The stride
+is the power of two nearest sqrt(n/4), so about 2 sqrt(n) lanes of about
+sqrt(n)/2 steps; more lanes cost more jumps, fewer lanes more numpy steps, and
+c = 4 in sqrt(n/c) is measured. Each jump T^(2^j) is cached as a table of the
+images of every 4-bit nibble value at each of the 64 nibble positions, so a
+lane start is the XOR of 64 table rows, not of 256 unit images (the "four
+Russians" method, Arlazarov et al., Soviet Math. Dokl. 1970). numpy advances
+all lanes together in place, a band of steps at a time, and applies the
+output function to each band while it is still in cache.
 ``normals()`` applies the Box-Muller transform vectorized, in chunks, over
 the uniforms' own buffer. numpy's ``log`` may differ from ``math.log`` in the
 last ulp (its ``sqrt``, ``cos`` and ``sin`` agree with ``math``), so a bulk
@@ -66,7 +71,7 @@ def splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-# The lanes' s1 words are collected _BAND steps at a time (512 KiB at 10^6 draws),
+# The lanes' s1 words are collected _BAND steps at a time (1 MiB at 10^6 draws),
 # output-transformed in place and copied out; normals() works _CHUNK values at a time.
 _BAND = 64
 _CHUNK = 1 << 16
@@ -89,23 +94,29 @@ def _advance(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, s3: np.ndarray,
     s3 |= t
 
 
-def _apply(jump: np.ndarray, states: np.ndarray) -> np.ndarray:
+def _apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Apply a GF(2)-linear state map to each column of states, shape (4, m).
 
-    The map is given by the images of the 256 unit states, shape (4, 256);
-    the image of a state is the XOR of the images of its set bits.
+    The map is given as its nibble table (see ``_table``): the image of a
+    state is the XOR of 64 table rows, one per 4-bit nibble of the state
+    (Arlazarov et al.'s "four Russians" product). Nibble p holds bits
+    4p..4p+3, bit 64w + i being bit i of word w; it is taken by shifts, so
+    the result does not depend on the host's byte order.
     """
     import numpy as np
 
-    bits = (states[:, None, :] >> np.arange(64, dtype=np.uint64)[:, None]) & np.uint64(1)
-    masks = bits.reshape(256, -1) * np.uint64(_MASK)
-    return np.bitwise_xor.reduce(masks[:, None, :] & jump.T[:, :, None], axis=0)
+    m = states.shape[1]
+    shifts = np.arange(0, 64, 4, dtype=np.uint64)[:, None]
+    nibbles = ((states[:, None, :] >> shifts) & np.uint64(15)).reshape(64, m).astype(np.intp)
+    nibbles += np.arange(0, 1024, 16)[:, None]
+    return np.bitwise_xor.reduce(np.take(table, nibbles, axis=0), axis=0).T  # (64, m, 4)
 
 
 @functools.lru_cache(maxsize=None)
 def _jump(j: int) -> np.ndarray:
     """T^(2^j), the state map that skips 2^j draws, as the images of the
-    256 unit states (read-only). T itself is built from ``_advance``."""
+    256 unit states, shape (4, 256), read-only. T itself is built from
+    ``_advance``; T^(2^j) is T^(2^(j-1)) applied to its own images."""
     import numpy as np
 
     if j == 0:
@@ -114,10 +125,25 @@ def _jump(j: int) -> np.ndarray:
         jump[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
         _advance(*jump, np.empty(256, dtype=np.uint64))
     else:
-        half = _jump(j - 1)
-        jump = _apply(half, half)
+        jump = _apply(_table(j - 1), _jump(j - 1))
     jump.flags.writeable = False
     return jump
+
+
+@functools.lru_cache(maxsize=None)
+def _table(j: int) -> np.ndarray:
+    """The nibble table of T^(2^j), shape (1024, 4), 32 KiB, read-only:
+    row 16p + v is the image of the state whose only set bits are those k of
+    v at positions 4p + k. Built from ``_jump(j)`` in four doublings."""
+    import numpy as np
+
+    images = np.ascontiguousarray(_jump(j).T).reshape(64, 4, 4)  # [p, k]: image of bit 4p+k
+    table = np.zeros((64, 1, 4), dtype=np.uint64)
+    for k in range(4):  # the rows whose v has bit k set follow those without it
+        table = np.concatenate([table, table ^ images[:, k, None, :]], axis=1)
+    table = table.reshape(1024, 4)
+    table.flags.writeable = False
+    return table
 
 
 def _lane_starts(state: np.ndarray, lanes: int, stride_log2: int) -> np.ndarray:
@@ -130,15 +156,19 @@ def _lane_starts(state: np.ndarray, lanes: int, stride_log2: int) -> np.ndarray:
     have, j = 1, stride_log2
     while have < lanes:
         take = min(have, lanes - have)
-        starts[:, have:have + take] = _apply(_jump(j), starts[:, :take])
+        starts[:, have:have + take] = _apply(_table(j), starts[:, :take])
         have += take
         j += 1
     return starts
 
 
-def _check_count(n: int) -> None:
+def _check_count(n: int) -> int:
+    """n as an int (a numpy integer converts, a float raises TypeError);
+    ValueError if it is negative."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"n must be >= 0 (got {n})")
+    return n
 
 
 def _check_seed(seed: int, name: str = "seed") -> None:
@@ -153,6 +183,7 @@ class Rng:
     __slots__ = ("seed", "_s0", "_s1", "_s2", "_s3", "_cached_normal")
 
     def __init__(self, seed: int):
+        seed = operator.index(seed)  # a numpy integer seeds what the equal int seeds
         _check_seed(seed)
         self.seed = seed
         state = seed
@@ -215,6 +246,7 @@ class Rng:
 
     def randbelow(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""
+        n = operator.index(n)
         if n <= 0:
             raise ValueError(f"n must be positive (got {n})")
         if n > 1 << 64:
@@ -252,19 +284,20 @@ class Rng:
         """Next n raw outputs as a uint64 array (advances the stream).
 
         Bit-identical to n calls of ``next_u64`` and leaves the same state.
-        ceil(n/stride) lanes, a stride of 2^ceil(log2(n)/2) apart and each
-        started by GF(2) jump-ahead, advance together: about sqrt(n) numpy
-        steps over about sqrt(n) lanes. The stride doubles just past a power
-        of four, so 4^k + 1 draws take twice the steps of 4^k. Row i of the
-        (lanes, stride) result is lane i, finished in place ``_BAND`` steps at
-        a time; its first n words are returned.
+        ceil(n/stride) lanes, each started by GF(2) jump-ahead, advance
+        together. The stride is the largest power of two 2^s with
+        2 * 4^s <= n, the one nearest sqrt(n/4): about sqrt(n)/2 numpy steps
+        over about 2 sqrt(n) lanes. It doubles at n = 2 * 4^s, where the
+        lanes halve, so n + 1 draws cost about what n draws cost. Row i of
+        the (lanes, stride) result is lane i, finished in place ``_BAND``
+        steps at a time; its first n words are returned.
         """
         import numpy as np
 
-        _check_count(n)
+        n = _check_count(n)
         if n == 0:  # no lane to run: the stream does not move
             return np.empty(0, dtype=np.uint64)
-        stride_log2 = ((n - 1).bit_length() + 1) // 2
+        stride_log2 = max(n.bit_length() - 2, 0) // 2
         stride = 1 << stride_log2  # never more than n
         lanes = -(-n // stride)
         last = n - (lanes - 1) * stride  # steps the last lane needs
@@ -306,7 +339,7 @@ class Rng:
         """n standard normals; consumes ceil(n/2)*2 uniforms pairwise."""
         import numpy as np
 
-        _check_count(n)
+        n = _check_count(n)
         pairs = (n + 1) // 2
         z = self.uniforms(2 * pairs)  # each chunk's pairs become its normals
         r, angle = np.empty((2, min(pairs, _CHUNK // 2)))

@@ -205,9 +205,9 @@ def first_normals_hex(seed: int) -> list[str]:
     return [rng.normal().hex() for _ in range(16)]
 
 
-# The bulk draws, each followed by one next_u64(): one value, 1000 draws (32
-# lanes of 32, the last one 8 long), and two counts above 2^20: 2^20 + 3, just
-# past a power of four, and 3 * 2^20 + 5.
+# The bulk draws, each followed by one next_u64(): one value, 1000 draws (63
+# lanes of 16, the last one 8 long), and two counts above 2^20: 2^20 + 3 (2049
+# lanes of 512, the last one 3 long), and 3 * 2^20 + 5.
 BULK_DRAWS = ("u64_array", "uniforms", "normals")
 BULK_SIZES = (1, 1000, 2**20 + 3, 3 * 2**20 + 5)
 BULK_CASES = [f"{draw} {seed} {n}" for draw in BULK_DRAWS for seed in RNG_SEEDS

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammafeedback import Rng
-from gammafeedback.rng import _BAND, _CHUNK, _TWO_PI, _apply, _jump
+from gammafeedback.rng import _BAND, _CHUNK, _TWO_PI, _apply, _jump, _table
 from step_reference import sample_indices
 
 # the bulk draws call numpy directly: a deprecation in their path fails
@@ -88,18 +88,23 @@ class TestStream:
         assert a.next_u64() == b.next_u64()
 
 
-# Lane, stride and band boundaries of the bulk path. n draws run lanes
-# 2^ceil(log2(n)/2) apart: the stride doubles at n = 4^a + 1 (2, 5, 17, 65,
-# ..., 4097), every lane is full at n = 4^a, and 24/25 put the last of three
-# 8-apart lanes exactly full and one past it. Lanes are advanced _BAND steps
-# at a time: one band, one band +- 1, 1024 x band +- 1 (256 full lanes of 256,
-# then 129 lanes of 512), and 128-apart lanes whose short last one ends one
-# step into its second band. BLOCK = 2^20 draws run 1024 full lanes of 1024.
+# Lane, stride and band boundaries of the bulk path. n draws run lanes a
+# stride 2^s apart, s the largest with 2 * 4^s <= n (stride 1 below 8 draws).
+# The stride doubles and the lanes halve at n_s = 2 * 4^s: n_s - 1 runs
+# 2^(s+2) lanes whose last is one step short, n_s runs 2^(s+1) full lanes
+# and n_s + 1 one more lane of one step. Lanes advance _BAND steps at a time:
+# 300 lanes 128 apart whose short last one ends one step into its second
+# band, and 500 full lanes of 128. The entries before the switch points pin
+# the boundaries of the earlier stride 2^ceil(log2(n)/2) and stay as cases:
+# one band, one band +- 1, 1024 x band +- 1, 3 * 1024 + 7 and 200_003.
 LANES = STRIDE = 1024
+SWITCH_POINTS = [2 * 4**s for s in range(1, 10)]  # 8 ... 524_288, below 2^20
 LANE_SIZES = [0, 1, 2, 3, 4, 5, 16, 17, 24, 25, _BAND - 1, _BAND, _BAND + 1, 1000,
               STRIDE - 1, STRIDE, STRIDE + 1, 3 * STRIDE + 7, 4096, 4097,
               100 * 2 * _BAND + _BAND + 1, LANES * _BAND - 1, LANES * _BAND,
-              LANES * _BAND + 1, 200_003]
+              LANES * _BAND + 1, 200_003,
+              *(n_s + d for n_s in SWITCH_POINTS for d in (-1, 0, 1)),
+              299 * 2 * _BAND + _BAND + 1, 500 * 2 * _BAND]
 BLOCK = LANES * STRIDE
 # every lane full at 4^k draws, and the stride doubled one draw later
 POWER_OF_FOUR_SIZES = [4**k + extra for k in range(1, 11) for extra in (0, 1)]
@@ -134,7 +139,7 @@ class TestBulkLanes:
         assert a.next_u64() == b.next_u64()
 
     def test_past_2_to_the_20_a_last_lane_stops_mid_band(self):
-        # 513 lanes of 2048; the last one stops 1029 steps in, 5 into its 17th band
+        # 2051 lanes of 512; the last one stops 5 steps into its first band
         seed = 20240811
         n = BLOCK + STRIDE + 5
         expected = oracle_prefix(seed, n + 1)
@@ -142,7 +147,7 @@ class TestBulkLanes:
         assert rng.u64_array(n).tolist() == expected[:n]
         assert rng.next_u64() == expected[n]
 
-    # 1024 full lanes of 1024, then 513 lanes of 2048 whose last one is 1 or 17 long
+    # 2048 full lanes of 512, then 2049 lanes whose last one is 1 or 17 long
     @pytest.mark.parametrize("n", [BLOCK, BLOCK + 1, BLOCK + 17])
     def test_at_and_just_past_2_to_the_20(self, n):
         seed = 20240811
@@ -160,7 +165,7 @@ class TestBulkLanes:
         assert rng.next_u64() == expected[n]
 
     def test_a_padded_size_is_one_contiguous_run(self):
-        # 1000 draws fill 32 lanes of 32 but the last 24 words: the result is
+        # 1000 draws fill 63 lanes of 16 but the last 8 words: the result is
         # the first 1000, contiguous, and the next draw starts at draw 1000
         seed = 20240811
         expected = oracle_prefix(seed, 1006)
@@ -210,7 +215,7 @@ def reference_jump(j):
 
 def package_apply(j, states):
     """The package's application of the cached jump T^(2^j)."""
-    return _apply(_jump(j), states)
+    return _apply(_table(j), states)
 
 
 def jump_states(m):
@@ -268,6 +273,51 @@ class TestJumpApplication:
         for _ in range(512):
             rng.next_u64()
         assert package_apply(9, state)[:, 0].tolist() == [rng._s0, rng._s1, rng._s2, rng._s3]
+
+
+class TestIntegerArguments:
+    """A numpy integer seed or count draws what the equal int draws; a float
+    is not an integer and raises TypeError."""
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.int32(5), np.uint64(2**64 - 1)])
+    def test_numpy_seed_streams_as_the_int(self, seed):
+        rng, ref = Rng(seed), Rng(int(seed))
+        assert type(rng.seed) is int and rng.seed == ref.seed
+        assert [rng.next_u64() for _ in range(20)] == [ref.next_u64() for _ in range(20)]
+        assert type(rng._s0) is int
+        assert rng.randbelow(np.int64(7)) == ref.randbelow(7)
+        assert [rng.normal() for _ in range(5)] == [ref.normal() for _ in range(5)]
+
+    @pytest.mark.parametrize("n", [np.int64(7), np.uint64(7), np.int8(7)])
+    def test_numpy_randbelow_bound(self, n):
+        rng, ref = Rng(5), Rng(5)
+        draws = [rng.randbelow(n) for _ in range(50)]
+        assert all(type(d) is int for d in draws)
+        assert draws == [ref.randbelow(7) for _ in range(50)]
+
+    @pytest.mark.parametrize("draw", ["u64_array", "uniforms", "normals"])
+    @pytest.mark.parametrize("n", [np.int64(5), np.uint64(1001), np.int32(0)])
+    def test_numpy_count_draws_as_the_int(self, draw, n):
+        rng, ref = Rng(5), Rng(5)
+        got, want = getattr(rng, draw)(n), getattr(ref, draw)(int(n))
+        assert got.tobytes() == want.tobytes()
+        assert rng.next_u64() == ref.next_u64()
+
+    @pytest.mark.parametrize("draw", ["u64_array", "uniforms", "normals", "randbelow"])
+    @pytest.mark.parametrize("n", [2.0, np.float64(5.0)])
+    def test_float_count_rejected(self, draw, n):
+        rng = Rng(5)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            getattr(rng, draw)(n)
+        assert rng.next_u64() == Rng(5).next_u64()  # the stream did not move
+
+    def test_float_seed_rejected(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Rng(5.0)
+
+    def test_numpy_seed_still_range_checked(self):
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            Rng(np.int64(-1))
 
 
 class TestUniform:
