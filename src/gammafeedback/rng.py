@@ -26,16 +26,15 @@ machines and builds, independent of any library's RNG internals:
 Bulk draws need numpy (the ``bulk`` extra); nothing else in the package
 imports it. ``u64_array()`` and ``uniforms()`` are bit-identical to the
 scalar stream and leave the generator in the same state. The update is
-linear over GF(2)^256, so n draws run as lanes a stride apart, each started
-by GF(2) jump-ahead (Haramoto et al., INFORMS J. Computing 2008). The stride
-is the power of two nearest sqrt(n/4), so about 2 sqrt(n) lanes of about
-sqrt(n)/2 steps; more lanes cost more jumps, fewer lanes more numpy steps, and
-c = 4 in sqrt(n/c) is measured. Each jump T^(2^j) is cached as a table of the
-images of every 4-bit nibble value at each of the 64 nibble positions, so a
-lane start is the XOR of 64 table rows, not of 256 unit images (the "four
-Russians" method, Arlazarov et al., Soviet Math. Dokl. 1970). numpy advances
-all lanes together in place, a band of steps at a time, and applies the
-output function to each band while it is still in cache.
+linear over GF(2)^256, so n draws run as about 2 sqrt(n) lanes a stride
+apart, the power of two nearest sqrt(n/4) (the 4 is measured: more lanes
+cost more jumps, fewer lanes more numpy steps), each started by GF(2)
+jump-ahead (Haramoto et al., INFORMS J. Computing 2008). Each jump T^(2^j) is
+cached as a table of the images of the 16 values of each of the state's 64
+nibbles, so a lane start is the XOR of 64 table rows, not of 256 unit images
+(the "four Russians" method, Arlazarov et al., Soviet Math. Dokl. 1970).
+numpy advances all lanes together in place, a band of steps at a time, and
+applies the output function to each band while it is still in cache.
 ``normals()`` applies the Box-Muller transform vectorized, in chunks, over
 the uniforms' own buffer. numpy's ``log`` may differ from ``math.log`` in the
 last ulp (its ``sqrt``, ``cos`` and ``sin`` agree with ``math``), so a bulk
@@ -109,7 +108,8 @@ def _apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
     shifts = np.arange(0, 64, 4, dtype=np.uint64)[:, None]
     nibbles = ((states[:, None, :] >> shifts) & np.uint64(15)).reshape(64, m).astype(np.intp)
     nibbles += np.arange(0, 1024, 16)[:, None]
-    return np.bitwise_xor.reduce(np.take(table, nibbles, axis=0), axis=0).T  # (64, m, 4)
+    # one gather of 64 rows per state, shape (64, m, 4), XOR-reduced over the rows
+    return np.bitwise_xor.reduce(np.take(table, nibbles, axis=0), axis=0).T
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,7 +148,8 @@ def _table(j: int) -> np.ndarray:
 
 def _lane_starts(state: np.ndarray, lanes: int, stride_log2: int) -> np.ndarray:
     """States at positions 0, stride, 2*stride, ... from state, shape (4, lanes),
-    where stride = 2^stride_log2: every jump is a cached squaring of T."""
+    where stride = 2^stride_log2: every jump is a cached squaring of T,
+    applied through its nibble table."""
     import numpy as np
 
     starts = np.empty((4, lanes), dtype=np.uint64)

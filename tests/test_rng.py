@@ -106,7 +106,7 @@ LANE_SIZES = [0, 1, 2, 3, 4, 5, 16, 17, 24, 25, _BAND - 1, _BAND, _BAND + 1, 100
               *(n_s + d for n_s in SWITCH_POINTS for d in (-1, 0, 1)),
               299 * 2 * _BAND + _BAND + 1, 500 * 2 * _BAND]
 BLOCK = LANES * STRIDE
-# every lane full at 4^k draws, and the stride doubled one draw later
+# every lane full at 4^k draws, and one more lane of one step at 4^k + 1
 POWER_OF_FOUR_SIZES = [4**k + extra for k in range(1, 11) for extra in (0, 1)]
 SEEDS = [0, 1, 2**64 - 1, 20240811]
 
